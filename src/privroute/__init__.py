@@ -53,7 +53,6 @@ from .sim import (
     RunRecord,
     SimulationConfig,
     monte_carlo,
-    observe_losses,
     run_trajectory,
 )
 

@@ -20,7 +20,7 @@ from .config import (
     load_config,
     privacy_pairs,
 )
-from .game import solve_equilibrium
+from .game import EquilibriumError, solve_equilibrium
 from .network import NetworkError
 from .privacy import (
     allocation_supremum,
@@ -34,7 +34,7 @@ from .sim import (
     check_suboptimality_bound,
     monte_carlo,
     run_seeds,
-    run_trajectory,
+    simulate_runs,
     stats_summary,
     write_ensemble_csv,
     write_manifest,
@@ -88,7 +88,9 @@ def cmd_simulate(args) -> int:
         token = _sigma_token(float(sigma))
         records = None
         if args.per_run:
-            records = [run_trajectory(run_cfg, s) for s in run_seeds(run_cfg.seed, run_cfg.runs)]
+            records = simulate_runs(
+                run_cfg, run_seeds(run_cfg.seed, run_cfg.runs), keep_runs=True
+            ).records
             run_dir = outdir / f"runs_sigma_{token}"
             run_dir.mkdir(parents=True, exist_ok=True)
             for i, record in enumerate(records):
@@ -228,23 +230,16 @@ def cmd_constants(args) -> int:
         print()
         return 0
     print(f"paths per OD pair: {values['paths_per_od']} (total {values['total_paths']})")
-    print(
-        f"incidence gain A_x = {values['incidence_gain']!r}"
-        "  (largest per-OD incidence spectral norm, by power iteration)"
-    )
-    print(
-        f"allocation norm bound A_Delta = {values['allocation_norm_bound']!r}"
-        "  (sum over OD pairs of the per-simplex vertex norm, 1 each)"
-    )
-    print(f"mass bound A_theta = {values['mass_bound']!r}  (largest declared OD mass)")
-    print(
-        f"loss Lipschitz A_ell = {values['loss_lipschitz']!r}"
-        "  (sum of incidence spectral norms times the worst cost slope)"
-    )
-    print(
-        f"loss sup bound M = {values['loss_sup']!r}"
-        "  (costliest path with the total mass on every edge)"
-    )
+    for label, key, derivation in [
+        ("incidence gain A_x", "incidence_gain", "largest per-OD incidence spectral norm"),
+        ("allocation norm bound A_Delta", "allocation_norm_bound",
+         "sum over OD pairs of the per-simplex vertex norm, 1 each"),
+        ("mass bound A_theta", "mass_bound", "largest declared OD mass"),
+        ("loss Lipschitz A_ell", "loss_lipschitz",
+         "sum of incidence spectral norms times the worst cost slope"),
+        ("loss sup bound M", "loss_sup", "costliest path with the total mass on every edge"),
+    ]:
+        print(f"{label} = {values[key]!r}  ({derivation})")
     for k, modulus in enumerate(values["moduli"]):
         print(
             f"population {k}: strong-convexity modulus = {modulus!r}"
@@ -323,7 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, NetworkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, EquilibriumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

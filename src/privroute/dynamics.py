@@ -8,10 +8,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .network import block_slices
+
 __all__ = [
     "BregmanGeometry",
     "LearningSchedule",
-    "block_slices",
+    "block_projection",
+    "block_softmax",
     "dual_norm",
     "project_simplex",
     "reference_norm",
@@ -20,14 +23,6 @@ __all__ = [
 ]
 
 GEOMETRY_KINDS = ("entropic", "euclidean")
-
-
-def block_slices(block_sizes: Sequence[int]) -> list[slice]:
-    out, start = [], 0
-    for size in block_sizes:
-        out.append(slice(start, start + size))
-        start += size
-    return out
 
 
 def reference_norm(x: np.ndarray, block_sizes: Sequence[int]) -> float:
@@ -41,13 +36,32 @@ def dual_norm(x: np.ndarray, block_sizes: Sequence[int]) -> float:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - shifted / counts > 0)[0][-1]
-    tau = shifted[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    """Euclidean projection onto the probability simplex along the last axis."""
+    v = np.asarray(v, float)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    shifted = np.cumsum(u, axis=-1) - 1.0
+    positive = u - shifted / np.arange(1, v.shape[-1] + 1) > 0
+    # Index of the last positive entry in each row.
+    rho = v.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1, keepdims=True)
+    return np.maximum(v - np.take_along_axis(shifted, rho, axis=-1) / (rho + 1.0), 0.0)
+
+
+def block_projection(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
+    """Per-block :func:`project_simplex` of the last axis (the euclidean prox)."""
+    out = np.empty_like(v)
+    for s in block_slices(block_sizes):
+        out[..., s] = project_simplex(v[..., s])
+    return out
+
+
+def block_softmax(logits: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
+    """Per-block softmax of the last axis; max-shifted, so no block underflows to zeros."""
+    out = np.empty_like(logits)
+    for s in block_slices(block_sizes):
+        block = logits[..., s]
+        w = np.exp(block - block.max(axis=-1, keepdims=True))
+        out[..., s] = w / w.sum(axis=-1, keepdims=True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +148,8 @@ class BregmanGeometry:
     def prox(self, x: np.ndarray, loss: np.ndarray, eta: float) -> np.ndarray:
         """Minimize ``<loss, z> + divergence(z, x) / eta`` over the product.
 
-        The entropic form exponentiates in the log domain with per-block
-        max subtraction so extreme losses cannot underflow whole blocks.
+        The entropic form is :func:`block_softmax` of ``log x - eta * loss``;
+        the euclidean form is :func:`block_projection` of ``x - eta * loss``.
         """
         x = np.asarray(x, float)
         loss = np.asarray(loss, float)
@@ -145,19 +159,11 @@ class BregmanGeometry:
             raise ValueError("non-finite loss entries")
         if eta <= 0:
             raise ValueError("step size must be positive")
-        out = np.empty_like(x)
         if self.kind == "entropic":
             if np.any(x <= 0):
                 raise ValueError("entropic prox requires a strictly positive iterate")
-            logits = np.log(x) - eta * loss
-            for s in block_slices(self.block_sizes):
-                w = np.exp(logits[s] - np.max(logits[s]))
-                out[s] = w / np.sum(w)
-        else:
-            shifted = x - eta * loss
-            for s in block_slices(self.block_sizes):
-                out[s] = project_simplex(shifted[s])
-        return out
+            return block_softmax(np.log(x) - eta * loss, self.block_sizes)
+        return block_projection(x - eta * loss, self.block_sizes)
 
 
 def smd_update(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import block_softmax
 from .network import Network, PathSet, enumerate_paths
 
 __all__ = [
@@ -129,6 +131,13 @@ class GameInstance:
         """Per-population masses expanded over the concatenated path axis."""
         return np.repeat(self.masses, self.block_sizes, axis=1)
 
+    @cached_property
+    def affine_coefficients(self) -> np.ndarray | None:
+        """Rows of per-edge slopes and intercepts if every edge cost is affine, else None."""
+        if all(isinstance(c, AffineCost) for c in self.costs):
+            return np.array([[c.slope, c.intercept] for c in self.costs]).T
+        return None
+
 
 def build_game(
     network: Network,
@@ -199,12 +208,23 @@ def _spot_check_costs(costs: tuple[EdgeCost, ...], total_mass: float) -> None:
             )
 
 
+# Edge flows sit on the last axis.  Generic cost callables are applied per entry.
 def _cost_values(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    return np.array([float(c.value(u)) for c, u in zip(game.costs, phi)])
+    if game.affine_coefficients is not None:
+        slope, intercept = game.affine_coefficients
+        return slope * phi + intercept
+    return np.stack([np.vectorize(c.value, otypes=[float])(phi[..., j])
+                     for j, c in enumerate(game.costs)], axis=-1)
 
 
-def _cost_integrals(game: GameInstance, phi: np.ndarray) -> float:
-    return float(sum(c.integral(u) for c, u in zip(game.costs, phi)))
+def _cost_integrals(game: GameInstance, phi: np.ndarray):
+    if game.affine_coefficients is not None:
+        slope, intercept = game.affine_coefficients
+        total = np.sum(0.5 * slope * phi * phi + intercept * phi, axis=-1)
+    else:
+        total = sum(np.vectorize(c.integral, otypes=[float])(phi[..., j])
+                    for j, c in enumerate(game.costs))
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def uniform_allocation(game: GameInstance) -> np.ndarray:
@@ -228,26 +248,26 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
 
 
 def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
-    """Mass-weighted aggregation of path allocations into edge flows."""
+    """Mass-weighted aggregation of allocations ``(..., K, P)`` into edge flows ``(..., E)``."""
     x = np.asarray(x, float)
-    if x.shape != (game.num_populations, game.total_paths):
+    if x.shape[-2:] != (game.num_populations, game.total_paths):
         raise ValueError(
             f"allocation shape {x.shape} does not match "
-            f"({game.num_populations}, {game.total_paths})"
+            f"(..., {game.num_populations}, {game.total_paths})"
         )
-    weighted = (game.path_weights() * x).sum(axis=0)
-    return game.incidence @ weighted
+    weighted = (game.path_weights() * x).sum(axis=-2)
+    return weighted @ game.incidence.T
 
 
 def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    """Per-path travel costs: each path sums its edges' costs at flow ``phi``."""
+    """Per-path travel costs ``(..., P)``: each path sums its edges' costs at flow ``phi``."""
     phi = np.asarray(phi, float)
-    if phi.shape != (game.network.num_edges,):
+    if phi.ndim < 1 or phi.shape[-1] != game.network.num_edges:
         raise ValueError("flow vector length does not match the edge count")
-    return game.incidence.T @ _cost_values(game, phi)
+    return _cost_values(game, phi) @ game.incidence
 
 
-def potential_from_flows(game: GameInstance, phi: np.ndarray) -> float:
+def potential_from_flows(game: GameInstance, phi: np.ndarray):
     return _cost_integrals(game, np.asarray(phi, float))
 
 
@@ -272,13 +292,15 @@ def weighted_inner(x: np.ndarray, y: np.ndarray, theta, block_sizes: Sequence[in
     return float(np.sum(weights * x * y))
 
 
-def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray) -> float:
+def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):
+    """Nash gap of allocations ``(..., K, P)`` at losses ``(..., P)``: float or ``(...)`` array."""
     starts = [s.start for s in game.paths.block_slices()]
-    block_min = np.minimum.reduceat(losses, starts)
+    block_min = np.minimum.reduceat(losses, starts, axis=-1)
     weights = game.path_weights()
-    current = float(np.sum(weights * np.asarray(x, float) * losses[None, :]))
-    best = float(np.sum(game.masses * block_min[None, :]))
-    return max(current - best, 0.0)
+    current = np.sum(weights * np.asarray(x, float) * losses[..., None, :], axis=(-2, -1))
+    best = np.sum(game.masses * block_min[..., None, :], axis=(-2, -1))
+    gap = np.maximum(current - best, 0.0)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def nash_gap(game: GameInstance, x: np.ndarray) -> float:
@@ -331,20 +353,15 @@ def solve_equilibrium(
     if eta <= 0:
         raise ValueError("step size must be positive")
 
-    weights = game.path_weights()
-    slices = game.paths.block_slices()
+    weights, sizes = game.path_weights(), game.block_sizes
     logits = np.log(uniform_allocation(game))
-    x = np.empty_like(logits)
     for it in range(max_iter + 1):
-        for s in slices:
-            block = logits[:, s]
-            w = np.exp(block - block.max(axis=1, keepdims=True))
-            x[:, s] = w / w.sum(axis=1, keepdims=True)
+        x = block_softmax(logits, sizes)
         phi = edge_flows(game, x)
         losses = path_losses(game, phi)
         gap = gap_from_losses(game, x, losses)
         if gap <= tol:
-            return Equilibrium(x.copy(), potential_from_flows(game, phi), gap, it)
+            return Equilibrium(x, potential_from_flows(game, phi), gap, it)
         logits -= eta * weights * losses[None, :]
     raise EquilibriumError(
         f"no equilibrium within {max_iter} iterations (gap {gap:.3e} > tol {tol:.1e})"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,6 +12,7 @@ __all__ = [
     "Network",
     "NetworkError",
     "PathSet",
+    "block_slices",
     "build_network",
     "enumerate_paths",
 ]
@@ -20,6 +22,15 @@ DEFAULT_PATH_CAP = 10_000
 
 class NetworkError(ValueError):
     """Malformed or unroutable network description."""
+
+
+def block_slices(block_sizes) -> list[slice]:
+    """Consecutive slices of a concatenated vector, one per block size."""
+    out, start = [], 0
+    for size in block_sizes:
+        out.append(slice(start, start + size))
+        start += size
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,7 @@ class PathSet:
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     incidence: tuple[np.ndarray, ...]
 
-    @property
+    @cached_property
     def block_sizes(self) -> tuple[int, ...]:
         """Number of paths per OD pair."""
         return tuple(len(group) for group in self.paths)
@@ -130,11 +141,7 @@ class PathSet:
 
     def block_slices(self) -> list[slice]:
         """Slices of the concatenated path vector, one per OD pair."""
-        out, start = [], 0
-        for size in self.block_sizes:
-            out.append(slice(start, start + size))
-            start += size
-        return out
+        return block_slices(self.block_sizes)
 
     def stacked_incidence(self) -> np.ndarray:
         """All incidence matrices side by side, ``num_edges x total_paths``."""

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import LearningSchedule
-from .game import GameInstance
+from .game import GameInstance, path_losses
 from .network import PathSet
 
 __all__ = [
@@ -46,32 +46,19 @@ __all__ = [
 ]
 
 
-def spectral_norm(matrix, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
+def spectral_norm(matrix) -> float:
+    """Largest singular value, rounded up so that it is never below the exact value.
 
-    Deterministic positive start vector; stops when the estimate changes by
-    less than ``rel_tol`` relatively.  Raises on an all-zero matrix.
+    The SVD-based norm can land an ulp or so below the true value (it gives
+    1.9999999999999998 for a matrix of norm 2), so it is raised by a
+    relative margin of 1e-12.  Raises on an all-zero matrix.
     """
     m = np.asarray(matrix, float)
     if m.ndim != 2:
         raise ValueError("spectral_norm expects a matrix")
     if not m.any():
-        raise ValueError("power iteration is degenerate on an all-zero matrix")
-    gram = m.T @ m
-    v = 1.0 + np.arange(gram.shape[0], dtype=float)
-    v /= np.linalg.norm(v)
-    previous = -1.0
-    for _ in range(max_iter):
-        w = gram @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            raise ValueError("power iteration collapsed to the kernel")
-        v = w / lam
-        sigma = math.sqrt(lam)
-        if abs(sigma - previous) <= rel_tol * max(sigma, 1.0):
-            return sigma
-        previous = sigma
-    raise RuntimeError("power iteration did not converge")
+        raise ValueError("spectral_norm is degenerate on an all-zero matrix")
+    return float(np.linalg.norm(m, 2)) * (1.0 + 1e-12)
 
 
 def incidence_gain(paths: PathSet) -> float:
@@ -112,9 +99,7 @@ def loss_sup_bound(game: GameInstance) -> float:
     population over a single path is the worst case; evaluating all edges
     at the total mass and taking the costliest path is an upper bound.
     """
-    full = np.full(game.network.num_edges, game.total_mass)
-    values = np.array([float(c.value(u)) for c, u in zip(game.costs, full)])
-    return float(np.max(game.incidence.T @ values))
+    return float(np.max(path_losses(game, np.full(game.network.num_edges, game.total_mass))))
 
 
 def allocation_shift_bound(
@@ -270,6 +255,7 @@ def compose_adaptive(
     Returns ``(sum eps_t, sum_t exp(sum_{t'>t} eps_t') * delta_t +
     extra_delta)``; the suffix exponents are accumulated in one reverse
     pass.  ``extra_delta`` carries the tail mass of any conditioning event.
+    When a suffix exponent overflows the float range the delta is ``inf``.
     """
     if len(epsilons) != len(deltas):
         raise ValueError("epsilon and delta lists must have equal length")
@@ -277,9 +263,13 @@ def compose_adaptive(
         raise ValueError("privacy parameters must be nonnegative")
     suffix = 0.0
     total_delta = extra_delta
-    for eps, delta in zip(reversed(list(epsilons)), reversed(list(deltas))):
-        total_delta += math.exp(suffix) * delta
-        suffix += eps
+    try:
+        for eps, delta in zip(reversed(list(epsilons)), reversed(list(deltas))):
+            total_delta += math.exp(suffix) * delta
+            suffix += eps
+    except OverflowError:
+        # exp(suffix) exceeds the float range: no finite bound, and inf is sound.
+        total_delta = math.inf
     return float(sum(epsilons)), float(total_delta)
 
 

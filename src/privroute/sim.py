@@ -9,20 +9,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game as game_ops
-from .dynamics import BregmanGeometry, LearningSchedule, smd_update, suboptimality_bound
+from .dynamics import BregmanGeometry, LearningSchedule, block_projection, block_softmax
+from .dynamics import suboptimality_bound
 from .game import Equilibrium, GameInstance, solve_equilibrium
 from .privacy import loss_sup_bound
 
 __all__ = [
+    "EnsembleRuns",
     "EnsembleStats",
     "RunRecord",
     "SimulationConfig",
     "check_suboptimality_bound",
     "fit_loglog_slope",
     "monte_carlo",
-    "observe_losses",
     "run_seeds",
     "run_trajectory",
+    "simulate_runs",
     "write_ensemble_csv",
     "write_manifest",
     "write_run_csv",
@@ -97,42 +99,67 @@ class EnsembleStats:
     seed: int
 
 
-def observe_losses(losses: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Release the loss vector through i.i.d. additive Gaussian noise."""
-    losses = np.asarray(losses, float)
-    if sigma < 0:
-        raise ValueError("noise standard deviation must be nonnegative")
-    if sigma == 0:
-        return losses.copy()
-    return losses + sigma * rng.standard_normal(losses.shape)
+@dataclass(frozen=True, eq=False)
+class EnsembleRuns:
+    """What one :func:`simulate_runs` call returns."""
+
+    potentials: np.ndarray  # (runs, T)
+    gaps: np.ndarray  # (runs, T)
+    flow_sum: np.ndarray  # (T, populations, paths): allocations summed over runs
+    records: list[RunRecord] | None  # every run's trajectory, only when kept
+
+
+def simulate_runs(cfg: SimulationConfig, seeds: list, keep_runs: bool = False) -> EnsembleRuns:
+    """Advance one run per seed, all together; each run depends on its seed alone.
+
+    Entropic populations are held as logits and euclidean ones as iterates,
+    both as ``(runs, populations, paths)`` arrays.  Run ``r`` draws its noise
+    up front as ``default_rng(seeds[r]).standard_normal((T, paths))``, the
+    same numbers as ``T`` successive draws of one vector.
+    """
+    game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
+    sizes, weights = game.block_sizes, game.path_weights()
+    kinds = np.array([g.kind for g in cfg.geometries])
+    entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
+    rates = np.array([[s.rate(t) for s in cfg.schedules] for t in range(T)])[:, :, None]
+    noise = np.zeros((T, 1, 1))
+    if cfg.sigma > 0:
+        noise = np.stack([np.random.default_rng(s).standard_normal((T, P)) for s in seeds], axis=1)
+    x = np.tile(game_ops.uniform_allocation(game), (R, 1, 1))
+    logits = np.log(x[:, entropic])
+    potentials, gaps, flow_sum = np.empty((R, T)), np.empty((R, T)), np.empty((T,) + x.shape[1:])
+    allocations = np.empty((R,) + flow_sum.shape) if keep_runs else None
+    observed = np.empty((R, T, P)) if keep_runs else None
+
+    losses = game_ops.path_losses(game, game_ops.edge_flows(game, x))
+    for t in range(T):
+        loss_hat = losses + cfg.sigma * noise[t]
+        scaled = weights * loss_hat[:, None, :]
+        if not np.all(np.isfinite(scaled)):
+            raise ValueError("non-finite loss entries")
+        step = rates[t] * scaled
+        logits -= step[:, entropic]
+        x[:, entropic] = block_softmax(logits, sizes)
+        x[:, euclidean] = block_projection(x[:, euclidean] - step[:, euclidean], sizes)
+        phi = game_ops.edge_flows(game, x)
+        losses = game_ops.path_losses(game, phi)
+        potentials[:, t] = game_ops.potential_from_flows(game, phi)
+        gaps[:, t] = game_ops.gap_from_losses(game, x, losses)
+        flow_sum[t] = x.sum(axis=0)
+        if keep_runs:
+            allocations[:, t], observed[:, t] = x, loss_hat
+    records = None
+    if keep_runs:
+        records = [
+            RunRecord(potentials[r], gaps[r], allocations[r], observed[r], s)
+            for r, s in enumerate(seeds)
+        ]
+    return EnsembleRuns(potentials, gaps, flow_sum, records)
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     """Simulate one run; fully determined by the config and the seed."""
-    rng = np.random.default_rng(seed)
-    game = cfg.game
-    T = cfg.horizon
-    x = game_ops.uniform_allocation(game)
-    potentials = np.empty(T)
-    gaps = np.empty(T)
-    allocations = np.empty((T, game.num_populations, game.total_paths))
-    observed = np.empty((T, game.total_paths))
-
-    phi = game_ops.edge_flows(game, x)
-    losses = game_ops.path_losses(game, phi)
-    for t in range(T):
-        loss_hat = observe_losses(losses, cfg.sigma, rng)
-        for k in range(game.num_populations):
-            x[k] = smd_update(
-                cfg.geometries[k], cfg.schedules[k], t, x[k], game.masses[k], loss_hat
-            )
-        phi = game_ops.edge_flows(game, x)
-        losses = game_ops.path_losses(game, phi)
-        potentials[t] = game_ops.potential_from_flows(game, phi)
-        gaps[t] = game_ops.gap_from_losses(game, x, losses)
-        allocations[t] = x
-        observed[t] = loss_hat
-    return RunRecord(potentials, gaps, allocations, observed, seed)
+    return simulate_runs(cfg, [seed], keep_runs=True).records[0]
 
 
 def fit_loglog_slope(iterations: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> float:
@@ -157,22 +184,25 @@ def monte_carlo(
 ) -> EnsembleStats:
     """Replicate the trajectory over independent seeds and aggregate.
 
-    Per-run generators are spawned from :func:`run_seeds` so runs are
-    independent yet the whole ensemble is reproducible.  The potential
-    reference value comes from a gap-certified equilibrium solve, shared
-    across noise levels when passed in.  Precomputed ``records`` (for
-    example, kept to write per-run files) skip the simulation pass.
+    All runs advance in one :func:`simulate_runs` call seeded by
+    :func:`run_seeds`, so runs are independent yet the whole ensemble is
+    reproducible.  The potential reference value comes from a gap-certified
+    equilibrium solve, shared across noise levels when passed in.
+    Precomputed ``records`` (for example, kept to write per-run files) skip
+    the simulation pass.
     """
     if equilibrium is None:
         equilibrium = solve_equilibrium(cfg.game, tol=EQUILIBRIUM_TOL)
     if records is None:
-        records = [run_trajectory(cfg, child) for child in run_seeds(cfg.seed, cfg.runs)]
+        runs = simulate_runs(cfg, run_seeds(cfg.seed, cfg.runs))
+        f_runs, gap_runs, flow_sum = runs.potentials, runs.gaps, runs.flow_sum
     elif len(records) != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {len(records)}")
+    else:
+        f_runs = np.stack([r.potentials for r in records])
+        gap_runs = np.stack([r.gaps for r in records])
+        flow_sum = sum(r.allocations for r in records)
 
-    f_runs = np.stack([r.potentials for r in records])
-    gap_runs = np.stack([r.gaps for r in records])
-    flow_runs = np.stack([r.allocations for r in records])
     iterations = np.arange(1, cfg.horizon + 1)
     window = cfg.slope_window or (max(1, cfg.horizon // 4), cfg.horizon)
     f_mean = f_runs.mean(axis=0)
@@ -182,7 +212,7 @@ def monte_carlo(
         f_mean=f_mean,
         f_std=f_runs.std(axis=0),
         gap_mean=gap_runs.mean(axis=0),
-        flow_mean=flow_runs.mean(axis=0),
+        flow_mean=flow_sum / cfg.runs,
         f_star=equilibrium.potential,
         equilibrium=equilibrium,
         slope=slope,

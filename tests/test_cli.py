@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 
+import numpy as np
 import pytest
 
+from privroute import cli
 from privroute.cli import main
+from privroute.game import solve_equilibrium
 from privroute.config import ConfigError, load_config, privacy_pairs
 
 from conftest import CONFIG_DIR
@@ -108,6 +113,55 @@ def test_simulate_per_run_files(tmp_path):
         assert float(row[1]) == pytest.approx(mean, rel=1e-12)
 
 
+def test_simulate_per_run_files_average_to_ensemble(tmp_path):
+    code = main(
+        [
+            "simulate", "--config", str(TWO_OD), "--sigma", "0.4",
+            "--runs", "4", "--T", "15", "--seed", "6", "--per-run",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    runs = np.stack(
+        [
+            np.loadtxt(path, delimiter=",", skiprows=1)
+            for path in sorted((tmp_path / "runs_sigma_0p4").glob("run_*.csv"))
+        ]
+    )
+    ensemble = np.loadtxt(tmp_path / "ensemble_sigma_0p4.csv", delimiter=",", skiprows=1)
+    assert runs.shape == (4, 15, 3 + 2 * 5 + 5)
+    mean = runs.mean(axis=0)
+    np.testing.assert_array_equal(ensemble[:, 0], mean[:, 0])
+    np.testing.assert_allclose(ensemble[:, 1], mean[:, 1], rtol=1e-12)  # f
+    np.testing.assert_allclose(ensemble[:, 2], runs[:, :, 1].std(axis=0), rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(ensemble[:, 3], mean[:, 2], rtol=1e-12)  # gap
+    np.testing.assert_allclose(ensemble[:, 4:], mean[:, 3:13], rtol=1e-12)  # flows
+
+
+def test_simulate_survives_large_entropic_step(tmp_path):
+    # c_k = 5000 drives the losing paths' weights below the smallest float;
+    # the simulator keeps entropic iterates as logits, so none becomes zero.
+    cfg = json.loads(TWO_OD.read_text())
+    cfg["populations"][0]["c_k"] = 5000
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["simulate", "--config", str(path), "--runs", "3", "--T", "40", "--per-run"]
+    assert main(args + ["--out", str(out)]) == 0
+    tables = sorted(out.glob("ensemble_sigma_*.csv")) + sorted(out.glob("runs_sigma_*/run_*.csv"))
+    assert len(tables) == 3 * 4
+    for table_path in tables:
+        with open(table_path, newline="") as handle:
+            header = next(csv.reader(handle))
+        table = np.loadtxt(table_path, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table))
+        flows = table[:, [i for i, h in enumerate(header) if h.startswith("flow[")]]
+        flows = flows.reshape(len(table), 2, 5)
+        assert flows.min() >= 0.0
+        np.testing.assert_allclose(flows[:, :, :3].sum(axis=2), 1.0, atol=1e-9)
+        np.testing.assert_allclose(flows[:, :, 3:].sum(axis=2), 1.0, atol=1e-9)
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = [
         "simulate", "--config", str(TWO_OD), "--sigma", "0.4",
@@ -202,6 +256,33 @@ def test_accountant_single_step_equals_mechanism(tmp_path):
     )
     assert float(rows[1][3]) == pytest.approx(report.epsilons[0], rel=1e-12)
     assert float(rows[1][4]) == pytest.approx(report.deltas[0] + report.tail_delta, rel=1e-12)
+
+
+def test_accountant_overflowing_composition_is_trivial(tmp_path):
+    # At c = 1e-2 the summed epsilon passes 709, where exp(suffix) overflows.
+    code = main(
+        [
+            "accountant", "--config", str(TWO_OD), "--c", "1e-2",
+            "--T-range", "1:1001:500", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    with open(tmp_path / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * 3
+    assert {row["delta"] for row in rows if row["T"] != "1"} == {"inf"}
+    assert all(row["valid"] == "0" for row in rows)
+    assert all(math.isfinite(float(row["epsilon"])) for row in rows)
+    report = json.loads((tmp_path / "report_c_0.01_sigma_0p1.json").read_text())
+    assert report["trivial"] is True
+
+
+def test_equilibrium_failure_is_one_line_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_equilibrium", functools.partial(solve_equilibrium, max_iter=3))
+    assert main(["equilibrium", "--config", str(TWO_OD)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no equilibrium within 3 iterations")
+    assert err.count("\n") == 1
 
 
 def test_constants_pigou(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,31 @@ def test_spectral_norm_random_matrices_match_svd():
         if not m.any():
             continue
         assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
+
+
+def exceeds_spectrum(gram, bound: Fraction) -> bool:
+    """Whether ``bound * I - gram`` is positive definite, in exact arithmetic.
+
+    Gaussian elimination without pivoting keeps every pivot positive exactly
+    for a positive definite matrix (integer ``gram``).
+    """
+    n = len(gram)
+    a = [[(bound if i == j else 0) - Fraction(int(gram[i][j])) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if a[i][i] <= 0:
+            return False
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            for c in range(i, n):
+                a[r][c] -= f * a[i][c]
+    return True
+
+
+def test_spectral_norm_is_an_upper_bound(standin_game):
+    # Both two_od blocks (exact norms 2.66815042220747... and 2) and eye(2).
+    for m in (*standin_game.paths.incidence, np.eye(2)):
+        gram = (m.T @ m).round().astype(int).tolist()
+        assert exceeds_spectrum(gram, Fraction(spectral_norm(m)) ** 2)
 
 
 def test_spectral_norm_rejects_zero_matrix():

@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import privroute as pr
-from privroute.dynamics import BregmanGeometry, LearningSchedule
-from privroute.game import solve_equilibrium, validate_allocation
+from privroute.dynamics import BregmanGeometry, LearningSchedule, smd_update
+from privroute.game import (
+    edge_flows,
+    gap_from_losses,
+    path_losses,
+    potential_from_flows,
+    solve_equilibrium,
+    uniform_allocation,
+    validate_allocation,
+)
 from privroute.sim import (
     SimulationConfig,
     check_suboptimality_bound,
     fit_loglog_slope,
     monte_carlo,
-    observe_losses,
+    run_seeds,
     run_trajectory,
+    simulate_runs,
 )
-
 
 
 def small_config(game, sigma=0.1, horizon=40, runs=3, seed=11, scale=1.0, decay=0.5):
@@ -28,29 +38,6 @@ def small_config(game, sigma=0.1, horizon=40, runs=3, seed=11, scale=1.0, decay=
         runs=runs,
         seed=seed,
     )
-
-
-# ------------------------------------------------------------ observations
-
-
-def test_observe_losses_degenerate_noise():
-    rng = np.random.default_rng(0)
-    losses = np.array([1.0, 2.0, 3.0])
-    out = observe_losses(losses, 0.0, rng)
-    np.testing.assert_array_equal(out, losses)
-    assert out is not losses
-
-
-def test_observe_losses_moments():
-    rng = np.random.default_rng(1)
-    sigma = 0.3
-    losses = np.array([1.0, 2.0, 0.5, 4.0])
-    n = 100_000
-    draws = np.stack([observe_losses(losses, sigma, rng) - losses for _ in range(n)])
-    # CLT width for the empirical mean of each coordinate.
-    assert np.all(np.abs(draws.mean(axis=0)) < 4 * sigma / np.sqrt(n))
-    variances = draws.var(axis=0)
-    assert np.all(np.abs(variances - sigma**2) < 0.05 * sigma**2)
 
 
 # ------------------------------------------------------------- trajectories
@@ -145,3 +132,111 @@ def test_simulation_config_validation(standin_game, standin_dynamics):
     bad_geom = tuple(BregmanGeometry("entropic", (2, 2)) for _ in geometries)
     with pytest.raises(ValueError, match="block structure"):
         SimulationConfig(standin_game, bad_geom, schedules, 0.1, 10, 1, 0)
+
+
+# ------------------------------------------------- batched engine vs a loop
+
+
+def loop_oracle(cfg, seed):
+    """One run as a plain per-step, per-population loop (the engine's reference)."""
+    game = cfg.game
+    rng = np.random.default_rng(seed)
+    x = uniform_allocation(game)
+    losses = path_losses(game, edge_flows(game, x))
+    potentials, gaps, allocations, observed = [], [], [], []
+    for t in range(cfg.horizon):
+        loss_hat = losses + cfg.sigma * rng.standard_normal(losses.shape) if cfg.sigma else losses
+        for k in range(game.num_populations):
+            geometry, schedule = cfg.geometries[k], cfg.schedules[k]
+            x[k] = smd_update(geometry, schedule, t, x[k], game.masses[k], loss_hat)
+        phi = edge_flows(game, x)
+        losses = path_losses(game, phi)
+        potentials.append(potential_from_flows(game, phi))
+        gaps.append(gap_from_losses(game, x, losses))
+        allocations.append(x.copy())
+        observed.append(loss_hat)
+    return np.array(potentials), np.array(gaps), np.array(allocations), np.array(observed)
+
+
+def generic_cost_game():
+    """two_od's network with non-affine costs, one of them scalar-only (math.exp)."""
+    net = pr.build_network(
+        {
+            "nodes": ["v0", "v1", "v2", "v3", "v4", "v5", "v6"],
+            "edges": [
+                ["v0", "v2"], ["v1", "v2"], ["v2", "v3"], ["v2", "v4"],
+                ["v3", "v5"], ["v4", "v5"], ["v5", "v6"], ["v3", "v6"],
+            ],
+            "od_pairs": [["v0", "v6"], ["v1", "v5"]],
+        }
+    )
+    quadratic = pr.GenericCost(
+        fn=lambda u: 0.2 * u * u + 0.05,
+        lipschitz=1.0,
+        antiderivative=lambda u: u**3 / 15 + 0.05 * u,
+    )
+    exponential = pr.GenericCost(
+        fn=lambda u: 0.1 * math.exp(0.5 * u),
+        lipschitz=0.2,
+        antiderivative=lambda u: 0.2 * math.expm1(0.5 * u),
+    )
+    costs = [quadratic, pr.AffineCost(0.25, 0.0), exponential, quadratic,
+             pr.AffineCost(0.25, 0.0), exponential, quadratic, pr.AffineCost(0.25, 0.12)]
+    return pr.build_game(net, costs, [[1.0, 0.0], [0.2, 1.2]])
+
+
+def engine_case(name, standin_game, standin_dynamics):
+    geometries, schedules = standin_dynamics
+    if name == "two_od_sigma0":
+        return SimulationConfig(standin_game, geometries, schedules, 0.0, 40, 3, 1)
+    if name == "two_od_sigma0.4":
+        return SimulationConfig(standin_game, geometries, schedules, 0.4, 40, 4, 2)
+    if name == "mixed_geometries":
+        mixed = (geometries[0], BregmanGeometry("euclidean", standin_game.block_sizes))
+        return SimulationConfig(standin_game, mixed, schedules, 0.4, 40, 4, 3)
+    game = generic_cost_game()
+    geoms = tuple(BregmanGeometry(kind, game.block_sizes) for kind in ("entropic", "euclidean"))
+    return SimulationConfig(game, geoms, schedules, 0.3, 30, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "case", ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "generic_costs"]
+)
+def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
+    cfg = engine_case(case, standin_game, standin_dynamics)
+    seeds = run_seeds(cfg.seed, cfg.runs)
+    runs = simulate_runs(cfg, seeds, keep_runs=True)
+    for seed, record in zip(seeds, runs.records):
+        potentials, gaps, allocations, observed = loop_oracle(cfg, seed)
+        np.testing.assert_allclose(record.potentials, potentials, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.gaps, gaps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.allocations, allocations, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.observed_losses, observed, rtol=0, atol=1e-12)
+    summed = sum(record.allocations for record in runs.records)
+    assert runs.flow_sum.tobytes() == summed.tobytes()
+    streamed = simulate_runs(cfg, seeds)
+    assert streamed.records is None
+    assert streamed.potentials.tobytes() == runs.potentials.tobytes()
+    assert streamed.flow_sum.tobytes() == runs.flow_sum.tobytes()
+
+
+def test_engine_noise_is_successive_draws_from_each_child():
+    # Zero costs keep every loss at 0, so with sigma = 1 the observed losses
+    # are the raw noise draws.
+    net = pr.build_network(
+        {"nodes": ["s", "t"], "edges": [["s", "t"]] * 3, "od_pairs": [["s", "t"]]}
+    )
+    game = pr.build_game(net, [pr.AffineCost(0.0, 0.0)] * 3, [[1.0]])
+    cfg = small_config(game, sigma=1.0, horizon=25, runs=4, seed=8)
+    seeds = run_seeds(cfg.seed, cfg.runs)
+    runs = simulate_runs(cfg, seeds, keep_runs=True)
+    for seed, record in zip(seeds, runs.records):
+        rng = np.random.default_rng(seed)
+        draws = np.array([rng.standard_normal(3) for _ in range(cfg.horizon)])
+        assert record.observed_losses.tobytes() == draws.tobytes()
+
+
+def test_engine_rejects_non_finite_losses(pigou_game):
+    cfg = small_config(pigou_game, sigma=1e308, horizon=50, runs=2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite loss entries"):
+        monte_carlo(cfg, solve_equilibrium(pigou_game))
