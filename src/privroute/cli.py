@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -22,13 +23,7 @@ from .config import (
 )
 from .game import EquilibriumError, solve_equilibrium
 from .network import NetworkError
-from .privacy import (
-    allocation_supremum,
-    incidence_gain,
-    loss_lipschitz_bound,
-    loss_sup_bound,
-    privacy_report,
-)
+from .privacy import SensitivityConstants, privacy_curve, privacy_report
 from .sim import (
     SimulationConfig,
     check_suboptimality_bound,
@@ -127,7 +122,10 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_t_range(text: str) -> range:
-    parts = [int(p) for p in text.split(":")]
+    try:
+        parts = [int(p) for p in text.split(":")]
+    except ValueError:
+        raise ConfigError(f"bad T-range {text!r}; expected integers start:stop[:step]") from None
     if len(parts) == 2:
         start, stop = parts
         step = 1
@@ -136,61 +134,49 @@ def _parse_t_range(text: str) -> range:
     else:
         raise ConfigError(f"bad T-range {text!r}; expected start:stop[:step]")
     if start < 1 or stop < start or step < 1:
-        raise ConfigError(f"bad T-range {text!r}")
+        raise ConfigError(f"bad T-range {text!r}; need 1 <= start <= stop and step >= 1")
     return range(start, stop + 1, step)
 
 
 def cmd_accountant(args) -> int:
     cfg = load_config(args.config)
-    privacy_cfg = cfg.get("privacy")
-    if privacy_cfg is None:
-        raise ConfigError("config has no privacy block")
+    pairs = privacy_pairs(cfg)  # raises when the config has no privacy block
+    privacy_cfg = cfg["privacy"]
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
-
-    pairs = privacy_pairs(cfg)
     if args.c is not None:
         sigmas = sorted({sigma for _, sigma in pairs})
         pairs = [(args.c, sigma) for sigma in sigmas]
-    if args.t_range is not None:
-        horizons = _parse_t_range(args.t_range)
-    else:
-        spec = privacy_cfg.get("T_range", [1, 200])
-        horizons = range(spec[0], spec[1] + 1, spec[2] if len(spec) == 3 else 1)
+    spec = args.t_range or ":".join(map(str, privacy_cfg.get("T_range", [1, 200])))
+    horizons = _parse_t_range(spec)
 
-    clip = privacy_cfg.get("a", 2.0)
-    delta_budget = privacy_cfg.get("delta_budget", 1e-3)
-    paper_variant = privacy_cfg.get("paper_variant", False)
+    settings = {
+        "clip": privacy_cfg.get("a", 2.0),
+        "delta_budget": privacy_cfg.get("delta_budget", 1e-3),
+        "paper_variant": privacy_cfg.get("paper_variant", False),
+    }
 
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "accountant.csv"
+    constants = SensitivityConstants.from_game(game, schedules, adjacency_radius=0.0)
+    diagnostics = []
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["c", "sigma", "T", "epsilon", "delta", "valid"])
         for c, sigma in pairs:
-            for horizon in horizons:
-                report = privacy_report(
-                    game,
-                    schedules,
-                    sigma=sigma,
-                    horizon=horizon,
-                    clip=clip,
-                    delta_budget=delta_budget,
-                    paper_variant=paper_variant,
-                    adjacency_radius=c,
-                )
-                writer.writerow(
-                    [
-                        repr(float(c)),
-                        repr(float(sigma)),
-                        horizon,
-                        repr(report.epsilon),
-                        repr(report.delta),
-                        int(report.valid),
-                    ]
-                )
+            consts = dataclasses.replace(constants, adjacency_radius=float(c))
+            curve = privacy_curve(consts, sigma, horizons, **settings)
+            columns = (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))
+            writer.writerows(
+                [repr(float(c)), repr(float(sigma)), horizon, repr(eps), repr(delta), valid]
+                for horizon, eps, delta, valid in zip(*(col.tolist() for col in columns))
+            )
+            diagnostics.append({"c": c, "sigma": sigma, **curve.diagnostics()})
             # Full report (constants and per-step arrays) at the last horizon.
+            report = privacy_report(
+                game, schedules, sigma, horizons[-1], adjacency_radius=c, **settings
+            )
             report_path = outdir / f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
             write_manifest(report_path, report.to_dict())
     manifest = {
@@ -201,10 +187,11 @@ def cmd_accountant(args) -> int:
         "effective": {
             "pairs": [[c, s] for c, s in pairs],
             "T_range": [horizons.start, horizons.stop - 1, horizons.step],
-            "a": clip,
-            "delta_budget": delta_budget,
-            "paper_variant": paper_variant,
+            "a": settings["clip"],
+            "delta_budget": settings["delta_budget"],
+            "paper_variant": settings["paper_variant"],
         },
+        "diagnostics": diagnostics,
     }
     write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")
@@ -214,17 +201,13 @@ def cmd_accountant(args) -> int:
 def cmd_constants(args) -> int:
     cfg = load_config(args.config)
     game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=0.0)
     n_blocks = game.network.num_od_pairs
-    values = {
-        "incidence_gain": incidence_gain(game.paths),
-        "allocation_norm_bound": allocation_supremum(game.paths),
-        "mass_bound": game.mass_bound,
-        "loss_lipschitz": loss_lipschitz_bound(game),
-        "loss_sup": loss_sup_bound(game),
-        "moduli": [1.0 / n_blocks] * game.num_populations,
-        "total_paths": game.total_paths,
-        "paths_per_od": list(game.block_sizes),
-    }
+    skip = ("adjacency_radius", "modulus_min", "schedules")  # accounting inputs, not printed
+    values = {k: v for k, v in vars(consts).items() if k not in skip}
+    values["moduli"] = [consts.modulus_min] * game.num_populations
+    values["paths_per_od"] = list(game.block_sizes)
     if args.json:
         json.dump(values, sys.stdout, indent=2, sort_keys=True)
         print()

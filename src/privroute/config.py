@@ -206,12 +206,11 @@ def build_game_from_config(cfg: dict) -> GameInstance:
 def build_dynamics_from_config(
     cfg: dict, paths: PathSet
 ) -> tuple[tuple[BregmanGeometry, ...], tuple[LearningSchedule, ...]]:
-    geometries = []
-    schedules = []
-    for pop in cfg["populations"]:
-        geometries.append(BregmanGeometry(pop.get("geometry", "entropic"), paths.block_sizes))
-        schedules.append(LearningSchedule(pop.get("c_k", 1.0), pop.get("alpha_k", 0.5)))
-    return tuple(geometries), tuple(schedules)
+    pops = cfg["populations"]
+    sizes = paths.block_sizes
+    geometries = tuple(BregmanGeometry(p.get("geometry", "entropic"), sizes) for p in pops)
+    schedules = tuple(LearningSchedule(p.get("c_k", 1.0), p.get("alpha_k", 0.5)) for p in pops)
+    return geometries, schedules
 
 
 def privacy_pairs(cfg: dict) -> list[tuple[float, float]]:

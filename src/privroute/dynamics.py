@@ -82,10 +82,10 @@ class LearningSchedule:
         if not 0.0 <= self.decay < 1.0:
             raise ValueError(f"schedule decay must lie in [0, 1), got {self.decay}")
 
-    def rate(self, t: int) -> float:
-        if t < 0:
+    def rate(self, t):  # t: a loop index or an array of them
+        if (t.min() if isinstance(t, np.ndarray) else t) < 0:
             raise ValueError("iteration counter must be nonnegative")
-        return self.scale * (t + 1) ** (-self.decay)
+        return self.scale * (t + 1.0) ** (-self.decay)
 
 
 @dataclass(frozen=True)

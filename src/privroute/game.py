@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import block_softmax
-from .network import Network, PathSet, enumerate_paths
+from .network import DEFAULT_PATH_CAP, Network, PathSet, enumerate_paths
 
 __all__ = [
     "AffineCost",
@@ -155,10 +155,7 @@ def build_game(
     on a grid of the feasible flow range ``[0, total mass]``.
     """
     if paths is None:
-        if max_paths_per_od is None:
-            paths = enumerate_paths(network)
-        else:
-            paths = enumerate_paths(network, max_paths_per_od)
+        paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
     costs = tuple(costs)
     if len(costs) != network.num_edges:
         raise ValueError(
@@ -188,7 +185,7 @@ def build_game(
         masses=masses,
         mass_bound=float(mass_bound),
         adjacency_radius=adjacency_radius,
-        incidence=paths.stacked_incidence(),
+        incidence=np.concatenate(paths.incidence, axis=1),
     )
 
 

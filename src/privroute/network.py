@@ -143,10 +143,6 @@ class PathSet:
         """Slices of the concatenated path vector, one per OD pair."""
         return block_slices(self.block_sizes)
 
-    def stacked_incidence(self) -> np.ndarray:
-        """All incidence matrices side by side, ``num_edges x total_paths``."""
-        return np.concatenate(self.incidence, axis=1)
-
 
 def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) -> PathSet:
     """Enumerate every simple path of every OD pair by depth-first search.

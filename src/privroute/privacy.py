@@ -15,6 +15,7 @@ a chain of three results:
 
 Per-release (epsilon, delta) pairs are combined by repeated adaptive
 composition, plus the tail mass spent on keeping the noisy losses bounded.
+``privacy_curve`` tabulates the composed pair over many horizons at once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .game import GameInstance, path_losses
 from .network import PathSet
 
 __all__ = [
+    "PrivacyCurve",
     "PrivacyReport",
     "SensitivityConstants",
     "allocation_shift_bound",
@@ -39,6 +41,7 @@ __all__ = [
     "incidence_gain",
     "loss_lipschitz_bound",
     "loss_sup_bound",
+    "privacy_curve",
     "privacy_report",
     "spectral_norm",
     "step_sensitivity",
@@ -149,8 +152,9 @@ class SensitivityConstants:
         if not self.schedules:
             raise ValueError("at least one learning schedule is required")
 
-    def eta_max(self, t: int) -> float:
-        return max(s.rate(t) for s in self.schedules)
+    def clipped_loss_bound(self, clip: float) -> float:
+        """Dual-norm cap on an observed loss whose noise coordinates stay within ``clip``."""
+        return math.sqrt(self.total_paths) * (self.loss_sup + clip)
 
     @classmethod
     def from_game(
@@ -158,13 +162,10 @@ class SensitivityConstants:
         game: GameInstance,
         schedules: Sequence[LearningSchedule],
         adjacency_radius: float | None = None,
-        modulus_min: float | None = None,
     ) -> "SensitivityConstants":
         radius = adjacency_radius if adjacency_radius is not None else game.adjacency_radius
         if radius is None:
             raise ValueError("an adjacency radius is required for privacy accounting")
-        if modulus_min is None:
-            modulus_min = 1.0 / game.network.num_od_pairs
         return cls(
             adjacency_radius=float(radius),
             mass_bound=game.mass_bound,
@@ -172,10 +173,29 @@ class SensitivityConstants:
             incidence_gain=incidence_gain(game.paths),
             loss_lipschitz=loss_lipschitz_bound(game),
             loss_sup=loss_sup_bound(game),
-            modulus_min=modulus_min,
+            modulus_min=1.0 / game.network.num_od_pairs,
             total_paths=game.total_paths,
             schedules=tuple(schedules),
         )
+
+
+def _sensitivities(consts: SensitivityConstants, releases, loss_dual_bound: float):
+    """Sensitivity of 1-based release(s) ``r``, at the rate of loop index ``max(r - 2, 0)``."""
+    t = np.maximum(np.asarray(releases) - 2, 0)
+    eta_max = np.max([s.rate(t) for s in consts.schedules], axis=0)
+    propagated = consts.mass_bound * eta_max * loss_dual_bound / consts.modulus_min
+    return consts.adjacency_radius * consts.loss_lipschitz * consts.incidence_gain * (
+        consts.allocation_norm_bound + propagated
+    )
+
+
+def _epsilons(sensitivities, sigma: float, delta_steps, paper_variant: bool = False):
+    """Gaussian-mechanism epsilons and their (0, 1) validity flags, elementwise."""
+    if sigma <= 0:
+        raise ValueError("noise standard deviation must be positive")
+    b = np.sqrt(np.maximum(2.0 * np.log(1.25 / np.asarray(delta_steps)), 0.0))
+    epsilons = sensitivities * b / (sigma * sigma if paper_variant else sigma)
+    return epsilons, (epsilons > 0.0) & (epsilons < 1.0)
 
 
 def step_sensitivity(consts: SensitivityConstants, t: int, loss_dual_bound: float) -> float:
@@ -185,13 +205,7 @@ def step_sensitivity(consts: SensitivityConstants, t: int, loss_dual_bound: floa
     update.  The value decreases with ``t`` because the learning rates do,
     and floors at ``radius * loss_lipschitz * gain * allocation_bound``.
     """
-    direct = consts.allocation_norm_bound
-    propagated = (
-        consts.mass_bound * consts.eta_max(t) * loss_dual_bound / consts.modulus_min
-    )
-    return consts.adjacency_radius * consts.loss_lipschitz * consts.incidence_gain * (
-        direct + propagated
-    )
+    return float(_sensitivities(consts, t + 2, loss_dual_bound))
 
 
 def gaussian_epsilon(
@@ -211,16 +225,10 @@ def gaussian_epsilon(
     """
     if delta_step <= 0:
         raise ValueError("per-step delta must be positive")
-    if sigma <= 0:
-        raise ValueError("noise standard deviation must be positive")
     if sensitivity < 0:
         raise ValueError("sensitivity must be nonnegative")
-    b_squared = 2.0 * math.log(1.25 / delta_step)
-    if b_squared <= 0:
-        return 0.0, False
-    denominator = sigma * sigma if paper_variant else sigma
-    epsilon = sensitivity * math.sqrt(b_squared) / denominator
-    return epsilon, 0.0 < epsilon < 1.0
+    epsilon, valid = _epsilons(sensitivity, sigma, delta_step, paper_variant)
+    return float(epsilon), bool(valid)
 
 
 def tail_delta(sigma: float, clip: float, n_steps: int, n_paths: int) -> float:
@@ -253,24 +261,30 @@ def compose_adaptive(
     """Repeated adaptive composition of per-release privacy pairs.
 
     Returns ``(sum eps_t, sum_t exp(sum_{t'>t} eps_t') * delta_t +
-    extra_delta)``; the suffix exponents are accumulated in one reverse
-    pass.  ``extra_delta`` carries the tail mass of any conditioning event.
-    When a suffix exponent overflows the float range the delta is ``inf``.
+    extra_delta)``.  The suffix exponents come from one reverse cumulative
+    sum and the delta sum is taken in the log domain, so the delta is
+    ``inf`` only when its true value exceeds the float range.
+    ``extra_delta`` carries the tail mass of any conditioning event.
     """
-    if len(epsilons) != len(deltas):
+    eps, dlt = np.asarray(epsilons, float), np.asarray(deltas, float)
+    if eps.shape != dlt.shape or eps.ndim != 1:
         raise ValueError("epsilon and delta lists must have equal length")
-    if any(e < 0 for e in epsilons) or any(d < 0 for d in deltas) or extra_delta < 0:
+    if (eps < 0).any() or (dlt < 0).any() or extra_delta < 0:
         raise ValueError("privacy parameters must be nonnegative")
-    suffix = 0.0
-    total_delta = extra_delta
-    try:
-        for eps, delta in zip(reversed(list(epsilons)), reversed(list(deltas))):
-            total_delta += math.exp(suffix) * delta
-            suffix += eps
-    except OverflowError:
-        # exp(suffix) exceeds the float range: no finite bound, and inf is sound.
-        total_delta = math.inf
-    return float(sum(epsilons)), float(total_delta)
+    with np.errstate(divide="ignore"):
+        return _compose(eps, np.log(dlt), extra_delta)
+
+
+def _compose(epsilons: np.ndarray, log_deltas, extra_delta: float) -> tuple[float, float]:
+    """``compose_adaptive`` on checked arrays, given the log of each delta."""
+    # reverse[k] is the sum of the last k epsilons.
+    reverse = np.concatenate(([0.0], np.cumsum(epsilons[::-1])))
+    log_terms = reverse[-2::-1] + log_deltas
+    top = log_terms.max(initial=-np.inf)
+    if np.isfinite(top):
+        top += math.log(np.exp(log_terms - top).sum())
+    with np.errstate(over="ignore"):
+        return float(reverse[-1]), float(extra_delta + np.exp(top))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,16 +324,7 @@ class PrivacyReport:
             "delta_budget": self.delta_budget,
             "paper_variant": self.paper_variant,
             "loss_dual_bound": self.loss_dual_bound,
-            "constants": {
-                "adjacency_radius": self.constants.adjacency_radius,
-                "mass_bound": self.constants.mass_bound,
-                "allocation_norm_bound": self.constants.allocation_norm_bound,
-                "incidence_gain": self.constants.incidence_gain,
-                "loss_lipschitz": self.constants.loss_lipschitz,
-                "loss_sup": self.constants.loss_sup,
-                "modulus_min": self.constants.modulus_min,
-                "total_paths": self.constants.total_paths,
-            },
+            "constants": {k: v for k, v in vars(self.constants).items() if k != "schedules"},
             "per_step": {
                 "sensitivity": self.sensitivities.tolist(),
                 "epsilon": self.epsilons.tolist(),
@@ -341,10 +346,8 @@ def privacy_report(
     horizon: int,
     clip: float = 2.0,
     delta_budget: float = 1e-3,
-    delta_split="uniform",
     paper_variant: bool = False,
     adjacency_radius: float | None = None,
-    loss_dual_bound: float | None = None,
 ) -> PrivacyReport:
     """Account the full release sequence of ``horizon`` noisy loss vectors.
 
@@ -353,50 +356,18 @@ def privacy_report(
     composed delta.  Release ``r`` is bounded with the learning rate of the
     update that produced its allocation (the first release, made before
     any update, is covered conservatively by the same formula).  The delta
-    budget is split uniformly unless an explicit per-step sequence is
-    given.  Reports in the invalid regime are produced and flagged rather
-    than refused.
+    budget is split uniformly over the releases.  Reports in the invalid
+    regime are produced and flagged rather than refused.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one release")
     consts = SensitivityConstants.from_game(game, schedules, adjacency_radius)
-    if loss_dual_bound is None:
-        loss_dual_bound = math.sqrt(consts.total_paths) * (consts.loss_sup + clip)
-
-    if isinstance(delta_split, str):
-        if delta_split != "uniform":
-            raise ValueError(f"unknown delta split rule {delta_split!r}")
-        deltas = np.full(horizon, delta_budget / horizon)
-    else:
-        deltas = np.asarray(delta_split, float)
-        if deltas.shape != (horizon,) or np.any(deltas <= 0):
-            raise ValueError("explicit delta split must be positive with one entry per step")
-
-    # Vectorized evaluation of the per-step formula; step_sensitivity and
-    # gaussian_epsilon define the same values one release at a time.
-    releases = np.arange(1, horizon + 1)
-    eta_index = np.maximum(releases - 2, 0)
-    rates = np.max(
-        [s.scale * (eta_index + 1.0) ** (-s.decay) for s in consts.schedules], axis=0
-    )
-    sensitivities = (
-        consts.adjacency_radius
-        * consts.loss_lipschitz
-        * consts.incidence_gain
-        * (
-            consts.allocation_norm_bound
-            + consts.mass_bound * rates * loss_dual_bound / consts.modulus_min
-        )
-    )
-    b = np.sqrt(np.maximum(2.0 * np.log(1.25 / deltas), 0.0))
-    denominator = sigma * sigma if paper_variant else sigma
-    if sigma <= 0:
-        raise ValueError("noise standard deviation must be positive")
-    epsilons = sensitivities * b / denominator
-    valid_steps = (epsilons > 0.0) & (epsilons < 1.0)
-
+    loss_dual_bound = consts.clipped_loss_bound(clip)
+    deltas = np.full(horizon, delta_budget / horizon)
+    sensitivities = _sensitivities(consts, np.arange(1, horizon + 1), loss_dual_bound)
+    epsilons, valid_steps = _epsilons(sensitivities, sigma, deltas, paper_variant)
     tail = tail_delta(sigma, clip, horizon, consts.total_paths)
-    total_eps, total_delta = compose_adaptive(epsilons.tolist(), deltas.tolist(), tail)
+    total_eps, total_delta = compose_adaptive(epsilons, deltas, tail)
     return PrivacyReport(
         constants=consts,
         sigma=float(sigma),
@@ -413,3 +384,54 @@ def privacy_report(
         epsilon=float(total_eps),
         delta=float(total_delta),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class PrivacyCurve:
+    """Composed (epsilon, delta) of the uniform-split report at each horizon."""
+
+    horizons: np.ndarray
+    epsilon: np.ndarray
+    delta: np.ndarray
+    releases_valid: np.ndarray  # every per-release epsilon lies in (0, 1)
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.releases_valid & (self.delta < 1.0)
+
+    def diagnostics(self) -> dict:
+        """First horizon with an invalid release and first with delta >= 1, or None."""
+        masks = {"first_invalid_release_T": ~self.releases_valid,
+                 "first_trivial_T": self.delta >= 1.0}
+        return {k: int(self.horizons[m.argmax()]) if m.any() else None for k, m in masks.items()}
+
+
+def privacy_curve(
+    consts: SensitivityConstants,
+    sigma: float,
+    horizons,
+    clip: float = 2.0,
+    delta_budget: float = 1e-3,
+    paper_variant: bool = False,
+) -> PrivacyCurve:
+    """``privacy_report``'s epsilon, delta and validity at each of ``horizons``.
+
+    The per-release sensitivities do not depend on the horizon and are
+    evaluated once.  The epsilons of horizon ``T`` scale them by
+    ``sqrt(2 ln(1.25 T / delta_budget)) / sigma``, which grows with ``T``,
+    so each horizon takes one vectorised O(T) composition.
+    """
+    horizons = np.asarray(horizons, dtype=np.int64)
+    if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
+        raise ValueError("horizons must be a nonempty list of positive release counts")
+    releases = np.arange(1, horizons.max() + 1)
+    sens = _sensitivities(consts, releases, consts.clipped_loss_bound(clip))
+    epsilon, delta = np.empty(horizons.size), np.empty(horizons.size)
+    releases_valid = np.empty(horizons.size, dtype=bool)
+    for i, horizon in enumerate(horizons.tolist()):
+        step = delta_budget / horizon
+        epsilons, valid_steps = _epsilons(sens[:horizon], sigma, step, paper_variant)
+        releases_valid[i] = valid_steps.all()
+        tail = tail_delta(sigma, clip, horizon, consts.total_paths)
+        epsilon[i], delta[i] = _compose(epsilons, math.log(step), tail)
+    return PrivacyCurve(horizons, epsilon, delta, releases_valid)

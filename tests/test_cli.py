@@ -277,6 +277,68 @@ def test_accountant_overflowing_composition_is_trivial(tmp_path):
     assert report["trivial"] is True
 
 
+def test_accountant_reversed_config_t_range_is_one_line_error(tmp_path, capsys):
+    # A schema-valid range whose stop lies below its start.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["privacy"]["T_range"] = [5, 2]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["accountant", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad T-range '5:2'")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "accountant.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["x:5", "1:5:2:3", "0:5", "3:4:0"])
+def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, spec):
+    code = main(["accountant", "--config", str(PIGOU), "--T-range", spec, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad T-range {spec!r}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--c", "1e-3"], ["--c", "0"]],
+    ids=["shipped", "invalid-first-release", "zero-radius"],
+)
+def test_accountant_manifest_diagnostics_match_csv(tmp_path, extra):
+    code = main(
+        ["accountant", "--config", str(TWO_OD), "--T-range", "1:10000:50",
+         "--out", str(tmp_path), *extra]
+    )
+    assert code == 0
+    with open(tmp_path / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    manifest = json.loads((tmp_path / "accountant_manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert [[d["c"], d["sigma"]] for d in diagnostics] == manifest["effective"]["pairs"]
+    for diag in diagnostics:
+        block = [r for r in rows if (float(r["c"]), float(r["sigma"])) == (diag["c"], diag["sigma"])]
+        assert len(block) == 200
+
+        def first(pred):
+            return next((int(r["T"]) for r in block if pred(r)), None)
+
+        assert diag["first_trivial_T"] == first(lambda r: float(r["delta"]) >= 1.0)
+        # A row is invalid when a release is invalid or delta is trivial.
+        invalid, trivial = diag["first_invalid_release_T"], diag["first_trivial_T"]
+        flagged = [t for t in (invalid, trivial) if t is not None]
+        assert first(lambda r: r["valid"] == "0") == min(flagged, default=None)
+        # Before delta turns trivial, only an invalid release can flag a row.
+        if invalid is not None and (trivial is None or invalid < trivial):
+            assert first(lambda r: r["valid"] == "0" and float(r["delta"]) < 1.0) == invalid
+    by_case = {(d["first_invalid_release_T"], d["first_trivial_T"]) for d in diagnostics}
+    expected = {
+        "": {(None, 8451), (None, 2201)},
+        "1e-3": {(1, 51), (51, 51)},
+        "0": {(1, None)},
+    }[extra[1] if extra else ""]
+    assert by_case == expected
+
+
 def test_equilibrium_failure_is_one_line_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_equilibrium", functools.partial(solve_equilibrium, max_iter=3))
     assert main(["equilibrium", "--config", str(TWO_OD)]) == 1

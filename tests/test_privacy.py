@@ -24,13 +24,16 @@ from privroute.privacy import (
     incidence_gain,
     loss_lipschitz_bound,
     loss_sup_bound,
+    privacy_curve,
     privacy_report,
     spectral_norm,
     step_sensitivity,
     tail_delta,
 )
 
-from conftest import random_allocation, random_game
+from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
+
+from conftest import CONFIG_DIR, random_allocation, random_game
 
 
 # ------------------------------------------------------------- constants
@@ -408,6 +411,24 @@ def test_compose_monotone_in_steps():
     assert eps2 >= eps1 and delta2 >= delta1
 
 
+def test_compose_log_domain_keeps_finite_delta_past_exp_range():
+    # exp(710) overflows a float, but exp(710) * 1e-10 is about 2e298.
+    eps, delta = compose_adaptive([0.0, 710.0], [1e-10, 0.0], extra_delta=1e-7)
+    assert eps == 710.0
+    assert delta == pytest.approx(math.exp(710.0 + math.log(1e-10)), rel=1e-12)
+    # Only a delta beyond the float range itself is reported as inf.
+    assert compose_adaptive([0.0, 800.0], [1e-10, 0.0]) == (800.0, math.inf)
+
+
+def test_compose_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="equal length"):
+        compose_adaptive([0.1], [1e-6, 1e-6])
+    for args in (([-0.1], [1e-6]), ([0.1], [-1e-6]), ([0.1], [1e-6], -1e-9)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            compose_adaptive(*args)
+    assert compose_adaptive([], [], extra_delta=1e-7) == (0.0, 1e-7)
+
+
 # ---------------------------------------------------------------- accountant
 
 
@@ -488,3 +509,44 @@ def test_report_requires_radius(standin_game, standin_dynamics):
     )
     with pytest.raises(ValueError, match="adjacency radius"):
         privacy_report(game, schedules, sigma=0.1, horizon=5)
+
+
+@pytest.mark.parametrize(
+    "name, c, paper_variant",
+    [
+        ("two_od", 1e-6, False),
+        ("two_od", 1e-5, True),
+        ("two_od", 0.0, False),
+        ("two_od", 1e-2, False),  # the composition overflows: delta is inf
+        ("pigou", 1e-3, False),
+        ("pigou", 1e-4, True),
+    ],
+)
+def test_curve_matches_per_horizon_reports(name, c, paper_variant):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=c)
+    horizons = [1, 2, 3, 10, 57, 400, 1500]
+    settings = dict(clip=2.0, delta_budget=1e-3, paper_variant=paper_variant)
+    for sigma in (0.1, 0.3):
+        curve = privacy_curve(consts, sigma, horizons, **settings)
+        assert curve.horizons.tolist() == horizons
+        for i, horizon in enumerate(horizons):
+            report = privacy_report(
+                game, schedules, sigma, horizon, adjacency_radius=c, **settings
+            )
+            assert curve.epsilon[i] == pytest.approx(report.epsilon, rel=1e-12, abs=0.0)
+            assert curve.delta[i] == pytest.approx(report.delta, rel=1e-12, abs=0.0)
+            assert bool(curve.releases_valid[i]) == bool(report.valid_steps.all())
+            assert bool(curve.valid[i]) == report.valid
+        if c == 1e-2:
+            assert math.isinf(curve.delta[-1])
+
+
+def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
+    _, schedules = standin_dynamics
+    consts = SensitivityConstants.from_game(standin_game, schedules, adjacency_radius=1e-6)
+    for horizons in ([], [0, 5], [[1, 2]]):
+        with pytest.raises(ValueError, match="horizons"):
+            privacy_curve(consts, 0.1, horizons)
