@@ -23,7 +23,7 @@ from .config import (
 )
 from .game import EquilibriumError, solve_equilibrium
 from .network import NetworkError
-from .privacy import SensitivityConstants, privacy_curve, privacy_report
+from .privacy import SensitivityConstants, privacy_curve
 from .sim import (
     SimulationConfig,
     check_suboptimality_bound,
@@ -173,12 +173,8 @@ def cmd_accountant(args) -> int:
                 for horizon, eps, delta, valid in zip(*(col.tolist() for col in columns))
             )
             diagnostics.append({"c": c, "sigma": sigma, **curve.diagnostics()})
-            # Full report (constants and per-step arrays) at the last horizon.
-            report = privacy_report(
-                game, schedules, sigma, horizons[-1], adjacency_radius=c, **settings
-            )
             report_path = outdir / f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
-            write_manifest(report_path, report.to_dict())
+            write_manifest(report_path, curve.report.to_dict())
     manifest = {
         "command": "accountant",
         "version": __version__,

@@ -129,13 +129,16 @@ EXPERIMENT_SCHEMA = {
 }
 
 
+# Built once, so the schema is not re-checked against its metaschema on every load.
+_VALIDATOR = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema-check a configuration document; unknown keys are rejected."""
-    try:
-        jsonschema.validate(cfg, EXPERIMENT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(part) for part in exc.absolute_path) or "document root"
-        raise ConfigError(f"config invalid at {location}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        location = "/".join(str(part) for part in error.absolute_path) or "document root"
+        raise ConfigError(f"config invalid at {location}: {error.message}") from error
     _check_consistency(cfg)
     return cfg
 

@@ -333,22 +333,19 @@ def solve_equilibrium(
     game: GameInstance,
     tol: float = 1e-8,
     max_iter: int = 500_000,
-    step_size: float | None = None,
 ) -> Equilibrium:
     """Minimize the potential over the allocation polytope to a gap certificate.
 
     Runs deterministic entropic mirror descent on exact losses from the
     uniform allocation and stops once :func:`nash_gap` (which upper-bounds
-    the potential suboptimality) drops to ``tol``.  The step size defaults
-    to the inverse gradient-smoothness bound; iterates are kept in the log
+    the potential suboptimality) drops to ``tol``.  The step size is the
+    inverse gradient-smoothness bound; iterates are kept in the log
     domain so long runs cannot underflow a path's weight into a hard zero.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     smoothness = gradient_smoothness(game)
-    eta = step_size if step_size is not None else (1.0 / smoothness if smoothness > 0 else 1.0)
-    if eta <= 0:
-        raise ValueError("step size must be positive")
+    eta = 1.0 / smoothness if smoothness > 0 else 1.0
 
     weights, sizes = game.path_weights(), game.block_sizes
     logits = np.log(uniform_allocation(game))

@@ -15,7 +15,8 @@ a chain of three results:
 
 Per-release (epsilon, delta) pairs are combined by repeated adaptive
 composition, plus the tail mass spent on keeping the noisy losses bounded.
-``privacy_curve`` tabulates the composed pair over many horizons at once.
+``privacy_curve`` computes every composed pair, over many horizons in one
+pass; ``privacy_report`` is its full report at a single horizon.
 """
 
 from __future__ import annotations
@@ -351,39 +352,11 @@ def privacy_report(
 ) -> PrivacyReport:
     """Account the full release sequence of ``horizon`` noisy loss vectors.
 
-    The dual norm of the observed losses is capped by conditioning on no
-    noise coordinate exceeding ``clip``; that event's tail mass joins the
-    composed delta.  Release ``r`` is bounded with the learning rate of the
-    update that produced its allocation (the first release, made before
-    any update, is covered conservatively by the same formula).  The delta
-    budget is split uniformly over the releases.  Reports in the invalid
-    regime are produced and flagged rather than refused.
+    This is :func:`privacy_curve` at the single horizon ``horizon``, with
+    the constants taken from ``game``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least one release")
     consts = SensitivityConstants.from_game(game, schedules, adjacency_radius)
-    loss_dual_bound = consts.clipped_loss_bound(clip)
-    deltas = np.full(horizon, delta_budget / horizon)
-    sensitivities = _sensitivities(consts, np.arange(1, horizon + 1), loss_dual_bound)
-    epsilons, valid_steps = _epsilons(sensitivities, sigma, deltas, paper_variant)
-    tail = tail_delta(sigma, clip, horizon, consts.total_paths)
-    total_eps, total_delta = compose_adaptive(epsilons, deltas, tail)
-    return PrivacyReport(
-        constants=consts,
-        sigma=float(sigma),
-        clip=float(clip),
-        horizon=int(horizon),
-        delta_budget=float(delta_budget),
-        paper_variant=paper_variant,
-        loss_dual_bound=float(loss_dual_bound),
-        sensitivities=sensitivities,
-        epsilons=epsilons,
-        deltas=deltas,
-        valid_steps=valid_steps,
-        tail_delta=float(tail),
-        epsilon=float(total_eps),
-        delta=float(total_delta),
-    )
+    return privacy_curve(consts, sigma, [horizon], clip, delta_budget, paper_variant).report
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,6 +367,7 @@ class PrivacyCurve:
     epsilon: np.ndarray
     delta: np.ndarray
     releases_valid: np.ndarray  # every per-release epsilon lies in (0, 1)
+    report: PrivacyReport  # the full report at the largest horizon
 
     @property
     def valid(self) -> np.ndarray:
@@ -414,24 +388,41 @@ def privacy_curve(
     delta_budget: float = 1e-3,
     paper_variant: bool = False,
 ) -> PrivacyCurve:
-    """``privacy_report``'s epsilon, delta and validity at each of ``horizons``.
+    """Account the release sequence of ``T`` noisy loss vectors for each ``T`` in ``horizons``.
 
-    The per-release sensitivities do not depend on the horizon and are
-    evaluated once.  The epsilons of horizon ``T`` scale them by
-    ``sqrt(2 ln(1.25 T / delta_budget)) / sigma``, which grows with ``T``,
-    so each horizon takes one vectorised O(T) composition.
+    The dual norm of the observed losses is capped by conditioning on no
+    noise coordinate exceeding ``clip``; that event's tail mass joins the
+    composed delta.  Release ``r`` is bounded with the learning rate of the
+    update that produced its allocation (the first release, made before
+    any update, is covered conservatively by the same formula).  The delta
+    budget is split uniformly over the releases.  The invalid regime is
+    flagged rather than refused.  The sensitivities are evaluated once; the
+    epsilons of horizon ``T`` scale them by ``sqrt(2 ln(1.25 T /
+    delta_budget)) / sigma``, so each horizon takes one vectorised O(T)
+    composition.  Only the largest horizon keeps its per-release arrays,
+    in ``report``.
     """
     horizons = np.asarray(horizons, dtype=np.int64)
     if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
         raise ValueError("horizons must be a nonempty list of positive release counts")
-    releases = np.arange(1, horizons.max() + 1)
-    sens = _sensitivities(consts, releases, consts.clipped_loss_bound(clip))
+    t_max = int(horizons.max())
+    loss_dual_bound = consts.clipped_loss_bound(clip)
+    sens = _sensitivities(consts, np.arange(1, t_max + 1), loss_dual_bound)
     epsilon, delta = np.empty(horizons.size), np.empty(horizons.size)
     releases_valid = np.empty(horizons.size, dtype=bool)
+    report = None
     for i, horizon in enumerate(horizons.tolist()):
         step = delta_budget / horizon
         epsilons, valid_steps = _epsilons(sens[:horizon], sigma, step, paper_variant)
         releases_valid[i] = valid_steps.all()
         tail = tail_delta(sigma, clip, horizon, consts.total_paths)
         epsilon[i], delta[i] = _compose(epsilons, math.log(step), tail)
-    return PrivacyCurve(horizons, epsilon, delta, releases_valid)
+        if horizon == t_max and report is None:
+            report = PrivacyReport(
+                constants=consts, sigma=float(sigma), clip=float(clip), horizon=horizon,
+                delta_budget=float(delta_budget), paper_variant=paper_variant,
+                loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
+                deltas=np.full(horizon, step), valid_steps=valid_steps, tail_delta=float(tail),
+                epsilon=float(epsilon[i]), delta=float(delta[i]),
+            )
+    return PrivacyCurve(horizons, epsilon, delta, releases_valid, report)

@@ -138,9 +138,11 @@ def simulate_runs(cfg: SimulationConfig, seeds: list, keep_runs: bool = False) -
         if not np.all(np.isfinite(scaled)):
             raise ValueError("non-finite loss entries")
         step = rates[t] * scaled
-        logits -= step[:, entropic]
-        x[:, entropic] = block_softmax(logits, sizes)
-        x[:, euclidean] = block_projection(x[:, euclidean] - step[:, euclidean], sizes)
+        if entropic.size:
+            logits -= step[:, entropic]
+            x[:, entropic] = block_softmax(logits, sizes)
+        if euclidean.size:
+            x[:, euclidean] = block_projection(x[:, euclidean] - step[:, euclidean], sizes)
         phi = game_ops.edge_flows(game, x)
         losses = game_ops.path_losses(game, phi)
         potentials[:, t] = game_ops.potential_from_flows(game, phi)

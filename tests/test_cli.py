@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from privroute import cli
 from privroute.cli import main
 from privroute.game import solve_equilibrium
-from privroute.config import ConfigError, load_config, privacy_pairs
+from privroute.config import EXPERIMENT_SCHEMA, ConfigError, load_config, privacy_pairs
 
 from conftest import CONFIG_DIR
 
@@ -26,6 +27,11 @@ def test_load_shipped_configs():
     for path in (PIGOU, TWO_OD):
         cfg = load_config(path)
         assert "network" in cfg
+
+
+def test_experiment_schema_is_valid_under_its_metaschema():
+    # Configs are checked by a validator built once, which skips this check.
+    Draft202012Validator.check_schema(EXPERIMENT_SCHEMA)
 
 
 def test_unknown_keys_rejected(tmp_path):

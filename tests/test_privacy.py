@@ -432,17 +432,21 @@ def test_compose_rejects_bad_inputs():
 # ---------------------------------------------------------------- accountant
 
 
-def test_report_per_step_matches_scalar_ops(standin_game, standin_dynamics):
+# An independent reference for privacy_curve: the scalar per-release formulas
+# and compose_adaptive.  At c = 1e-2 and T = 400 the composed delta is inf.
+@pytest.mark.parametrize("c", [1e-6, 1e-2])
+@pytest.mark.parametrize("horizon", [1, 12, 400])
+def test_report_per_step_matches_scalar_ops(horizon, c, standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     report = privacy_report(
-        standin_game, schedules, sigma=0.1, horizon=12, clip=2.0,
-        delta_budget=1e-3, adjacency_radius=1e-6,
+        standin_game, schedules, sigma=0.1, horizon=horizon, clip=2.0,
+        delta_budget=1e-3, adjacency_radius=c,
     )
     consts = report.constants
-    for release in range(1, 13):
+    for release in range(1, horizon + 1):
         expected = step_sensitivity(consts, max(release - 2, 0), report.loss_dual_bound)
         assert report.sensitivities[release - 1] == pytest.approx(expected, rel=1e-12)
-        eps, valid = gaussian_epsilon(expected, 0.1, 1e-3 / 12)
+        eps, valid = gaussian_epsilon(expected, 0.1, 1e-3 / horizon)
         assert report.epsilons[release - 1] == pytest.approx(eps, rel=1e-12)
         assert bool(report.valid_steps[release - 1]) == valid
     eps, delta = compose_adaptive(

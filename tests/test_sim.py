@@ -194,13 +194,17 @@ def engine_case(name, standin_game, standin_dynamics):
     if name == "mixed_geometries":
         mixed = (geometries[0], BregmanGeometry("euclidean", standin_game.block_sizes))
         return SimulationConfig(standin_game, mixed, schedules, 0.4, 40, 4, 3)
+    if name == "all_euclidean":
+        euclidean = (BregmanGeometry("euclidean", standin_game.block_sizes),) * 2
+        return SimulationConfig(standin_game, euclidean, schedules, 0.4, 40, 4, 5)
     game = generic_cost_game()
     geoms = tuple(BregmanGeometry(kind, game.block_sizes) for kind in ("entropic", "euclidean"))
     return SimulationConfig(game, geoms, schedules, 0.3, 30, 3, 4)
 
 
 @pytest.mark.parametrize(
-    "case", ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "generic_costs"]
+    "case",
+    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean", "generic_costs"],
 )
 def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
