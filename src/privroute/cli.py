@@ -168,8 +168,9 @@ def cmd_accountant(args) -> int:
             consts = dataclasses.replace(constants, adjacency_radius=float(c))
             curve = privacy_curve(consts, sigma, horizons, **settings)
             columns = (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))
+            c_text, sigma_text = repr(float(c)), repr(float(sigma))
             writer.writerows(
-                [repr(float(c)), repr(float(sigma)), horizon, repr(eps), repr(delta), valid]
+                [c_text, sigma_text, horizon, repr(eps), repr(delta), valid]
                 for horizon, eps, delta, valid in zip(*(col.tolist() for col in columns))
             )
             diagnostics.append({"c": c, "sigma": sigma, **curve.diagnostics()})
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NetworkError, FileNotFoundError) as exc:
+    except (ConfigError, NetworkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, EquilibriumError) as exc:

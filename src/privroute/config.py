@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .dynamics import BregmanGeometry, LearningSchedule
@@ -129,18 +130,79 @@ EXPERIMENT_SCHEMA = {
 }
 
 
-# Built once, so the schema is not re-checked against its metaschema on every load.
-_VALIDATOR = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
-
-
 def validate_config(cfg: dict) -> dict:
     """Schema-check a configuration document; unknown keys are rejected."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        location = "/".join(str(part) for part in error.absolute_path) or "document root"
-        raise ConfigError(f"config invalid at {location}: {error.message}") from error
+    problem = _schema_violation(cfg, EXPERIMENT_SCHEMA, ())
+    if problem is not None:
+        path, message = problem
+        location = "/".join(map(str, path)) or "document root"
+        raise ConfigError(f"config invalid at {location}: {message}")
     _check_consistency(cfg)
     return cfg
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": numbers.Number}
+
+_BOUNDS = [
+    ("minimum", lambda v, b: v < b, "less than the minimum of"),
+    ("exclusiveMinimum", lambda v, b: v <= b, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", lambda v, b: v >= b, "greater than or equal to the maximum of"),
+]
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema type test: a bool is no number, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _schema_violation(value, schema: dict, path: tuple):
+    """First violation of ``schema`` by ``value`` as ``(path, message)``, or None.
+
+    Covers the keywords ``EXPERIMENT_SCHEMA`` uses, with JSON Schema 2020-12
+    semantics: a bound rejects only when its violation test holds (so NaN
+    passes it), ``oneOf`` needs exactly one matching branch and ``enum``
+    compares with ``==`` (the schema's enums hold only strings).  A level's
+    own checks come before its children's.
+    """
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        matches = sum(_schema_violation(value, branch, path) is None for branch in schema["oneOf"])
+        if matches != 1:
+            which = "any" if matches == 0 else "more than one"
+            return path, f"{value!r} is valid under {which} of the given schemas"
+    children = []
+    if _is_type(value, "number"):
+        for key, violated, relation in _BOUNDS:
+            if key in schema and violated(value, schema[key]):
+                return path, f"{value!r} is {relation} {schema[key]!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} has fewer than {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", math.inf):
+            return path, f"{value!r} has more than {schema['maxItems']} items"
+        if "items" in schema:
+            children = [(i, item, schema["items"]) for i, item in enumerate(value)]
+    elif isinstance(value, dict):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return path, f"{missing[0]!r} is a required property"
+        properties = schema.get("properties", {})
+        extra = [key for key in value if key not in properties]
+        if extra and schema.get("additionalProperties", True) is False:
+            return path, f"additional properties are not allowed ({', '.join(map(repr, extra))})"
+        children = [(key, value[key], sub) for key, sub in properties.items() if key in value]
+    for key, item, sub in children:
+        problem = _schema_violation(item, sub, path + (key,))
+        if problem is not None:
+            return problem
+    return None
 
 
 def _check_consistency(cfg: dict) -> None:

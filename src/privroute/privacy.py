@@ -254,6 +254,21 @@ def tail_delta(sigma: float, clip: float, n_steps: int, n_paths: int) -> float:
     return -math.expm1(count * math.log1p(-q))
 
 
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """``np.cumsum`` with each addition's rounding error added back (Knuth's two-sum).
+
+    The sums stay within a few ulps of the exact prefix sums, where a plain
+    running sum of ``n`` terms can drift by ``n`` ulps.  Non-finite sums are
+    left as they are.
+    """
+    total = np.cumsum(values)
+    before = np.concatenate(([0.0], total[:-1]))
+    with np.errstate(invalid="ignore"):
+        added = total - before
+        error = (before - (total - added)) + (values - added)
+    return total + np.cumsum(np.where(np.isfinite(error), error, 0.0))
+
+
 def compose_adaptive(
     epsilons: Sequence[float],
     deltas: Sequence[float],
@@ -262,8 +277,8 @@ def compose_adaptive(
     """Repeated adaptive composition of per-release privacy pairs.
 
     Returns ``(sum eps_t, sum_t exp(sum_{t'>t} eps_t') * delta_t +
-    extra_delta)``.  The suffix exponents come from one reverse cumulative
-    sum and the delta sum is taken in the log domain, so the delta is
+    extra_delta)``.  The suffix exponents come from one reverse running sum
+    and the delta sum is taken in the log domain, so the delta is
     ``inf`` only when its true value exceeds the float range.
     ``extra_delta`` carries the tail mass of any conditioning event.
     """
@@ -272,15 +287,10 @@ def compose_adaptive(
         raise ValueError("epsilon and delta lists must have equal length")
     if (eps < 0).any() or (dlt < 0).any() or extra_delta < 0:
         raise ValueError("privacy parameters must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return _compose(eps, np.log(dlt), extra_delta)
-
-
-def _compose(epsilons: np.ndarray, log_deltas, extra_delta: float) -> tuple[float, float]:
-    """``compose_adaptive`` on checked arrays, given the log of each delta."""
     # reverse[k] is the sum of the last k epsilons.
-    reverse = np.concatenate(([0.0], np.cumsum(epsilons[::-1])))
-    log_terms = reverse[-2::-1] + log_deltas
+    reverse = np.concatenate(([0.0], _running_sum(eps[::-1])))
+    with np.errstate(divide="ignore"):
+        log_terms = reverse[-2::-1] + np.log(dlt)
     top = log_terms.max(initial=-np.inf)
     if np.isfinite(top):
         top += math.log(np.exp(log_terms - top).sum())
@@ -396,11 +406,18 @@ def privacy_curve(
     update that produced its allocation (the first release, made before
     any update, is covered conservatively by the same formula).  The delta
     budget is split uniformly over the releases.  The invalid regime is
-    flagged rather than refused.  The sensitivities are evaluated once; the
-    epsilons of horizon ``T`` scale them by ``sqrt(2 ln(1.25 T /
-    delta_budget)) / sigma``, so each horizon takes one vectorised O(T)
-    composition.  Only the largest horizon keeps its per-release arrays,
-    in ``report``.
+    flagged rather than refused.
+
+    The sensitivities ``d_k`` are evaluated once.  At horizon ``T`` every
+    epsilon is ``d_k`` times one Gaussian factor ``s_T``, so the composed
+    epsilon is ``s_T`` times a prefix sum, and the validity flags follow
+    from the prefix minimum and maximum (the calibration is monotone in
+    ``d_k``, also after rounding).  With ``Q_k = d_2 + ... + d_k`` the
+    largest delta exponent is the first release's, ``s_T Q_T``, and the
+    log of the composed delta less the tail mass is ``log(delta_budget /
+    T) + s_T Q_T + log sum_{k <= T} exp(-s_T Q_k)``: one exp-sum per
+    horizon.  Only the largest horizon builds per-release arrays, in
+    ``report``.
     """
     horizons = np.asarray(horizons, dtype=np.int64)
     if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
@@ -408,21 +425,26 @@ def privacy_curve(
     t_max = int(horizons.max())
     loss_dual_bound = consts.clipped_loss_bound(clip)
     sens = _sensitivities(consts, np.arange(1, t_max + 1), loss_dual_bound)
-    epsilon, delta = np.empty(horizons.size), np.empty(horizons.size)
-    releases_valid = np.empty(horizons.size, dtype=bool)
-    report = None
-    for i, horizon in enumerate(horizons.tolist()):
-        step = delta_budget / horizon
-        epsilons, valid_steps = _epsilons(sens[:horizon], sigma, step, paper_variant)
-        releases_valid[i] = valid_steps.all()
-        tail = tail_delta(sigma, clip, horizon, consts.total_paths)
-        epsilon[i], delta[i] = _compose(epsilons, math.log(step), tail)
-        if horizon == t_max and report is None:
-            report = PrivacyReport(
-                constants=consts, sigma=float(sigma), clip=float(clip), horizon=horizon,
-                delta_budget=float(delta_budget), paper_variant=paper_variant,
-                loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
-                deltas=np.full(horizon, step), valid_steps=valid_steps, tail_delta=float(tail),
-                epsilon=float(epsilon[i]), delta=float(delta[i]),
-            )
+    later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
+    steps = delta_budget / horizons
+    # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
+    prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
+                       sens[0] + later, np.ones(t_max)])
+    (lowest, highest, epsilon, scale), _ = _epsilons(
+        prefix[:, horizons - 1], sigma, steps, paper_variant
+    )
+    releases_valid = (lowest > 0.0) & (highest < 1.0)
+    sums = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
+    tails = [tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()]
+    with np.errstate(over="ignore"):
+        delta = tails + np.exp(np.log(steps) + scale * later[horizons - 1] + np.log(sums))
+    last = int(horizons.argmax())
+    epsilons, valid_steps = _epsilons(sens, sigma, steps[last], paper_variant)
+    report = PrivacyReport(
+        constants=consts, sigma=float(sigma), clip=float(clip), horizon=t_max,
+        delta_budget=float(delta_budget), paper_variant=paper_variant,
+        loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
+        deltas=np.full(t_max, steps[last]), valid_steps=valid_steps,
+        tail_delta=float(tails[last]), epsilon=float(epsilon[last]), delta=float(delta[last]),
+    )
     return PrivacyCurve(horizons, epsilon, delta, releases_valid, report)

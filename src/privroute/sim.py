@@ -233,7 +233,7 @@ def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> di
     and the dual norm is dominated by the full euclidean norm.
     """
     loss_sup = loss_sup_bound(cfg.game)
-    noise_bound = cfg.game.total_paths * (loss_sup**2 + cfg.sigma**2)
+    noise_bound = cfg.game.total_paths * (loss_sup**2 + cfg.sigma * cfg.sigma)
     bound = suboptimality_bound(cfg.geometries, cfg.schedules, noise_bound, cfg.horizon)
     realized = float(stats.f_mean[-1] - stats.f_star)
     return {

@@ -191,6 +191,38 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "edge 1" in capsys.readouterr().err
 
 
+def test_simulate_huge_sigma_gives_infinite_bound(tmp_path):
+    # A schema-valid sigma whose square overflows a Python float.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["simulation"]["sigma"] = 1e200
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["simulate", "--config", str(path), "--T", "20", "--runs", "2", "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest_sigma_1e+200.json").read_text())
+    bound = manifest["checks"]["suboptimality_bound"]
+    assert math.isinf(bound["noise_bound"]) and math.isinf(bound["bound"])
+    assert bound["ok"] is True
+
+
+def test_config_directory_is_one_line_error(tmp_path, capsys):
+    assert main(["accountant", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["accountant", "simulate"])
+def test_out_path_that_is_a_file_is_one_line_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    extra = ["--T", "5", "--runs", "1"] if command == "simulate" else []
+    assert main([command, "--config", str(PIGOU), "--out", str(taken), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert err.count("\n") == 1
+
+
 def test_accountant_curves(tmp_path):
     code = main(
         [

@@ -548,6 +548,41 @@ def test_curve_matches_per_horizon_reports(name, c, paper_variant):
             assert math.isinf(curve.delta[-1])
 
 
+# The scalar reference at every horizon: step_sensitivity -> gaussian_epsilon
+# -> compose_adaptive, with the delta budget split over the T releases.
+@pytest.mark.parametrize(
+    "name, c, paper_variant",
+    [
+        ("two_od", 1e-6, False),
+        ("two_od", 1e-5, True),
+        ("two_od", 0.0, False),
+        ("two_od", 1e-2, False),  # the composition overflows: delta is inf
+        ("pigou", 1e-3, False),
+        ("pigou", 1e-4, True),
+    ],
+)
+def test_curve_matches_scalar_oracle_at_every_horizon(name, c, paper_variant):
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=c)
+    horizons = [1, 2, 3, 10, 57, 400, 1500, 10000]
+    loss_bound = consts.clipped_loss_bound(2.0)
+    sens = [step_sensitivity(consts, max(r - 2, 0), loss_bound) for r in range(1, horizons[-1] + 1)]
+    for sigma in (0.1, 0.3):
+        curve = privacy_curve(consts, sigma, horizons, 2.0, 1e-3, paper_variant)
+        for i, horizon in enumerate(horizons):
+            step = 1e-3 / horizon
+            releases = [gaussian_epsilon(s, sigma, step, paper_variant) for s in sens[:horizon]]
+            tail = tail_delta(sigma, 2.0, horizon, consts.total_paths)
+            eps, delta = compose_adaptive([e for e, _ in releases], [step] * horizon, tail)
+            assert curve.epsilon[i] == pytest.approx(eps, rel=1e-12, abs=0.0)
+            assert curve.delta[i] == pytest.approx(delta, rel=1e-12, abs=0.0)  # inf == inf
+            assert bool(curve.releases_valid[i]) == all(valid for _, valid in releases)
+        if c == 1e-2:
+            assert math.isinf(curve.delta[-1])
+
+
 def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     consts = SensitivityConstants.from_game(standin_game, schedules, adjacency_radius=1e-6)
