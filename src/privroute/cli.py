@@ -29,7 +29,7 @@ from .sim import (
     check_suboptimality_bound,
     monte_carlo,
     run_seeds,
-    simulate_runs,
+    simulate_sweep,
     stats_summary,
     write_ensemble_csv,
     write_manifest,
@@ -68,29 +68,23 @@ def cmd_simulate(args) -> int:
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     equilibrium = solve_equilibrium(game)
+    base = SimulationConfig(
+        game=game, geometries=geometries, schedules=schedules, sigma=0.0,
+        horizon=int(horizon), runs=int(runs), seed=int(seed), slope_window=window,
+    )
+    # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
+    seeds = run_seeds(base.seed, base.runs)
+    ensembles = simulate_sweep(base, sigmas, seeds, keep_runs=args.per_run)
     all_ok = True
-    for sigma in sigmas:
-        run_cfg = SimulationConfig(
-            game=game,
-            geometries=geometries,
-            schedules=schedules,
-            sigma=float(sigma),
-            horizon=int(horizon),
-            runs=int(runs),
-            seed=int(seed),
-            slope_window=window,
-        )
+    for sigma, ensemble in zip(sigmas, ensembles):
+        run_cfg = dataclasses.replace(base, sigma=float(sigma))
         token = _sigma_token(float(sigma))
-        records = None
         if args.per_run:
-            records = simulate_runs(
-                run_cfg, run_seeds(run_cfg.seed, run_cfg.runs), keep_runs=True
-            ).records
             run_dir = outdir / f"runs_sigma_{token}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            for i, record in enumerate(records):
+            for i, record in enumerate(ensemble.records):
                 write_run_csv(record, run_dir / f"run_{i:03d}.csv")
-        stats = monte_carlo(run_cfg, equilibrium, records=records)
+        stats = monte_carlo(run_cfg, equilibrium, records=ensemble)
         bound = check_suboptimality_bound(run_cfg, stats)
         all_ok = all_ok and bound["ok"]
         write_ensemble_csv(stats, outdir / f"ensemble_sigma_{token}.csv")

@@ -150,6 +150,16 @@ _BOUNDS = [
 ]
 
 
+def _first_non_finite(value, path: tuple = ()):
+    """``(path, value)`` of the first NaN or infinite number in a parsed document, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return next(filter(None, (_first_non_finite(v, path + (k,)) for k, v in items)), None)
+    return None
+
+
 def _is_type(value, name: str) -> bool:
     """JSON Schema type test: a bool is no number, and an integral float is an integer."""
     if isinstance(value, bool):
@@ -245,6 +255,10 @@ def load_config(path) -> dict:
             cfg = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    found = _first_non_finite(cfg)
+    if found is not None:
+        location = "/".join(map(str, found[0])) or "document root"
+        raise ConfigError(f"config invalid at {location}: {found[1]} is not a finite number")
     return validate_config(cfg)
 
 

@@ -46,21 +46,23 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - np.take_along_axis(shifted, rho, axis=-1) / (rho + 1.0), 0.0)
 
 
-def block_projection(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Per-block :func:`project_simplex` of the last axis (the euclidean prox)."""
+def block_projection(v: np.ndarray, block_sizes: Sequence[int], axis: int = -1) -> np.ndarray:
+    """Per-block :func:`project_simplex` along ``axis`` (the euclidean prox)."""
+    v = np.moveaxis(v, axis, -1)
     out = np.empty_like(v)
     for s in block_slices(block_sizes):
         out[..., s] = project_simplex(v[..., s])
-    return out
+    return np.moveaxis(out, -1, axis)
 
 
-def block_softmax(logits: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Per-block softmax of the last axis; max-shifted, so no block underflows to zeros."""
+def block_softmax(logits: np.ndarray, block_sizes: Sequence[int], axis: int = -1) -> np.ndarray:
+    """Per-block softmax along ``axis``; max-shifted, so no block underflows to zeros."""
     out = np.empty_like(logits)
+    lead = (slice(None),) * (axis % logits.ndim)
     for s in block_slices(block_sizes):
-        block = logits[..., s]
-        w = np.exp(block - block.max(axis=-1, keepdims=True))
-        out[..., s] = w / w.sum(axis=-1, keepdims=True)
+        block = logits[lead + (s,)]
+        w = np.exp(block - block.max(axis=axis, keepdims=True))
+        out[lead + (s,)] = w / w.sum(axis=axis, keepdims=True)
     return out
 
 

@@ -37,7 +37,7 @@ SIMPLEX_TOL = 1e-12
 
 
 class EquilibriumError(RuntimeError):
-    """Equilibrium solve exhausted its iteration budget before the tolerance."""
+    """Equilibrium solve exhausted its iteration budget or met a NaN Nash gap."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def build_game(
             "masses must be a populations x od_pairs array, got shape "
             f"{masses.shape} for {network.num_od_pairs} OD pairs"
         )
-    if np.any(masses < 0):
-        raise ValueError("population masses must be nonnegative")
+    if not np.all(np.isfinite(masses) & (masses >= 0)):
+        raise ValueError("population masses must be finite and nonnegative")
     peak = float(masses.max(initial=0.0))
     if mass_bound is None:
         mass_bound = peak
@@ -205,21 +205,35 @@ def _spot_check_costs(costs: tuple[EdgeCost, ...], total_mass: float) -> None:
             )
 
 
-# Edge flows sit on the last axis.  Generic cost callables are applied per entry.
+# Batch axes trail: allocations are ``(K, P, ...)``, edge flows ``(E, ...)`` and path
+# losses ``(P, ...)``, so every sum runs over a leading axis across the contiguous
+# batch, each batch column alone.  Generic cost callables are applied per entry.
+def _lead(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` with trailing singleton axes up to ``ndim``, to broadcast over a batch."""
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+
+
+def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` over the leading axis of ``v``, keeping its batch axes."""
+    if v.ndim <= 2:
+        return matrix @ v
+    return (matrix @ v.reshape(len(v), -1)).reshape(matrix.shape[:1] + v.shape[1:])
+
+
 def _cost_values(game: GameInstance, phi: np.ndarray) -> np.ndarray:
     if game.affine_coefficients is not None:
-        slope, intercept = game.affine_coefficients
+        slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
         return slope * phi + intercept
-    return np.stack([np.vectorize(c.value, otypes=[float])(phi[..., j])
-                     for j, c in enumerate(game.costs)], axis=-1)
+    return np.stack([np.vectorize(c.value, otypes=[float])(phi[j])
+                     for j, c in enumerate(game.costs)])
 
 
 def _cost_integrals(game: GameInstance, phi: np.ndarray):
     if game.affine_coefficients is not None:
-        slope, intercept = game.affine_coefficients
-        total = np.sum(0.5 * slope * phi * phi + intercept * phi, axis=-1)
+        slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
+        total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
     else:
-        total = sum(np.vectorize(c.integral, otypes=[float])(phi[..., j])
+        total = sum(np.vectorize(c.integral, otypes=[float])(phi[j])
                     for j, c in enumerate(game.costs))
     return float(total) if np.ndim(total) == 0 else total
 
@@ -245,23 +259,23 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
 
 
 def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
-    """Mass-weighted aggregation of allocations ``(..., K, P)`` into edge flows ``(..., E)``."""
+    """Mass-weighted aggregation of allocations ``(K, P, ...)`` into edge flows ``(E, ...)``."""
     x = np.asarray(x, float)
-    if x.shape[-2:] != (game.num_populations, game.total_paths):
+    if x.shape[:2] != (game.num_populations, game.total_paths):
         raise ValueError(
             f"allocation shape {x.shape} does not match "
-            f"(..., {game.num_populations}, {game.total_paths})"
+            f"({game.num_populations}, {game.total_paths}, ...)"
         )
-    weighted = (game.path_weights() * x).sum(axis=-2)
-    return weighted @ game.incidence.T
+    weighted = (_lead(game.path_weights(), x.ndim) * x).sum(axis=0)
+    return _contract(game.incidence, weighted)
 
 
 def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    """Per-path travel costs ``(..., P)``: each path sums its edges' costs at flow ``phi``."""
+    """Per-path travel costs ``(P, ...)``: each path sums its edges' costs at flow ``phi``."""
     phi = np.asarray(phi, float)
-    if phi.ndim < 1 or phi.shape[-1] != game.network.num_edges:
+    if phi.ndim < 1 or phi.shape[0] != game.network.num_edges:
         raise ValueError("flow vector length does not match the edge count")
-    return _cost_values(game, phi) @ game.incidence
+    return _contract(game.incidence.T, _cost_values(game, phi))
 
 
 def potential_from_flows(game: GameInstance, phi: np.ndarray):
@@ -290,12 +304,12 @@ def weighted_inner(x: np.ndarray, y: np.ndarray, theta, block_sizes: Sequence[in
 
 
 def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):
-    """Nash gap of allocations ``(..., K, P)`` at losses ``(..., P)``: float or ``(...)`` array."""
+    """Nash gap of allocations ``(K, P, ...)`` at losses ``(P, ...)``: float or ``(...)`` array."""
+    x = np.asarray(x, float)
     starts = [s.start for s in game.paths.block_slices()]
-    block_min = np.minimum.reduceat(losses, starts, axis=-1)
-    weights = game.path_weights()
-    current = np.sum(weights * np.asarray(x, float) * losses[..., None, :], axis=(-2, -1))
-    best = np.sum(game.masses * block_min[..., None, :], axis=(-2, -1))
+    block_min = np.minimum.reduceat(losses, starts, axis=0)
+    current = (_lead(game.path_weights(), x.ndim) * x * losses).sum(axis=(0, 1))
+    best = (_lead(game.masses, x.ndim) * block_min).sum(axis=(0, 1))
     gap = np.maximum(current - best, 0.0)
     return float(gap) if gap.ndim == 0 else gap
 
@@ -338,8 +352,8 @@ def solve_equilibrium(
 
     Runs deterministic entropic mirror descent on exact losses from the
     uniform allocation and stops once :func:`nash_gap` (which upper-bounds
-    the potential suboptimality) drops to ``tol``.  The step size is the
-    inverse gradient-smoothness bound; iterates are kept in the log
+    the potential suboptimality) drops to ``tol``, or at a NaN gap.  The step
+    size is the inverse gradient-smoothness bound; iterates are kept in the log
     domain so long runs cannot underflow a path's weight into a hard zero.
     """
     if tol <= 0:
@@ -356,6 +370,8 @@ def solve_equilibrium(
         gap = gap_from_losses(game, x, losses)
         if gap <= tol:
             return Equilibrium(x, potential_from_flows(game, phi), gap, it)
+        if np.isnan(gap):
+            raise EquilibriumError(f"the Nash gap is NaN at iteration {it}")
         logits -= eta * weights * losses[None, :]
     raise EquilibriumError(
         f"no equilibrium within {max_iter} iterations (gap {gap:.3e} > tol {tol:.1e})"

@@ -25,6 +25,7 @@ __all__ = [
     "run_seeds",
     "run_trajectory",
     "simulate_runs",
+    "simulate_sweep",
     "write_ensemble_csv",
     "write_manifest",
     "write_run_csv",
@@ -101,62 +102,78 @@ class EnsembleStats:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleRuns:
-    """What one :func:`simulate_runs` call returns."""
+    """The runs of one noise level, as :func:`simulate_sweep` returns them."""
 
     potentials: np.ndarray  # (runs, T)
     gaps: np.ndarray  # (runs, T)
-    flow_sum: np.ndarray  # (T, populations, paths): allocations summed over runs
+    flow_sum: np.ndarray  # (T, populations, paths): allocations summed over runs in order
     records: list[RunRecord] | None  # every run's trajectory, only when kept
 
 
-def simulate_runs(cfg: SimulationConfig, seeds: list, keep_runs: bool = False) -> EnsembleRuns:
-    """Advance one run per seed, all together; each run depends on its seed alone.
+def simulate_sweep(
+    cfg: SimulationConfig, sigmas, seeds: list, keep_runs: bool = False
+) -> list[EnsembleRuns]:
+    """Advance one run per (sigma, seed) pair, all together; one EnsembleRuns per sigma.
 
+    ``sigmas`` replaces ``cfg.sigma``.  Run ``r`` draws its noise once, as
+    ``default_rng(seeds[r]).standard_normal((T, paths))`` (the same numbers as
+    ``T`` successive draws of one vector), and every sigma scales those draws.
     Entropic populations are held as logits and euclidean ones as iterates,
-    both as ``(runs, populations, paths)`` arrays.  Run ``r`` draws its noise
-    up front as ``default_rng(seeds[r]).standard_normal((T, paths))``, the
-    same numbers as ``T`` successive draws of one vector.
+    as ``(populations, paths, sigmas, runs)`` arrays.  Each (sigma, run)
+    column is computed alone, so it gets the same bytes in any sweep.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
-    sizes, weights = game.block_sizes, game.path_weights()
+    sigmas = np.asarray(sigmas, float)
+    if not np.all(sigmas >= 0):
+        raise ValueError("noise standard deviation must be nonnegative")
+    S, K, sizes = len(sigmas), game.num_populations, game.block_sizes
+    weights = game.path_weights()[:, :, None, None]
     kinds = np.array([g.kind for g in cfg.geometries])
     entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
-    rates = np.array([[s.rate(t) for s in cfg.schedules] for t in range(T)])[:, :, None]
-    noise = np.zeros((T, 1, 1))
-    if cfg.sigma > 0:
-        noise = np.stack([np.random.default_rng(s).standard_normal((T, P)) for s in seeds], axis=1)
-    x = np.tile(game_ops.uniform_allocation(game), (R, 1, 1))
-    logits = np.log(x[:, entropic])
-    potentials, gaps, flow_sum = np.empty((R, T)), np.empty((R, T)), np.empty((T,) + x.shape[1:])
-    allocations = np.empty((R,) + flow_sum.shape) if keep_runs else None
-    observed = np.empty((R, T, P)) if keep_runs else None
+    rates = np.array([[s.rate(t) for s in cfg.schedules] for t in range(T)])[..., None, None, None]
+    noise = np.zeros((T, 1, 1, 1))
+    if np.any(sigmas > 0):
+        noise = np.empty((T, P, 1, R))
+        for r, seed in enumerate(seeds):
+            noise[:, :, 0, r] = np.random.default_rng(seed).standard_normal((T, P))
+    x = np.tile(game_ops.uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
+    logits = np.log(x[entropic])
+    potentials, gaps, flow_sum = np.empty((S, R, T)), np.empty((S, R, T)), np.empty((S, T, K, P))
+    allocations = np.empty((S, R, T, K, P)) if keep_runs else None
+    observed = np.empty((S, R, T, P)) if keep_runs else None
 
     losses = game_ops.path_losses(game, game_ops.edge_flows(game, x))
     for t in range(T):
-        loss_hat = losses + cfg.sigma * noise[t]
-        scaled = weights * loss_hat[:, None, :]
+        loss_hat = losses + sigmas[:, None] * noise[t]
+        scaled = weights * loss_hat
         if not np.all(np.isfinite(scaled)):
             raise ValueError("non-finite loss entries")
         step = rates[t] * scaled
         if entropic.size:
-            logits -= step[:, entropic]
-            x[:, entropic] = block_softmax(logits, sizes)
+            logits -= step[entropic]
+            x[entropic] = block_softmax(logits, sizes, axis=1)
         if euclidean.size:
-            x[:, euclidean] = block_projection(x[:, euclidean] - step[:, euclidean], sizes)
+            x[euclidean] = block_projection(x[euclidean] - step[euclidean], sizes, axis=1)
         phi = game_ops.edge_flows(game, x)
         losses = game_ops.path_losses(game, phi)
-        potentials[:, t] = game_ops.potential_from_flows(game, phi)
-        gaps[:, t] = game_ops.gap_from_losses(game, x, losses)
-        flow_sum[t] = x.sum(axis=0)
+        potentials[:, :, t] = game_ops.potential_from_flows(game, phi)
+        gaps[:, :, t] = game_ops.gap_from_losses(game, x, losses)
+        # A cumulative sum adds the runs one by one, in run order, as a sum of the records does.
+        flow_sum[:, t] = np.cumsum(x, axis=-1)[..., -1].transpose(2, 0, 1)
         if keep_runs:
-            allocations[:, t], observed[:, t] = x, loss_hat
-    records = None
-    if keep_runs:
-        records = [
-            RunRecord(potentials[r], gaps[r], allocations[r], observed[r], s)
-            for r, s in enumerate(seeds)
-        ]
-    return EnsembleRuns(potentials, gaps, flow_sum, records)
+            allocations[:, :, t] = x.transpose(2, 3, 0, 1)
+            observed[:, :, t] = loss_hat.transpose(1, 2, 0)
+    records = [
+        [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r], s)
+         for r, s in enumerate(seeds)] if keep_runs else None
+        for i in range(S)
+    ]
+    return [EnsembleRuns(potentials[i], gaps[i], flow_sum[i], records[i]) for i in range(S)]
+
+
+def simulate_runs(cfg: SimulationConfig, seeds: list, keep_runs: bool = False) -> EnsembleRuns:
+    """Advance one run per seed at ``cfg.sigma``: a :func:`simulate_sweep` of one sigma."""
+    return simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs)[0]
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
@@ -182,7 +199,7 @@ def run_seeds(seed: int, runs: int) -> list[np.random.SeedSequence]:
 def monte_carlo(
     cfg: SimulationConfig,
     equilibrium: Equilibrium | None = None,
-    records: list[RunRecord] | None = None,
+    records: EnsembleRuns | list[RunRecord] | None = None,
 ) -> EnsembleStats:
     """Replicate the trajectory over independent seeds and aggregate.
 
@@ -190,20 +207,20 @@ def monte_carlo(
     :func:`run_seeds`, so runs are independent yet the whole ensemble is
     reproducible.  The potential reference value comes from a gap-certified
     equilibrium solve, shared across noise levels when passed in.
-    Precomputed ``records`` (for example, kept to write per-run files) skip
-    the simulation pass.
+    Precomputed runs (one noise level of a :func:`simulate_sweep`, or a list
+    of run records) skip the simulation pass.
     """
     if equilibrium is None:
         equilibrium = solve_equilibrium(cfg.game, tol=EQUILIBRIUM_TOL)
     if records is None:
-        runs = simulate_runs(cfg, run_seeds(cfg.seed, cfg.runs))
-        f_runs, gap_runs, flow_sum = runs.potentials, runs.gaps, runs.flow_sum
-    elif len(records) != cfg.runs:
-        raise ValueError(f"expected {cfg.runs} run records, got {len(records)}")
-    else:
-        f_runs = np.stack([r.potentials for r in records])
-        gap_runs = np.stack([r.gaps for r in records])
-        flow_sum = sum(r.allocations for r in records)
+        records = simulate_runs(cfg, run_seeds(cfg.seed, cfg.runs))
+    elif not isinstance(records, EnsembleRuns):
+        records = EnsembleRuns(np.stack([r.potentials for r in records]),
+                               np.stack([r.gaps for r in records]),
+                               sum(r.allocations for r in records), records)
+    f_runs = records.potentials
+    if len(f_runs) != cfg.runs:
+        raise ValueError(f"expected {cfg.runs} run records, got {len(f_runs)}")
 
     iterations = np.arange(1, cfg.horizon + 1)
     window = cfg.slope_window or (max(1, cfg.horizon // 4), cfg.horizon)
@@ -213,8 +230,8 @@ def monte_carlo(
         iterations=iterations,
         f_mean=f_mean,
         f_std=f_runs.std(axis=0),
-        gap_mean=gap_runs.mean(axis=0),
-        flow_mean=flow_sum / cfg.runs,
+        gap_mean=records.gaps.mean(axis=0),
+        flow_mean=records.flow_sum / cfg.runs,
         f_star=equilibrium.potential,
         equilibrium=equilibrium,
         slope=slope,

@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +167,52 @@ def test_simulate_survives_large_entropic_step(tmp_path):
         assert flows.min() >= 0.0
         np.testing.assert_allclose(flows[:, :, :3].sum(axis=2), 1.0, atol=1e-9)
         np.testing.assert_allclose(flows[:, :, 3:].sum(axis=2), 1.0, atol=1e-9)
+
+
+def test_simulate_sigma_sweep_writes_the_files_of_single_sigma_runs(tmp_path):
+    # pigou.json sweeps sigma over [0.0, 0.1] in one engine pass.
+    args = ["simulate", "--config", str(PIGOU), "--T", "15", "--runs", "3", "--per-run"]
+    assert main(args + ["--out", str(tmp_path / "sweep")]) == 0
+    for sigma in ("0", "0.1"):
+        assert main(args + ["--sigma", sigma, "--out", str(tmp_path / "alone")]) == 0
+    swept = sorted(p.relative_to(tmp_path / "sweep") for p in (tmp_path / "sweep").rglob("*.csv"))
+    alone = sorted(p.relative_to(tmp_path / "alone") for p in (tmp_path / "alone").rglob("*.csv"))
+    assert swept == alone and len(swept) == 2 * (1 + 3)
+    for name in swept:
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    for token in ("0", "0p1"):
+        manifests = [json.loads((tmp_path / d / f"manifest_sigma_{token}.json").read_text())
+                     for d in ("sweep", "alone")]
+        assert manifests[0]["results"] == manifests[1]["results"]
+        assert manifests[0]["checks"] == manifests[1]["checks"]
+
+
+@pytest.mark.parametrize(
+    "command, path, text",
+    [
+        ("accountant", ("privacy", "sigma"), "NaN"),
+        ("accountant", ("privacy", "delta_budget"), "Infinity"),
+        ("equilibrium", ("populations", 0, "theta", 0), "NaN"),
+        ("simulate", ("simulation", "sigma", 1), "-Infinity"),
+    ],
+)
+def test_non_finite_config_value_is_one_line_error(tmp_path, capsys, command, path, text):
+    cfg = json.loads(PIGOU.read_text())
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = "@"
+    config_path = tmp_path / "non_finite.json"
+    config_path.write_text(json.dumps(cfg).replace('"@"', text))
+    out = [] if command == "equilibrium" else ["--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    assert main([command, "--config", str(config_path), *out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    location = "/".join(map(str, path))
+    assert err == f"error: config invalid at {location}: {float(text)} is not a finite number\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_deterministic_bytes(tmp_path):

@@ -261,6 +261,20 @@ def test_solve_equilibrium_budget_error(pigou_game):
         solve_equilibrium(pigou_game, tol=1e-10, max_iter=5)
 
 
+@pytest.mark.parametrize("mass", [np.nan, np.inf])
+def test_build_game_rejects_non_finite_masses(pigou_game, mass):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        build_game(pigou_game.network, pigou_game.costs, [[mass]])
+
+
+def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
+    # The spot check cannot see a NaN cost, so the solver's first gap is NaN.
+    nan_cost = GenericCost(fn=lambda u: float("nan"), lipschitz=1.0, antiderivative=lambda u: 0.0)
+    game = build_game(pigou_game.network, [AffineCost(1.0, 0.0), nan_cost], [[1.0]])
+    with pytest.raises(pr.EquilibriumError, match="NaN at iteration 0"):
+        solve_equilibrium(game)
+
+
 def test_equilibrium_beats_every_vertex(standin_game):
     eq = solve_equilibrium(standin_game, tol=1e-8)
     losses = path_losses(standin_game, edge_flows(standin_game, eq.allocation))

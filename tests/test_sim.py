@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from privroute.sim import (
     run_seeds,
     run_trajectory,
     simulate_runs,
+    simulate_sweep,
 )
 
 
@@ -222,6 +224,49 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     assert streamed.records is None
     assert streamed.potentials.tobytes() == runs.potentials.tobytes()
     assert streamed.flow_sum.tobytes() == runs.flow_sum.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean", "generic_costs"],
+)
+def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
+    # Each sigma of a sweep gets the same bytes as a call with that sigma alone.
+    cfg = engine_case(case, standin_game, standin_dynamics)
+    seeds = run_seeds(cfg.seed, cfg.runs)
+    sigmas = [0.25, 0.0, 0.4, cfg.sigma]
+    kept = simulate_sweep(cfg, sigmas, seeds, keep_runs=True)
+    streamed = simulate_sweep(cfg, sigmas, seeds)
+    assert len(kept) == len(streamed) == len(sigmas)
+    for sigma, swept, swept_streamed in zip(sigmas, kept, streamed):
+        alone = simulate_runs(dataclasses.replace(cfg, sigma=sigma), seeds, keep_runs=True)
+        for runs in (swept, swept_streamed):
+            assert runs.potentials.tobytes() == alone.potentials.tobytes()
+            assert runs.gaps.tobytes() == alone.gaps.tobytes()
+            assert runs.flow_sum.tobytes() == alone.flow_sum.tobytes()
+        assert swept_streamed.records is None
+        for a, b in zip(swept.records, alone.records, strict=True):
+            assert a.seed is b.seed
+            for field in ("potentials", "gaps", "allocations", "observed_losses"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def test_sweep_rejects_a_negative_sigma(standin_game, standin_dynamics):
+    cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_sweep(cfg, [0.1, -0.1], run_seeds(cfg.seed, cfg.runs))
+
+
+def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
+    cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
+    eq = solve_equilibrium(standin_game)
+    runs = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs), keep_runs=True)[0]
+    direct = monte_carlo(cfg, eq)
+    for given in (runs, runs.records):
+        stats = monte_carlo(cfg, eq, records=given)
+        assert stats.f_mean.tobytes() == direct.f_mean.tobytes()
+        assert stats.gap_mean.tobytes() == direct.gap_mean.tobytes()
+        assert stats.flow_mean.tobytes() == direct.flow_mean.tobytes()
 
 
 def test_engine_noise_is_successive_draws_from_each_child():
