@@ -153,14 +153,13 @@ def cmd_accountant(args) -> int:
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "accountant.csv"
-    constants = SensitivityConstants.from_game(game, schedules, adjacency_radius=0.0)
+    constants = SensitivityConstants.from_game(game, schedules)
     diagnostics = []
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["c", "sigma", "T", "epsilon", "delta", "valid"])
         for c, sigma in pairs:
-            consts = dataclasses.replace(constants, adjacency_radius=float(c))
-            curve = privacy_curve(consts, sigma, horizons, **settings)
+            curve = privacy_curve(constants, c, sigma, horizons, **settings)
             columns = (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))
             c_text, sigma_text = repr(float(c)), repr(float(sigma))
             writer.writerows(
@@ -193,9 +192,9 @@ def cmd_constants(args) -> int:
     cfg = load_config(args.config)
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
-    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=0.0)
+    consts = SensitivityConstants.from_game(game, schedules)
     n_blocks = game.network.num_od_pairs
-    skip = ("adjacency_radius", "modulus_min", "schedules")  # accounting inputs, not printed
+    skip = ("modulus_min", "schedules")  # accounting inputs, not printed
     values = {k: v for k, v in vars(consts).items() if k not in skip}
     values["moduli"] = [consts.modulus_min] * game.num_populations
     values["paths_per_od"] = list(game.block_sizes)

@@ -185,8 +185,8 @@ def _schema_violation(value, schema: dict, path: tuple):
     if "oneOf" in schema:
         matches = sum(_schema_violation(value, branch, path) is None for branch in schema["oneOf"])
         if matches != 1:
-            which = "any" if matches == 0 else "more than one"
-            return path, f"{value!r} is valid under {which} of the given schemas"
+            which = "is not valid under any" if matches == 0 else "is valid under more than one"
+            return path, f"{value!r} {which} of the given schemas"
     children = []
     if _is_type(value, "number"):
         for key, violated, relation in _BOUNDS:
@@ -270,14 +270,11 @@ def build_game_from_config(cfg: dict) -> GameInstance:
     network = build_network(cfg["network"])
     costs = [AffineCost(*entry["affine"]) for entry in cfg["edge_costs"]]
     masses = np.array([pop["theta"] for pop in cfg["populations"]], dtype=float)
-    privacy = cfg.get("privacy") or {}
-    radii = _as_list(privacy.get("c_adj", []))
     return build_game(
         network,
         costs,
         masses,
         mass_bound=cfg.get("mass_bound"),
-        adjacency_radius=radii[0] if radii else None,
         max_paths_per_od=cfg.get("max_paths_per_od"),
     )
 

@@ -99,8 +99,6 @@ class GameInstance:
     ``masses`` has one row per population and one column per OD pair; each
     entry is the traffic mass that population routes on that OD pair.
     ``mass_bound`` is the common-knowledge sup-norm bound on every row.
-    ``adjacency_radius`` is the optional default mass-shift radius used by
-    the privacy accounting; it can always be supplied there explicitly.
     """
 
     network: Network
@@ -108,7 +106,6 @@ class GameInstance:
     costs: tuple[EdgeCost, ...]
     masses: np.ndarray
     mass_bound: float
-    adjacency_radius: float | None
     incidence: np.ndarray  # stacked num_edges x total_paths matrix
 
     @property
@@ -144,7 +141,6 @@ def build_game(
     costs: Sequence[EdgeCost],
     masses,
     mass_bound: float | None = None,
-    adjacency_radius: float | None = None,
     paths: PathSet | None = None,
     max_paths_per_od: int | None = None,
 ) -> GameInstance:
@@ -174,8 +170,6 @@ def build_game(
         mass_bound = peak
     elif peak > mass_bound + 1e-12:
         raise ValueError(f"mass entry {peak} exceeds the declared bound {mass_bound}")
-    if adjacency_radius is not None and adjacency_radius < 0:
-        raise ValueError("adjacency radius must be nonnegative")
     _spot_check_costs(costs, float(masses.sum()))
     masses.setflags(write=False)
     return GameInstance(
@@ -184,7 +178,6 @@ def build_game(
         costs=costs,
         masses=masses,
         mass_bound=float(mass_bound),
-        adjacency_radius=adjacency_radius,
         incidence=np.concatenate(paths.incidence, axis=1),
     )
 

@@ -126,7 +126,6 @@ def allocation_shift_bound(
 class SensitivityConstants:
     """Instance constants feeding the per-release sensitivity formula."""
 
-    adjacency_radius: float
     mass_bound: float
     allocation_norm_bound: float
     incidence_gain: float
@@ -138,7 +137,6 @@ class SensitivityConstants:
 
     def __post_init__(self) -> None:
         for name in (
-            "adjacency_radius",
             "mass_bound",
             "allocation_norm_bound",
             "incidence_gain",
@@ -159,16 +157,9 @@ class SensitivityConstants:
 
     @classmethod
     def from_game(
-        cls,
-        game: GameInstance,
-        schedules: Sequence[LearningSchedule],
-        adjacency_radius: float | None = None,
+        cls, game: GameInstance, schedules: Sequence[LearningSchedule]
     ) -> "SensitivityConstants":
-        radius = adjacency_radius if adjacency_radius is not None else game.adjacency_radius
-        if radius is None:
-            raise ValueError("an adjacency radius is required for privacy accounting")
         return cls(
-            adjacency_radius=float(radius),
             mass_bound=game.mass_bound,
             allocation_norm_bound=allocation_supremum(game.paths),
             incidence_gain=incidence_gain(game.paths),
@@ -180,12 +171,14 @@ class SensitivityConstants:
         )
 
 
-def _sensitivities(consts: SensitivityConstants, releases, loss_dual_bound: float):
-    """Sensitivity of 1-based release(s) ``r``, at the rate of loop index ``max(r - 2, 0)``."""
+def _sensitivities(consts: SensitivityConstants, c: float, releases, loss_dual_bound: float):
+    """Sensitivity at radius ``c`` of 1-based releases ``r``, at the rate of ``max(r - 2, 0)``."""
+    if not (c >= 0 and math.isfinite(c)):
+        raise ValueError(f"adjacency radius must be finite and nonnegative, got {c}")
     t = np.maximum(np.asarray(releases) - 2, 0)
     eta_max = np.max([s.rate(t) for s in consts.schedules], axis=0)
     propagated = consts.mass_bound * eta_max * loss_dual_bound / consts.modulus_min
-    return consts.adjacency_radius * consts.loss_lipschitz * consts.incidence_gain * (
+    return c * consts.loss_lipschitz * consts.incidence_gain * (
         consts.allocation_norm_bound + propagated
     )
 
@@ -194,19 +187,25 @@ def _epsilons(sensitivities, sigma: float, delta_steps, paper_variant: bool = Fa
     """Gaussian-mechanism epsilons and their (0, 1) validity flags, elementwise."""
     if sigma <= 0:
         raise ValueError("noise standard deviation must be positive")
-    b = np.sqrt(np.maximum(2.0 * np.log(1.25 / np.asarray(delta_steps)), 0.0))
+    with np.errstate(over="ignore"):
+        ratio = np.divide(1.25, delta_steps)
+    # The quotient overflows once delta falls below about 7e-309; its log does not.
+    log_ratio = np.where(np.isfinite(ratio), np.log(ratio), math.log(1.25) - np.log(delta_steps))
+    b = np.sqrt(np.maximum(2.0 * log_ratio, 0.0))
     epsilons = sensitivities * b / (sigma * sigma if paper_variant else sigma)
     return epsilons, (epsilons > 0.0) & (epsilons < 1.0)
 
 
-def step_sensitivity(consts: SensitivityConstants, t: int, loss_dual_bound: float) -> float:
-    """Sensitivity of the release following the update at loop index ``t``.
+def step_sensitivity(
+    consts: SensitivityConstants, c: float, t: int, loss_dual_bound: float
+) -> float:
+    """Sensitivity, at adjacency radius ``c``, of the release following the update at ``t``.
 
     ``loss_dual_bound`` caps the dual norm of the observed loss driving the
     update.  The value decreases with ``t`` because the learning rates do,
-    and floors at ``radius * loss_lipschitz * gain * allocation_bound``.
+    and floors at ``c * loss_lipschitz * gain * allocation_bound``.
     """
-    return float(_sensitivities(consts, t + 2, loss_dual_bound))
+    return float(_sensitivities(consts, c, t + 2, loss_dual_bound))
 
 
 def gaussian_epsilon(
@@ -303,6 +302,7 @@ class PrivacyReport:
     """Full accounting output for a horizon of noisy loss releases."""
 
     constants: SensitivityConstants
+    adjacency_radius: float
     sigma: float
     clip: float
     horizon: int
@@ -335,7 +335,8 @@ class PrivacyReport:
             "delta_budget": self.delta_budget,
             "paper_variant": self.paper_variant,
             "loss_dual_bound": self.loss_dual_bound,
-            "constants": {k: v for k, v in vars(self.constants).items() if k != "schedules"},
+            "constants": {"adjacency_radius": self.adjacency_radius}
+            | {k: v for k, v in vars(self.constants).items() if k != "schedules"},
             "per_step": {
                 "sensitivity": self.sensitivities.tolist(),
                 "epsilon": self.epsilons.tolist(),
@@ -365,8 +366,11 @@ def privacy_report(
     This is :func:`privacy_curve` at the single horizon ``horizon``, with
     the constants taken from ``game``.
     """
-    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius)
-    return privacy_curve(consts, sigma, [horizon], clip, delta_budget, paper_variant).report
+    if adjacency_radius is None:
+        raise ValueError("an adjacency radius is required for privacy accounting")
+    consts = SensitivityConstants.from_game(game, schedules)
+    return privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget,
+                         paper_variant).report
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,13 +396,14 @@ class PrivacyCurve:
 
 def privacy_curve(
     consts: SensitivityConstants,
+    c: float,
     sigma: float,
     horizons,
     clip: float = 2.0,
     delta_budget: float = 1e-3,
     paper_variant: bool = False,
 ) -> PrivacyCurve:
-    """Account the release sequence of ``T`` noisy loss vectors for each ``T`` in ``horizons``.
+    """Account ``T`` noisy loss releases at adjacency radius ``c``, for each ``T`` in ``horizons``.
 
     The dual norm of the observed losses is capped by conditioning on no
     noise coordinate exceeding ``clip``; that event's tail mass joins the
@@ -424,9 +429,12 @@ def privacy_curve(
         raise ValueError("horizons must be a nonempty list of positive release counts")
     t_max = int(horizons.max())
     loss_dual_bound = consts.clipped_loss_bound(clip)
-    sens = _sensitivities(consts, np.arange(1, t_max + 1), loss_dual_bound)
+    sens = _sensitivities(consts, c, np.arange(1, t_max + 1), loss_dual_bound)
     later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
     steps = delta_budget / horizons
+    if not steps.all():
+        first = int(horizons[steps == 0].min())
+        raise ValueError(f"per-release delta {delta_budget!r} / T underflows to 0 at T = {first}")
     # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
     prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
                        sens[0] + later, np.ones(t_max)])
@@ -441,8 +449,8 @@ def privacy_curve(
     last = int(horizons.argmax())
     epsilons, valid_steps = _epsilons(sens, sigma, steps[last], paper_variant)
     report = PrivacyReport(
-        constants=consts, sigma=float(sigma), clip=float(clip), horizon=t_max,
-        delta_budget=float(delta_budget), paper_variant=paper_variant,
+        constants=consts, adjacency_radius=float(c), sigma=float(sigma), clip=float(clip),
+        horizon=t_max, delta_budget=float(delta_budget), paper_variant=paper_variant,
         loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
         deltas=np.full(t_max, steps[last]), valid_steps=valid_steps,
         tail_delta=float(tails[last]), epsilon=float(epsilon[last]), delta=float(delta[last]),

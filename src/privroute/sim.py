@@ -271,18 +271,9 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     header = ["t", "f_mean", "f_std", "gap_mean"] + [
         f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)
     ]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i, t in enumerate(stats.iterations):
-            row = [
-                int(t),
-                repr(float(stats.f_mean[i])),
-                repr(float(stats.f_std[i])),
-                repr(float(stats.gap_mean[i])),
-            ]
-            row.extend(repr(float(v)) for v in stats.flow_mean[i].ravel())
-            writer.writerow(row)
+    values = np.column_stack([stats.f_mean, stats.f_std, stats.gap_mean,
+                              stats.flow_mean.reshape(len(stats.iterations), -1)])
+    _write_rows(path, header, stats.iterations.tolist(), values)
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -297,14 +288,21 @@ def write_run_csv(record: RunRecord, path) -> None:
         + [f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)]
         + [f"loss_hat[{p}]" for p in range(n_paths)]
     )
+    values = np.column_stack([record.potentials, record.gaps,
+                              record.allocations.reshape(horizon, -1), record.observed_losses])
+    _write_rows(path, header, range(1, horizon + 1), values)
+
+
+def _write_rows(path, header: list, steps, values: np.ndarray) -> None:
+    """Write ``header``, then per step its number and its row of ``values``.
+
+    ``tolist`` gives Python floats, which ``csv.writer`` writes as their
+    ``repr``: the shortest string that reads back as the same float.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for t in range(horizon):
-            row = [t + 1, repr(float(record.potentials[t])), repr(float(record.gaps[t]))]
-            row.extend(repr(float(v)) for v in record.allocations[t].ravel())
-            row.extend(repr(float(v)) for v in record.observed_losses[t])
-            writer.writerow(row)
+        writer.writerows([t, *row] for t, row in zip(steps, values.tolist()))
 
 
 def write_manifest(path, payload: dict) -> None:

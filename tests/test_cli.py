@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,47 @@ def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad T-range {spec!r}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan"])
+def test_accountant_bad_radius_is_one_line_error(tmp_path, capsys, radius):
+    code = main(["accountant", "--config", str(PIGOU), "--c", radius, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "radius" in err
+    assert err.count("\n") == 1
+
+
+def write_delta_budget(tmp_path, delta_budget):
+    cfg = json.loads(TWO_OD.read_text())
+    cfg["privacy"]["delta_budget"] = delta_budget
+    path = tmp_path / "tiny_delta.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_accountant_tiny_per_release_delta_stays_finite(tmp_path, capsys):
+    # delta_budget / T reaches 1e-310, where 1.25 / delta overflows a float.
+    path = write_delta_budget(tmp_path, 1e-306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["accountant", "--config", str(path), "--T-range", "1:10000:1000",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * 10
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("epsilon", "delta"))
+
+
+def test_accountant_per_release_delta_underflow_is_one_line_error(tmp_path, capsys):
+    path = write_delta_budget(tmp_path, 1e-320)
+    code = main(["accountant", "--config", str(path), "--T-range", "1:10000:1000",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: per-release delta 1e-320 / T underflows to 0 at T = 5001\n"
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,16 @@ def test_validator_rejects_non_object_documents(doc):
         validate_config(doc)
 
 
+@pytest.mark.parametrize("value", ["0.1", [0.1, "x"]])
+def test_one_of_without_a_matching_branch_says_not_valid(value):
+    doc = mutated("pigou", ("simulation", "sigma"), value)
+    message = f"{value!r} is not valid under any of the given schemas"
+    assert [error.message for error in ORACLE.iter_errors(doc)] == [message]
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert str(info.value) == f"config invalid at simulation/sigma: {message}"
+
+
 # Schemas beyond EXPERIMENT_SCHEMA, for branches that schema cannot reach:
 # oneOf branches that overlap, and keywords on a value of another type.
 @pytest.mark.parametrize(

@@ -261,7 +261,6 @@ def test_flow_shift_never_exceeds_bound():
 
 def demo_constants(**overrides):
     values = dict(
-        adjacency_radius=1e-6,
         mass_bound=1.2,
         allocation_norm_bound=2.0,
         incidence_gain=1.0,
@@ -278,22 +277,22 @@ def demo_constants(**overrides):
 def test_step_sensitivity_formula_value():
     consts = demo_constants()
     # eta(0) = 1, dual bound sqrt(4) * (2 + 2) = 8.
-    value = step_sensitivity(consts, 0, math.sqrt(4) * (2.0 + 2.0))
+    value = step_sensitivity(consts, 1e-6, 0, math.sqrt(4) * (2.0 + 2.0))
     assert value == pytest.approx(1e-6 * (2.0 + 1.2 * 1.0 * 8.0), rel=1e-12)
 
 
 def test_step_sensitivity_zero_radius():
-    consts = demo_constants(adjacency_radius=0.0)
-    assert step_sensitivity(consts, 3, 8.0) == 0.0
+    consts = demo_constants()
+    assert step_sensitivity(consts, 0.0, 3, 8.0) == 0.0
 
 
 def test_step_sensitivity_monotone_with_floor():
-    consts = demo_constants()
-    values = [step_sensitivity(consts, t, 8.0) for t in range(200)]
+    consts, c = demo_constants(), 1e-6
+    values = [step_sensitivity(consts, c, t, 8.0) for t in range(200)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
-    floor = consts.adjacency_radius * consts.loss_lipschitz * consts.incidence_gain * 2.0
-    assert step_sensitivity(consts, 10**12, 8.0) == pytest.approx(floor, rel=1e-5)
+    floor = c * consts.loss_lipschitz * consts.incidence_gain * 2.0
+    assert step_sensitivity(consts, c, 10**12, 8.0) == pytest.approx(floor, rel=1e-5)
 
 
 # ------------------------------------------------------- gaussian mechanism
@@ -444,7 +443,7 @@ def test_report_per_step_matches_scalar_ops(horizon, c, standin_game, standin_dy
     )
     consts = report.constants
     for release in range(1, horizon + 1):
-        expected = step_sensitivity(consts, max(release - 2, 0), report.loss_dual_bound)
+        expected = step_sensitivity(consts, c, max(release - 2, 0), report.loss_dual_bound)
         assert report.sensitivities[release - 1] == pytest.approx(expected, rel=1e-12)
         eps, valid = gaussian_epsilon(expected, 0.1, 1e-3 / horizon)
         assert report.epsilons[release - 1] == pytest.approx(eps, rel=1e-12)
@@ -530,11 +529,11 @@ def test_curve_matches_per_horizon_reports(name, c, paper_variant):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
-    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=c)
+    consts = SensitivityConstants.from_game(game, schedules)
     horizons = [1, 2, 3, 10, 57, 400, 1500]
     settings = dict(clip=2.0, delta_budget=1e-3, paper_variant=paper_variant)
     for sigma in (0.1, 0.3):
-        curve = privacy_curve(consts, sigma, horizons, **settings)
+        curve = privacy_curve(consts, c, sigma, horizons, **settings)
         assert curve.horizons.tolist() == horizons
         for i, horizon in enumerate(horizons):
             report = privacy_report(
@@ -565,12 +564,14 @@ def test_curve_matches_scalar_oracle_at_every_horizon(name, c, paper_variant):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
-    consts = SensitivityConstants.from_game(game, schedules, adjacency_radius=c)
+    consts = SensitivityConstants.from_game(game, schedules)
     horizons = [1, 2, 3, 10, 57, 400, 1500, 10000]
     loss_bound = consts.clipped_loss_bound(2.0)
-    sens = [step_sensitivity(consts, max(r - 2, 0), loss_bound) for r in range(1, horizons[-1] + 1)]
+    sens = [
+        step_sensitivity(consts, c, max(r - 2, 0), loss_bound) for r in range(1, horizons[-1] + 1)
+    ]
     for sigma in (0.1, 0.3):
-        curve = privacy_curve(consts, sigma, horizons, 2.0, 1e-3, paper_variant)
+        curve = privacy_curve(consts, c, sigma, horizons, 2.0, 1e-3, paper_variant)
         for i, horizon in enumerate(horizons):
             step = 1e-3 / horizon
             releases = [gaussian_epsilon(s, sigma, step, paper_variant) for s in sens[:horizon]]
@@ -585,7 +586,7 @@ def test_curve_matches_scalar_oracle_at_every_horizon(name, c, paper_variant):
 
 def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
-    consts = SensitivityConstants.from_game(standin_game, schedules, adjacency_radius=1e-6)
+    consts = SensitivityConstants.from_game(standin_game, schedules)
     for horizons in ([], [0, 5], [[1, 2]]):
         with pytest.raises(ValueError, match="horizons"):
-            privacy_curve(consts, 0.1, horizons)
+            privacy_curve(consts, 1e-6, 0.1, horizons)
