@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import json
@@ -21,7 +20,7 @@ from .config import (
     load_config,
     privacy_pairs,
 )
-from .game import EquilibriumError, solve_equilibrium
+from .game import EQUILIBRIUM_TOL, EquilibriumError, solve_equilibrium
 from .network import NetworkError
 from .privacy import SensitivityConstants, privacy_curve
 from .sim import (
@@ -31,6 +30,7 @@ from .sim import (
     run_seeds,
     simulate_sweep,
     stats_summary,
+    write_csv,
     write_ensemble_csv,
     write_manifest,
     write_run_csv,
@@ -51,6 +51,17 @@ def _sigma_token(sigma: float) -> str:
     return f"{sigma:g}".replace(".", "p").replace("-", "m")
 
 
+def _manifest(command: str, cfg: dict, **fields) -> dict:
+    """The manifest of one command: what ran, when, on which config, then ``fields``."""
+    return {
+        "command": command,
+        "version": __version__,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "config": cfg,
+        **fields,
+    }
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim_cfg = cfg.get("simulation")
@@ -65,54 +76,42 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else sim_cfg["seed"]
     window = tuple(sim_cfg["slope_window"]) if "slope_window" in sim_cfg else None
 
-    outdir = _output_dir(args, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
     equilibrium = solve_equilibrium(game)
     base = SimulationConfig(
         game=game, geometries=geometries, schedules=schedules, sigma=0.0,
         horizon=int(horizon), runs=int(runs), seed=int(seed), slope_window=window,
     )
     # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
-    seeds = run_seeds(base.seed, base.runs)
-    ensembles = simulate_sweep(base, sigmas, seeds, keep_runs=args.per_run)
-    all_ok = True
-    for sigma, ensemble in zip(sigmas, ensembles):
-        run_cfg = dataclasses.replace(base, sigma=float(sigma))
-        token = _sigma_token(float(sigma))
+    ensembles = simulate_sweep(base, sigmas, run_seeds(base.seed, base.runs), args.per_run)
+    run_cfgs = [dataclasses.replace(base, sigma=float(sigma)) for sigma in sigmas]
+    results = [monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
+    bounds = [check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
+
+    outdir = _output_dir(args, cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for run, ensemble, stats, bound in zip(run_cfgs, ensembles, results, bounds):
+        token = _sigma_token(run.sigma)
         if args.per_run:
             run_dir = outdir / f"runs_sigma_{token}"
             run_dir.mkdir(parents=True, exist_ok=True)
             for i, record in enumerate(ensemble.records):
                 write_run_csv(record, run_dir / f"run_{i:03d}.csv")
-        stats = monte_carlo(run_cfg, equilibrium, records=ensemble)
-        bound = check_suboptimality_bound(run_cfg, stats)
-        all_ok = all_ok and bound["ok"]
         write_ensemble_csv(stats, outdir / f"ensemble_sigma_{token}.csv")
-        manifest = {
-            "command": "simulate",
-            "version": __version__,
-            "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": cfg,
-            "effective": {
-                "sigma": float(sigma),
-                "T": int(horizon),
-                "runs": int(runs),
-                "seed": int(seed),
-            },
-            "seeding": {
-                "master_seed": int(seed),
-                "rule": "numpy SeedSequence(master_seed).spawn(runs)",
-            },
-            "results": stats_summary(stats),
-            "checks": {"suboptimality_bound": bound},
-        }
+        manifest = _manifest(
+            "simulate", cfg,
+            effective={"sigma": run.sigma, "T": run.horizon, "runs": run.runs, "seed": run.seed},
+            seeding={"master_seed": run.seed,
+                     "rule": "numpy SeedSequence(master_seed).spawn(runs)"},
+            results=stats_summary(stats),
+            checks={"suboptimality_bound": bound},
+        )
         write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
         print(
-            f"sigma={sigma:g}: slope={stats.slope:.4f} "
+            f"sigma={run.sigma:g}: slope={stats.slope:.4f} "
             f"terminal_f_mean={stats.f_mean[-1]:.6f} f_star={stats.f_star:.6f} "
             f"bound_ok={bound['ok']}"
         )
-    return 0 if all_ok else 1
+    return 0 if all(bound["ok"] for bound in bounds) else 1
 
 
 def _parse_t_range(text: str) -> range:
@@ -139,50 +138,41 @@ def cmd_accountant(args) -> int:
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
     if args.c is not None:
-        sigmas = sorted({sigma for _, sigma in pairs})
-        pairs = [(args.c, sigma) for sigma in sigmas]
+        pairs = [(args.c, sigma) for sigma in sorted({sigma for _, sigma in pairs})]
     spec = args.t_range or ":".join(map(str, privacy_cfg.get("T_range", [1, 200])))
     horizons = _parse_t_range(spec)
 
-    settings = {
-        "clip": privacy_cfg.get("a", 2.0),
-        "delta_budget": privacy_cfg.get("delta_budget", 1e-3),
-        "paper_variant": privacy_cfg.get("paper_variant", False),
-    }
+    # privacy_curve's own defaults stand in for the keys the config leaves out.
+    keys = {"a": "clip", "delta_budget": "delta_budget", "paper_variant": "paper_variant"}
+    settings = {arg: privacy_cfg[key] for key, arg in keys.items() if key in privacy_cfg}
+    constants = SensitivityConstants.from_game(game, schedules)
+    curves = [privacy_curve(constants, c, sigma, horizons, **settings) for c, sigma in pairs]
 
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "accountant.csv"
-    constants = SensitivityConstants.from_game(game, schedules)
-    diagnostics = []
-    with open(out_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["c", "sigma", "T", "epsilon", "delta", "valid"])
-        for c, sigma in pairs:
-            curve = privacy_curve(constants, c, sigma, horizons, **settings)
-            columns = (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))
-            c_text, sigma_text = repr(float(c)), repr(float(sigma))
-            writer.writerows(
-                [c_text, sigma_text, horizon, repr(eps), repr(delta), valid]
-                for horizon, eps, delta, valid in zip(*(col.tolist() for col in columns))
-            )
-            diagnostics.append({"c": c, "sigma": sigma, **curve.diagnostics()})
-            report_path = outdir / f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
-            write_manifest(report_path, curve.report.to_dict())
-    manifest = {
-        "command": "accountant",
-        "version": __version__,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": cfg,
-        "effective": {
+    write_csv(out_path, ["c", "sigma", "T", "epsilon", "delta", "valid"], (
+        [c, sigma, *row]
+        for (c, sigma), curve in zip(pairs, curves)
+        for row in zip(*(col.tolist() for col in
+                         (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
+    ))
+    for (c, sigma), curve in zip(pairs, curves):
+        report_path = outdir / f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
+        write_manifest(report_path, curve.report.to_dict())
+    used = curves[0].report  # every pair shares the settings
+    manifest = _manifest(
+        "accountant", cfg,
+        effective={
             "pairs": [[c, s] for c, s in pairs],
             "T_range": [horizons.start, horizons.stop - 1, horizons.step],
-            "a": settings["clip"],
-            "delta_budget": settings["delta_budget"],
-            "paper_variant": settings["paper_variant"],
+            "a": used.clip,
+            "delta_budget": used.delta_budget,
+            "paper_variant": used.paper_variant,
         },
-        "diagnostics": diagnostics,
-    }
+        diagnostics=[{"c": c, "sigma": sigma, **curve.diagnostics()}
+                     for (c, sigma), curve in zip(pairs, curves)],
+    )
     write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")
     return 0
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="solve for the equilibrium allocation")
     p_eq.add_argument("--config", required=True)
-    p_eq.add_argument("--tol", type=float, default=1e-8)
+    p_eq.add_argument("--tol", type=float, default=EQUILIBRIUM_TOL)
     p_eq.add_argument("--json", action="store_true")
     p_eq.set_defaults(func=cmd_equilibrium)
     return parser

@@ -13,6 +13,7 @@ from .network import DEFAULT_PATH_CAP, Network, PathSet, enumerate_paths
 
 __all__ = [
     "AffineCost",
+    "EQUILIBRIUM_TOL",
     "EquilibriumError",
     "Equilibrium",
     "GameInstance",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+EQUILIBRIUM_TOL = 1e-8  # the Nash gap every equilibrium solve stops at by default
 
 
 class EquilibriumError(RuntimeError):
@@ -338,7 +340,7 @@ class Equilibrium:
 
 def solve_equilibrium(
     game: GameInstance,
-    tol: float = 1e-8,
+    tol: float = EQUILIBRIUM_TOL,
     max_iter: int = 500_000,
 ) -> Equilibrium:
     """Minimize the potential over the allocation polytope to a gap certificate.
@@ -349,7 +351,7 @@ def solve_equilibrium(
     size is the inverse gradient-smoothness bound; iterates are kept in the log
     domain so long runs cannot underflow a path's weight into a hard zero.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     smoothness = gradient_smoothness(game)
     eta = 1.0 / smoothness if smoothness > 0 else 1.0

@@ -429,18 +429,23 @@ def privacy_curve(
         raise ValueError("horizons must be a nonempty list of positive release counts")
     t_max = int(horizons.max())
     loss_dual_bound = consts.clipped_loss_bound(clip)
-    sens = _sensitivities(consts, c, np.arange(1, t_max + 1), loss_dual_bound)
-    later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
     steps = delta_budget / horizons
     if not steps.all():
         first = int(horizons[steps == 0].min())
         raise ValueError(f"per-release delta {delta_budget!r} / T underflows to 0 at T = {first}")
-    # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
-    prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
-                       sens[0] + later, np.ones(t_max)])
-    (lowest, highest, epsilon, scale), _ = _epsilons(
-        prefix[:, horizons - 1], sigma, steps, paper_variant
-    )
+    # A radius near the float maximum, or a tiny sigma, overflows here; the check below reports it.
+    with np.errstate(all="ignore"):
+        sens = _sensitivities(consts, c, np.arange(1, t_max + 1), loss_dual_bound)
+        later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
+        # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
+        prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
+                           sens[0] + later, np.ones(t_max)])
+        (lowest, highest, epsilon, scale), _ = _epsilons(
+            prefix[:, horizons - 1], sigma, steps, paper_variant
+        )
+    # Every sensitivity and per-release epsilon is finite when every composed epsilon is.
+    if not np.isfinite(epsilon).all():
+        raise ValueError(f"epsilon overflows at c = {c!r}, sigma = {sigma!r}")
     releases_valid = (lowest > 0.0) & (highest < 1.0)
     sums = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
     tails = [tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()]

@@ -26,12 +26,11 @@ __all__ = [
     "run_trajectory",
     "simulate_runs",
     "simulate_sweep",
+    "write_csv",
     "write_ensemble_csv",
     "write_manifest",
     "write_run_csv",
 ]
-
-EQUILIBRIUM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +210,7 @@ def monte_carlo(
     of run records) skip the simulation pass.
     """
     if equilibrium is None:
-        equilibrium = solve_equilibrium(cfg.game, tol=EQUILIBRIUM_TOL)
+        equilibrium = solve_equilibrium(cfg.game)
     if records is None:
         records = simulate_runs(cfg, run_seeds(cfg.seed, cfg.runs))
     elif not isinstance(records, EnsembleRuns):
@@ -273,7 +272,8 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     ]
     values = np.column_stack([stats.f_mean, stats.f_std, stats.gap_mean,
                               stats.flow_mean.reshape(len(stats.iterations), -1)])
-    _write_rows(path, header, stats.iterations.tolist(), values)
+    rows = zip(stats.iterations.tolist(), values.tolist())
+    write_csv(path, header, ([t, *row] for t, row in rows))
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -290,19 +290,19 @@ def write_run_csv(record: RunRecord, path) -> None:
     )
     values = np.column_stack([record.potentials, record.gaps,
                               record.allocations.reshape(horizon, -1), record.observed_losses])
-    _write_rows(path, header, range(1, horizon + 1), values)
+    write_csv(path, header, ([t, *row] for t, row in enumerate(values.tolist(), 1)))
 
 
-def _write_rows(path, header: list, steps, values: np.ndarray) -> None:
-    """Write ``header``, then per step its number and its row of ``values``.
+def write_csv(path, header: list, rows) -> None:
+    """Write ``header`` and then ``rows`` as RFC-4180 CSV.
 
-    ``tolist`` gives Python floats, which ``csv.writer`` writes as their
+    ``csv.writer`` writes a Python float (what ``tolist`` gives) as its
     ``repr``: the shortest string that reads back as the same float.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([t, *row] for t, row in zip(steps, values.tolist()))
+        writer.writerows(rows)
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -253,6 +253,19 @@ def test_simulate_huge_sigma_gives_infinite_bound(tmp_path):
     assert bound["ok"] is True
 
 
+def test_failing_simulate_writes_nothing(tmp_path, capsys):
+    # A schema-valid window past the horizon fails only in the slope fit, after every run.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["simulation"]["slope_window"] = [300, 400]
+    path = tmp_path / "late_window.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--per-run", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: slope window (300, 400)") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_directory_is_one_line_error(tmp_path, capsys):
     assert main(["accountant", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -394,6 +407,31 @@ def test_accountant_bad_radius_is_one_line_error(tmp_path, capsys, radius):
     assert err.count("\n") == 1
 
 
+def test_failing_accountant_leaves_earlier_output_alone(tmp_path, capsys):
+    earlier = tmp_path / "accountant.csv"
+    earlier.write_text("c,sigma,T,epsilon,delta,valid\n0.001,0.1,1,0.5,0.001,1\n")
+    before = earlier.read_bytes()
+    assert main(["accountant", "--config", str(PIGOU), "--c", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert earlier.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["accountant.csv"]
+
+
+@pytest.mark.parametrize("radius, spec", [("1e308", "1:50:10"), ("1e304", "1:5000:10")],
+                         ids=["per-release", "composed"])
+def test_accountant_overflowing_radius_is_one_line_error(tmp_path, capsys, radius, spec):
+    # At 1e308 every sensitivity overflows; at 1e304 only the composed epsilon at T = 5000 does.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["accountant", "--config", str(PIGOU), "--c", radius, "--T-range", spec,
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: epsilon overflows at c = {float(radius)!r}, sigma = 0.1\n"
+    assert not out.exists()
+
+
 def write_delta_budget(tmp_path, delta_budget):
     cfg = json.loads(TWO_OD.read_text())
     cfg["privacy"]["delta_budget"] = delta_budget
@@ -503,6 +541,14 @@ def test_constants_constant_costs(tmp_path, capsys):
     with open(tmp_path / "accountant.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert all(float(row[3]) == 0.0 for row in rows[1:])
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_equilibrium_bad_tolerance_fails_fast(capsys, tol):
+    start = time.perf_counter()
+    assert main(["equilibrium", "--config", str(PIGOU), "--tol", tol]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
 def test_equilibrium_command(capsys):
