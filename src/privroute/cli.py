@@ -51,6 +51,20 @@ def _sigma_token(sigma: float) -> str:
     return f"{sigma:g}".replace(".", "p").replace("-", "m")
 
 
+def _report_name(c: float, sigma: float) -> str:
+    return f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
+
+
+def _check_distinct_names(values, name_of, what: str) -> None:
+    """Fail when two different values would write the same file (names keep 6 digits)."""
+    first = {}
+    for value in values:
+        name = name_of(value)
+        other = first.setdefault(name, value)
+        if other != value:
+            raise ConfigError(f"{what} {other!r} and {value!r} would both write {name}")
+
+
 def _manifest(command: str, cfg: dict, **fields) -> dict:
     """The manifest of one command: what ran, when, on which config, then ``fields``."""
     return {
@@ -75,6 +89,7 @@ def cmd_simulate(args) -> int:
     runs = args.runs if args.runs is not None else sim_cfg["runs"]
     seed = args.seed if args.seed is not None else sim_cfg["seed"]
     window = tuple(sim_cfg["slope_window"]) if "slope_window" in sim_cfg else None
+    _check_distinct_names(sigmas, lambda s: f"ensemble_sigma_{_sigma_token(s)}.csv", "sigma")
 
     equilibrium = solve_equilibrium(game)
     base = SimulationConfig(
@@ -141,6 +156,7 @@ def cmd_accountant(args) -> int:
         pairs = [(args.c, sigma) for sigma in sorted({sigma for _, sigma in pairs})]
     spec = args.t_range or ":".join(map(str, privacy_cfg.get("T_range", [1, 200])))
     horizons = _parse_t_range(spec)
+    _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
     # privacy_curve's own defaults stand in for the keys the config leaves out.
     keys = {"a": "clip", "delta_budget": "delta_budget", "paper_variant": "paper_variant"}
@@ -158,8 +174,7 @@ def cmd_accountant(args) -> int:
                          (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
     for (c, sigma), curve in zip(pairs, curves):
-        report_path = outdir / f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
-        write_manifest(report_path, curve.report.to_dict())
+        write_manifest(outdir / _report_name(c, sigma), curve.report.to_dict())
     used = curves[0].report  # every pair shares the settings
     manifest = _manifest(
         "accountant", cfg,

@@ -242,9 +242,11 @@ def tail_delta(sigma: float, clip: float, n_steps: int, n_paths: int) -> float:
     if n_steps < 0 or n_paths < 0:
         raise ValueError("counts must be nonnegative")
     count = n_steps * n_paths
-    if count == 0:
+    twice_variance = 2.0 * sigma * sigma
+    # Below sigma of about 1e-162 the variance underflows to 0, and so does the true tail mass.
+    if count == 0 or twice_variance == 0.0:
         return 0.0
-    q = 2.0 * math.exp(-clip * clip / (2.0 * sigma * sigma))
+    q = 2.0 * math.exp(-clip * clip / twice_variance)
     if q >= 1.0:
         raise ValueError(
             f"noise std {sigma} is too large relative to clip level {clip}: "
@@ -328,6 +330,7 @@ class PrivacyReport:
         return bool(np.all(self.valid_steps)) and not self.trivial
 
     def to_dict(self) -> dict:
+        """JSON-ready report; ``per_step`` summarises the per-release arrays in constant size."""
         return {
             "sigma": self.sigma,
             "clip": self.clip,
@@ -338,10 +341,11 @@ class PrivacyReport:
             "constants": {"adjacency_radius": self.adjacency_radius}
             | {k: v for k, v in vars(self.constants).items() if k != "schedules"},
             "per_step": {
-                "sensitivity": self.sensitivities.tolist(),
-                "epsilon": self.epsilons.tolist(),
-                "delta": self.deltas.tolist(),
-                "valid": self.valid_steps.tolist(),
+                "sensitivity": {"max": float(self.sensitivities.max()),
+                                "min": float(self.sensitivities.min())},
+                "epsilon": {"max": float(self.epsilons.max()), "min": float(self.epsilons.min())},
+                "delta": float(self.deltas[0]),  # the uniform split: every release has it
+                "valid_releases": int(self.valid_steps.sum()),
             },
             "tail_delta": self.tail_delta,
             "epsilon": self.epsilon,

@@ -266,6 +266,30 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, key, values, message",
+    [
+        ("accountant", "privacy", "c_adj", [1e-3, 1.0000001e-3],
+         "(c, sigma) (0.001, 0.1) and (0.0010000001, 0.1) would both write "
+         "report_c_0.001_sigma_0p1.json"),
+        ("simulate", "simulation", "sigma", [0.1, 0.1000001],
+         "sigma 0.1 and 0.1000001 would both write ensemble_sigma_0p1.csv"),
+    ],
+    ids=["accountant", "simulate"],
+)
+def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, block, key,
+                                                   values, message):
+    # File names keep six significant digits of each value.
+    cfg = json.loads(PIGOU.read_text())
+    cfg[block][key] = values
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_directory_is_one_line_error(tmp_path, capsys):
     assert main(["accountant", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -305,6 +329,9 @@ def test_accountant_curves(tmp_path):
 
 
 def test_accountant_writes_full_report_json(tmp_path):
+    from privroute.config import build_dynamics_from_config, build_game_from_config
+    from privroute.privacy import privacy_report
+
     code = main(
         [
             "accountant", "--config", str(TWO_OD),
@@ -314,9 +341,36 @@ def test_accountant_writes_full_report_json(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report_c_1e-06_sigma_0p1.json").read_text())
     assert report["horizon"] == 21
-    assert len(report["per_step"]["epsilon"]) == 21
+    cfg = load_config(TWO_OD)
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    expected = privacy_report(
+        game, schedules, sigma=0.1, horizon=21, clip=2.0,
+        delta_budget=1e-3, adjacency_radius=1e-6,
+    )
+    sens, eps = expected.sensitivities, expected.epsilons
+    assert report["per_step"] == {
+        "sensitivity": {"max": float(sens.max()), "min": float(sens.min())},
+        "epsilon": {"max": float(eps.max()), "min": float(eps.min())},
+        "delta": float(expected.deltas[0]),
+        "valid_releases": int(expected.valid_steps.sum()),
+    }
     assert report["constants"]["allocation_norm_bound"] == 2.0
     assert (tmp_path / "report_c_1e-05_sigma_0p3.json").exists()
+
+    # The report's size does not grow with the horizon.
+    def key_tree(node):
+        return {k: key_tree(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+    long_out = tmp_path / "long"
+    code = main(["accountant", "--config", str(TWO_OD), "--T-range", "1:10000:10",
+                 "--out", str(long_out)])
+    assert code == 0
+    long_path = long_out / "report_c_1e-06_sigma_0p1.json"
+    long_report = json.loads(long_path.read_text())
+    assert long_report["horizon"] == 9991
+    assert key_tree(long_report) == key_tree(report)
+    assert long_path.stat().st_size < 2048
 
 
 def test_accountant_zero_radius(tmp_path):
@@ -453,6 +507,35 @@ def test_accountant_tiny_per_release_delta_stays_finite(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 2 * 10
     assert all(math.isfinite(float(row[key])) for row in rows for key in ("epsilon", "delta"))
+
+
+@pytest.mark.parametrize("extra", [[], ["--c", "0"]], ids=["shipped-radius", "zero-radius"])
+def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, extra):
+    # 2 * sigma**2 underflows to 0 at sigma = 1e-200; so does the tail mass.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["privacy"]["sigma"] = 1e-200
+    path = tmp_path / "tiny_sigma.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["accountant", "--config", str(path), "--T-range", "1:5", *extra,
+                     "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    epsilons = [float(row["epsilon"]) for row in rows]
+    deltas = [float(row["delta"]) for row in rows]
+    assert len(rows) == 5 and all(row["valid"] == "0" for row in rows)
+    if extra:
+        assert epsilons == [0.0] * 5 and max(deltas) < 1.0
+    else:
+        assert all(1.0 < e < math.inf for e in epsilons)
+        assert deltas[1:] == [math.inf] * 4
+    report = json.loads(next(out.glob("report_*.json")).read_text())
+    assert report["tail_delta"] == 0.0
+    assert report["per_step"]["valid_releases"] == 0
 
 
 def test_accountant_per_release_delta_underflow_is_one_line_error(tmp_path, capsys):
