@@ -56,13 +56,13 @@ def _report_name(c: float, sigma: float) -> str:
 
 
 def _check_distinct_names(values, name_of, what: str) -> None:
-    """Fail when two different values would write the same file (names keep 6 digits)."""
+    """Fail when two values, equal or not, would write the same file (names keep 6 digits)."""
     first = {}
     for value in values:
         name = name_of(value)
-        other = first.setdefault(name, value)
-        if other != value:
-            raise ConfigError(f"{what} {other!r} and {value!r} would both write {name}")
+        if name in first:
+            raise ConfigError(f"{what} {first[name]!r} and {value!r} would both write {name}")
+        first[name] = value
 
 
 def _manifest(command: str, cfg: dict, **fields) -> dict:
@@ -159,7 +159,7 @@ def cmd_accountant(args) -> int:
     _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
     # privacy_curve's own defaults stand in for the keys the config leaves out.
-    keys = {"a": "clip", "delta_budget": "delta_budget", "paper_variant": "paper_variant"}
+    keys = {"a": "clip", "delta_budget": "delta_budget"}
     settings = {arg: privacy_cfg[key] for key, arg in keys.items() if key in privacy_cfg}
     constants = SensitivityConstants.from_game(game, schedules)
     curves = [privacy_curve(constants, c, sigma, horizons, **settings) for c, sigma in pairs]
@@ -183,7 +183,6 @@ def cmd_accountant(args) -> int:
             "T_range": [horizons.start, horizons.stop - 1, horizons.step],
             "a": used.clip,
             "delta_budget": used.delta_budget,
-            "paper_variant": used.paper_variant,
         },
         diagnostics=[{"c": c, "sigma": sigma, **curve.diagnostics()}
                      for (c, sigma), curve in zip(pairs, curves)],

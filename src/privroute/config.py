@@ -101,8 +101,6 @@ _PRIVACY_SCHEMA = {
         "sigma": _NUMBER_OR_LIST,
         "a": {"type": "number", "exclusiveMinimum": 0},
         "delta_budget": {"type": "number", "exclusiveMinimum": 0},
-        "delta_split": {"enum": ["uniform"]},
-        "paper_variant": {"type": "boolean"},
         "T_range": {
             "type": "array",
             "items": {"type": "integer", "minimum": 1},

@@ -68,7 +68,7 @@ def build_network(spec: dict) -> Network:
     """Validate a ``{"nodes", "edges", "od_pairs"}`` description.
 
     Raises :class:`NetworkError` on duplicate node names, edges with
-    unknown endpoints, self-loops, or OD pairs with no connecting path.
+    unknown endpoints, self-loops, or missing, unknown or degenerate OD pairs.
     """
     try:
         nodes = list(spec["nodes"])
@@ -94,26 +94,7 @@ def build_network(spec: dict) -> Network:
         if origin == dest:
             raise NetworkError(f"degenerate OD pair ({origin}, {dest})")
 
-    net = Network(tuple(nodes), tuple(edges), tuple(od_pairs))
-    out = net.out_edges()
-    for origin, dest in net.od_pairs:
-        if not _reachable(out, origin, dest):
-            raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
-    return net
-
-
-def _reachable(out: dict[str, list[tuple[int, str]]], origin: str, dest: str) -> bool:
-    seen = {origin}
-    frontier = [origin]
-    while frontier:
-        node = frontier.pop()
-        for _, head in out[node]:
-            if head == dest:
-                return True
-            if head not in seen:
-                seen.add(head)
-                frontier.append(head)
-    return False
+    return Network(tuple(nodes), tuple(edges), tuple(od_pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +129,9 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
     """Enumerate every simple path of every OD pair by depth-first search.
 
     Paths visit no node twice and are emitted in lexicographic order of
-    their edge-index sequences.  If an OD pair has more than
-    ``max_paths_per_od`` simple paths the enumeration fails loudly instead
-    of truncating.
+    their edge-index sequences.  Raises :class:`NetworkError` on an OD pair
+    with no connecting path, and on one with more than ``max_paths_per_od``
+    simple paths, instead of truncating.
     """
     out = network.out_edges()
     all_paths: list[tuple[tuple[int, ...], ...]] = []

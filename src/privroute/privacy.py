@@ -11,10 +11,13 @@ a chain of three results:
    ``A_x`` is the incidence operator norm and ``A_delta`` the largest
    allocation norm;
 3. a loss bound: composing with the Lipschitz constant of the flow-to-loss
-   map gives the per-release sensitivity fed to the Gaussian mechanism.
+   map gives the per-release sensitivity ``d_k`` fed to the Gaussian
+   mechanism, ``epsilon_k = d_k sqrt(2 ln(1.25 / delta_k)) / sigma``
+   (Dwork and Roth 2014, Thm A.1).
 
-Per-release (epsilon, delta) pairs are combined by repeated adaptive
-composition, plus the tail mass spent on keeping the noisy losses bounded.
+The delta budget is split uniformly over the releases, and the per-release
+(epsilon, delta) pairs are combined by repeated adaptive composition, plus
+the tail mass spent on keeping the noisy losses bounded.
 ``privacy_curve`` computes every composed pair, over many horizons in one
 pass; ``privacy_report`` is its full report at a single horizon.
 """
@@ -183,7 +186,7 @@ def _sensitivities(consts: SensitivityConstants, c: float, releases, loss_dual_b
     )
 
 
-def _epsilons(sensitivities, sigma: float, delta_steps, paper_variant: bool = False):
+def _epsilons(sensitivities, sigma: float, delta_steps):
     """Gaussian-mechanism epsilons and their (0, 1) validity flags, elementwise."""
     if sigma <= 0:
         raise ValueError("noise standard deviation must be positive")
@@ -192,7 +195,7 @@ def _epsilons(sensitivities, sigma: float, delta_steps, paper_variant: bool = Fa
     # The quotient overflows once delta falls below about 7e-309; its log does not.
     log_ratio = np.where(np.isfinite(ratio), np.log(ratio), math.log(1.25) - np.log(delta_steps))
     b = np.sqrt(np.maximum(2.0 * log_ratio, 0.0))
-    epsilons = sensitivities * b / (sigma * sigma if paper_variant else sigma)
+    epsilons = sensitivities * b / sigma
     return epsilons, (epsilons > 0.0) & (epsilons < 1.0)
 
 
@@ -208,26 +211,20 @@ def step_sensitivity(
     return float(_sensitivities(consts, c, t + 2, loss_dual_bound))
 
 
-def gaussian_epsilon(
-    sensitivity: float,
-    sigma: float,
-    delta_step: float,
-    paper_variant: bool = False,
-) -> tuple[float, bool]:
+def gaussian_epsilon(sensitivity: float, sigma: float, delta_step: float) -> tuple[float, bool]:
     """Invert the Gaussian-mechanism calibration for one release.
 
     Noise of standard deviation ``sigma >= sqrt(2 ln(1.25/delta)) *
     sensitivity / epsilon`` gives (epsilon, delta) privacy for epsilon in
     (0, 1); solving for the smallest epsilon gives the returned value.  The
     flag is False whenever epsilon falls outside (0, 1), where the
-    calibration is not known to hold.  ``paper_variant`` divides by
-    ``sigma**2`` instead of ``sigma`` for comparison runs.
+    calibration is not known to hold.
     """
     if delta_step <= 0:
         raise ValueError("per-step delta must be positive")
     if sensitivity < 0:
         raise ValueError("sensitivity must be nonnegative")
-    epsilon, valid = _epsilons(sensitivity, sigma, delta_step, paper_variant)
+    epsilon, valid = _epsilons(sensitivity, sigma, delta_step)
     return float(epsilon), bool(valid)
 
 
@@ -309,7 +306,6 @@ class PrivacyReport:
     clip: float
     horizon: int
     delta_budget: float
-    paper_variant: bool
     loss_dual_bound: float
     sensitivities: np.ndarray
     epsilons: np.ndarray
@@ -336,7 +332,6 @@ class PrivacyReport:
             "clip": self.clip,
             "horizon": self.horizon,
             "delta_budget": self.delta_budget,
-            "paper_variant": self.paper_variant,
             "loss_dual_bound": self.loss_dual_bound,
             "constants": {"adjacency_radius": self.adjacency_radius}
             | {k: v for k, v in vars(self.constants).items() if k != "schedules"},
@@ -362,7 +357,6 @@ def privacy_report(
     horizon: int,
     clip: float = 2.0,
     delta_budget: float = 1e-3,
-    paper_variant: bool = False,
     adjacency_radius: float | None = None,
 ) -> PrivacyReport:
     """Account the full release sequence of ``horizon`` noisy loss vectors.
@@ -373,8 +367,7 @@ def privacy_report(
     if adjacency_radius is None:
         raise ValueError("an adjacency radius is required for privacy accounting")
     consts = SensitivityConstants.from_game(game, schedules)
-    return privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget,
-                         paper_variant).report
+    return privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget).report
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +398,6 @@ def privacy_curve(
     horizons,
     clip: float = 2.0,
     delta_budget: float = 1e-3,
-    paper_variant: bool = False,
 ) -> PrivacyCurve:
     """Account ``T`` noisy loss releases at adjacency radius ``c``, for each ``T`` in ``horizons``.
 
@@ -444,9 +436,7 @@ def privacy_curve(
         # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
         prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
                            sens[0] + later, np.ones(t_max)])
-        (lowest, highest, epsilon, scale), _ = _epsilons(
-            prefix[:, horizons - 1], sigma, steps, paper_variant
-        )
+        (lowest, highest, epsilon, scale), _ = _epsilons(prefix[:, horizons - 1], sigma, steps)
     # Every sensitivity and per-release epsilon is finite when every composed epsilon is.
     if not np.isfinite(epsilon).all():
         raise ValueError(f"epsilon overflows at c = {c!r}, sigma = {sigma!r}")
@@ -456,10 +446,10 @@ def privacy_curve(
     with np.errstate(over="ignore"):
         delta = tails + np.exp(np.log(steps) + scale * later[horizons - 1] + np.log(sums))
     last = int(horizons.argmax())
-    epsilons, valid_steps = _epsilons(sens, sigma, steps[last], paper_variant)
+    epsilons, valid_steps = _epsilons(sens, sigma, steps[last])
     report = PrivacyReport(
         constants=consts, adjacency_radius=float(c), sigma=float(sigma), clip=float(clip),
-        horizon=t_max, delta_budget=float(delta_budget), paper_variant=paper_variant,
+        horizon=t_max, delta_budget=float(delta_budget),
         loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
         deltas=np.full(t_max, steps[last]), valid_steps=valid_steps,
         tail_delta=float(tails[last]), epsilon=float(epsilon[last]), delta=float(delta[last]),

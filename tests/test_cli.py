@@ -274,12 +274,17 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
          "report_c_0.001_sigma_0p1.json"),
         ("simulate", "simulation", "sigma", [0.1, 0.1000001],
          "sigma 0.1 and 0.1000001 would both write ensemble_sigma_0p1.csv"),
+        ("accountant", "privacy", "c_adj", [1e-3, 1e-3],
+         "(c, sigma) (0.001, 0.1) and (0.001, 0.1) would both write "
+         "report_c_0.001_sigma_0p1.json"),
+        ("simulate", "simulation", "sigma", [0.1, 0.1],
+         "sigma 0.1 and 0.1 would both write ensemble_sigma_0p1.csv"),
     ],
-    ids=["accountant", "simulate"],
+    ids=["accountant", "simulate", "accountant_repeated", "simulate_repeated"],
 )
 def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, block, key,
                                                    values, message):
-    # File names keep six significant digits of each value.
+    # File names keep six significant digits of each value; a repeated value is one name twice.
     cfg = json.loads(PIGOU.read_text())
     cfg[block][key] = values
     path = tmp_path / "collide.json"
@@ -287,6 +292,20 @@ def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, bl
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("paper_variant", False), ("delta_split", "uniform")])
+def test_accountant_rejects_removed_privacy_keys(tmp_path, capsys, key, value):
+    cfg = json.loads(TWO_OD.read_text())
+    cfg["privacy"][key] = value
+    path = tmp_path / "old_keys.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config invalid at privacy: additional properties are not allowed ('{key}')\n"
+    )
     assert not out.exists()
 
 

@@ -88,15 +88,17 @@ def test_seven_node_two_od_network(standin_game):
             {"nodes": ["a", "b"], "edges": [["a", "a"]], "od_pairs": [["a", "b"]]},
             "self-loop",
         ),
-        (
-            {"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["t", "s"]]},
-            "unreachable OD pair",
-        ),
     ],
 )
 def test_build_errors(spec, message):
     with pytest.raises(NetworkError, match=message):
         build_network(spec)
+
+
+def test_unreachable_od_pair_fails_at_enumeration():
+    spec = {"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["t", "s"]]}
+    with pytest.raises(NetworkError, match=r"^unreachable OD pair \(t, s\)$"):
+        enumerate_paths(build_network(spec))
 
 
 def test_path_cap_errors_instead_of_truncating():

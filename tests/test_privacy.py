@@ -319,12 +319,6 @@ def test_gaussian_epsilon_edge_cases():
     assert eps > 1.0 and not valid
 
 
-def test_gaussian_epsilon_paper_variant():
-    eps_plain, _ = gaussian_epsilon(1.0, 0.5, 1e-5)
-    eps_paper, _ = gaussian_epsilon(1.0, 0.5, 1e-5, paper_variant=True)
-    assert eps_paper == pytest.approx(eps_plain / 0.5, rel=1e-12)
-
-
 def test_single_step_dp_holds_on_interval_grid():
     """Exact-CDF check of the (eps, delta) guarantee for interval events."""
     sensitivity, sigma = 0.3, 2.0
@@ -489,18 +483,6 @@ def test_report_monotonicities(standin_game, standin_dynamics):
     assert build(radius=2e-6).delta >= build(radius=1e-6).delta
 
 
-def test_report_paper_variant_scales(standin_game, standin_dynamics):
-    _, schedules = standin_dynamics
-    plain = privacy_report(
-        standin_game, schedules, sigma=0.1, horizon=10, adjacency_radius=1e-6
-    )
-    paper = privacy_report(
-        standin_game, schedules, sigma=0.1, horizon=10, adjacency_radius=1e-6,
-        paper_variant=True,
-    )
-    np.testing.assert_allclose(paper.epsilons, plain.epsilons / 0.1, rtol=1e-12)
-
-
 def test_report_requires_radius(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     game = pr.build_game(
@@ -515,23 +497,23 @@ def test_report_requires_radius(standin_game, standin_dynamics):
 
 
 @pytest.mark.parametrize(
-    "name, c, paper_variant",
+    "name, c",
     [
-        ("two_od", 1e-6, False),
-        ("two_od", 1e-5, True),
-        ("two_od", 0.0, False),
-        ("two_od", 1e-2, False),  # the composition overflows: delta is inf
-        ("pigou", 1e-3, False),
-        ("pigou", 1e-4, True),
+        ("two_od", 1e-6),
+        ("two_od", 1e-5),
+        ("two_od", 0.0),
+        ("two_od", 1e-2),  # the composition overflows: delta is inf
+        ("pigou", 1e-3),
+        ("pigou", 1e-4),
     ],
 )
-def test_curve_matches_per_horizon_reports(name, c, paper_variant):
+def test_curve_matches_per_horizon_reports(name, c):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
     consts = SensitivityConstants.from_game(game, schedules)
     horizons = [1, 2, 3, 10, 57, 400, 1500]
-    settings = dict(clip=2.0, delta_budget=1e-3, paper_variant=paper_variant)
+    settings = dict(clip=2.0, delta_budget=1e-3)
     for sigma in (0.1, 0.3):
         curve = privacy_curve(consts, c, sigma, horizons, **settings)
         assert curve.horizons.tolist() == horizons
@@ -550,17 +532,17 @@ def test_curve_matches_per_horizon_reports(name, c, paper_variant):
 # The scalar reference at every horizon: step_sensitivity -> gaussian_epsilon
 # -> compose_adaptive, with the delta budget split over the T releases.
 @pytest.mark.parametrize(
-    "name, c, paper_variant",
+    "name, c",
     [
-        ("two_od", 1e-6, False),
-        ("two_od", 1e-5, True),
-        ("two_od", 0.0, False),
-        ("two_od", 1e-2, False),  # the composition overflows: delta is inf
-        ("pigou", 1e-3, False),
-        ("pigou", 1e-4, True),
+        ("two_od", 1e-6),
+        ("two_od", 1e-5),
+        ("two_od", 0.0),
+        ("two_od", 1e-2),  # the composition overflows: delta is inf
+        ("pigou", 1e-3),
+        ("pigou", 1e-4),
     ],
 )
-def test_curve_matches_scalar_oracle_at_every_horizon(name, c, paper_variant):
+def test_curve_matches_scalar_oracle_at_every_horizon(name, c):
     cfg = load_config(CONFIG_DIR / f"{name}.json")
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
@@ -571,10 +553,10 @@ def test_curve_matches_scalar_oracle_at_every_horizon(name, c, paper_variant):
         step_sensitivity(consts, c, max(r - 2, 0), loss_bound) for r in range(1, horizons[-1] + 1)
     ]
     for sigma in (0.1, 0.3):
-        curve = privacy_curve(consts, c, sigma, horizons, 2.0, 1e-3, paper_variant)
+        curve = privacy_curve(consts, c, sigma, horizons, 2.0, 1e-3)
         for i, horizon in enumerate(horizons):
             step = 1e-3 / horizon
-            releases = [gaussian_epsilon(s, sigma, step, paper_variant) for s in sens[:horizon]]
+            releases = [gaussian_epsilon(s, sigma, step) for s in sens[:horizon]]
             tail = tail_delta(sigma, 2.0, horizon, consts.total_paths)
             eps, delta = compose_adaptive([e for e, _ in releases], [step] * horizon, tail)
             assert curve.epsilon[i] == pytest.approx(eps, rel=1e-12, abs=0.0)
