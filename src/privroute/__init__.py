@@ -21,7 +21,6 @@ from .game import (
     Equilibrium,
     EquilibriumError,
     GameInstance,
-    GenericCost,
     build_game,
     edge_flows,
     nash_gap,

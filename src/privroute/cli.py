@@ -291,7 +291,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow reaches the output as inf or NaN, which the commands' own
+        # finiteness checks turn into the one-line error below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, NetworkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

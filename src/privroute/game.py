@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "EquilibriumError",
     "Equilibrium",
     "GameInstance",
-    "GenericCost",
     "SIMPLEX_TOL",
     "build_game",
     "edge_flows",
@@ -50,48 +49,13 @@ class AffineCost:
     intercept: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
+            raise ValueError("affine cost coefficients must be finite")
         if self.slope < 0 or self.intercept < 0:
             raise ValueError("affine cost coefficients must be nonnegative")
 
     def value(self, u):
         return self.slope * u + self.intercept
-
-    def integral(self, u):
-        return 0.5 * self.slope * u * u + self.intercept * u
-
-    @property
-    def lipschitz(self) -> float:
-        return self.slope
-
-
-@dataclass(frozen=True)
-class GenericCost:
-    """Nondecreasing Lipschitz edge cost given by callables.
-
-    ``antiderivative`` must be the closed-form integral of ``fn`` from 0;
-    potential evaluation refuses to run without it rather than falling back
-    to silent quadrature.  Monotonicity and the declared Lipschitz constant
-    are spot-checked on the feasible flow range when a game is built.
-    """
-
-    fn: Callable[[float], float]
-    lipschitz: float
-    antiderivative: Callable[[float], float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.lipschitz < 0:
-            raise ValueError("lipschitz constant must be nonnegative")
-
-    def value(self, u):
-        return self.fn(u)
-
-    def integral(self, u):
-        if self.antiderivative is None:
-            raise ValueError("generic cost without antiderivative")
-        return self.antiderivative(u)
-
-
-EdgeCost = AffineCost | GenericCost
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +69,7 @@ class GameInstance:
 
     network: Network
     paths: PathSet
-    costs: tuple[EdgeCost, ...]
+    costs: tuple[AffineCost, ...]
     masses: np.ndarray
     mass_bound: float
     incidence: np.ndarray  # stacked num_edges x total_paths matrix
@@ -131,16 +95,19 @@ class GameInstance:
         return np.repeat(self.masses, self.block_sizes, axis=1)
 
     @cached_property
-    def affine_coefficients(self) -> np.ndarray | None:
-        """Rows of per-edge slopes and intercepts if every edge cost is affine, else None."""
-        if all(isinstance(c, AffineCost) for c in self.costs):
-            return np.array([[c.slope, c.intercept] for c in self.costs]).T
-        return None
+    def affine_coefficients(self) -> np.ndarray:
+        """The ``(2, E)`` rows of per-edge slopes and intercepts."""
+        return np.array([[c.slope, c.intercept] for c in self.costs]).T
+
+    @property
+    def max_slope(self) -> float:
+        """Largest edge-cost slope: the Lipschitz constant of every edge cost."""
+        return float(self.affine_coefficients[0].max(initial=0.0))
 
 
 def build_game(
     network: Network,
-    costs: Sequence[EdgeCost],
+    costs: Sequence[AffineCost],
     masses,
     mass_bound: float | None = None,
     paths: PathSet | None = None,
@@ -148,9 +115,7 @@ def build_game(
 ) -> GameInstance:
     """Assemble and validate a :class:`GameInstance`.
 
-    ``mass_bound`` defaults to the largest mass entry.  Generic costs are
-    spot-checked for monotonicity and for their declared Lipschitz constant
-    on a grid of the feasible flow range ``[0, total mass]``.
+    ``mass_bound`` defaults to the largest mass entry.
     """
     if paths is None:
         paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
@@ -172,7 +137,6 @@ def build_game(
         mass_bound = peak
     elif peak > mass_bound + 1e-12:
         raise ValueError(f"mass entry {peak} exceeds the declared bound {mass_bound}")
-    _spot_check_costs(costs, float(masses.sum()))
     masses.setflags(write=False)
     return GameInstance(
         network=network,
@@ -184,25 +148,9 @@ def build_game(
     )
 
 
-def _spot_check_costs(costs: tuple[EdgeCost, ...], total_mass: float) -> None:
-    grid = np.linspace(0.0, max(total_mass, 1.0), 33)
-    for j, cost in enumerate(costs):
-        if isinstance(cost, AffineCost):
-            continue
-        values = np.array([float(cost.value(u)) for u in grid])
-        diffs = np.diff(values)
-        if np.any(diffs < -1e-9):
-            raise ValueError(f"edge cost {j} is decreasing on the feasible range")
-        ratios = np.abs(diffs) / np.diff(grid)
-        if np.any(ratios > cost.lipschitz * (1 + 1e-6) + 1e-12):
-            raise ValueError(
-                f"edge cost {j} violates its declared Lipschitz constant {cost.lipschitz}"
-            )
-
-
 # Batch axes trail: allocations are ``(K, P, ...)``, edge flows ``(E, ...)`` and path
 # losses ``(P, ...)``, so every sum runs over a leading axis across the contiguous
-# batch, each batch column alone.  Generic cost callables are applied per entry.
+# batch, each batch column alone.
 def _lead(a: np.ndarray, ndim: int) -> np.ndarray:
     """``a`` with trailing singleton axes up to ``ndim``, to broadcast over a batch."""
     return a.reshape(a.shape + (1,) * (ndim - a.ndim))
@@ -216,20 +164,13 @@ def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cost_values(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    if game.affine_coefficients is not None:
-        slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
-        return slope * phi + intercept
-    return np.stack([np.vectorize(c.value, otypes=[float])(phi[j])
-                     for j, c in enumerate(game.costs)])
+    slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
+    return slope * phi + intercept
 
 
 def _cost_integrals(game: GameInstance, phi: np.ndarray):
-    if game.affine_coefficients is not None:
-        slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
-        total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
-    else:
-        total = sum(np.vectorize(c.integral, otypes=[float])(phi[j])
-                    for j, c in enumerate(game.costs))
+    slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
+    total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -322,7 +263,7 @@ def nash_gap(game: GameInstance, x: np.ndarray) -> float:
 
 def gradient_smoothness(game: GameInstance) -> float:
     """Upper bound on the Lipschitz constant of the potential gradient."""
-    lam = max((c.lipschitz for c in game.costs), default=0.0)
+    lam = game.max_slope
     if lam == 0.0 or game.total_mass == 0.0:
         return 0.0
     spectral = np.linalg.norm(game.incidence, 2)

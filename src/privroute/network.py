@@ -130,13 +130,27 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
 
     Paths visit no node twice and are emitted in lexicographic order of
     their edge-index sequences.  Raises :class:`NetworkError` on an OD pair
-    with no connecting path, and on one with more than ``max_paths_per_od``
-    simple paths, instead of truncating.
+    with no connecting path, before any walk, and on one with more than
+    ``max_paths_per_od`` simple paths, instead of truncating.
     """
     out = network.out_edges()
+    into: dict[str, list[str]] = {v: [] for v in network.nodes}
+    for tail, head in network.edges:
+        into[head].append(tail)
     all_paths: list[tuple[tuple[int, ...], ...]] = []
     matrices: list[np.ndarray] = []
     for origin, dest in network.od_pairs:
+        # A walk never returns to the origin, so it enters only nodes that
+        # reach ``dest`` without passing through ``origin``: no dead ends.
+        live, stack = {dest}, [dest]
+        while stack:
+            for tail in into[stack.pop()]:
+                if tail not in live:
+                    live.add(tail)
+                    if tail != origin:
+                        stack.append(tail)
+        if origin not in live:
+            raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
         found: list[tuple[int, ...]] = []
         prefix: list[int] = []
         visited = {origin}
@@ -151,7 +165,7 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
                     )
                 return
             for j, head in out[node]:
-                if head in visited:
+                if head in visited or head not in live:
                     continue
                 visited.add(head)
                 prefix.append(j)
@@ -160,8 +174,6 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
                 visited.remove(head)
 
         walk(origin)
-        if not found:
-            raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
         matrix = np.zeros((network.num_edges, len(found)))
         for p, path in enumerate(found):
             matrix[list(path), p] = 1.0

@@ -95,8 +95,7 @@ def loss_lipschitz_bound(game: GameInstance) -> float:
     Each block contributes at most its incidence spectral norm times the
     worst per-edge cost slope, and the block norms add up.
     """
-    lam = max(c.lipschitz for c in game.costs)
-    return float(sum(spectral_norm(m) for m in game.paths.incidence)) * lam
+    return float(sum(spectral_norm(m) for m in game.paths.incidence)) * game.max_slope
 
 
 def loss_sup_bound(game: GameInstance) -> float:

@@ -267,6 +267,34 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("equilibrium", "error: the Nash gap is NaN at iteration 0"),
+        ("simulate", "error: the Nash gap is NaN at iteration 0"),
+        ("constants", "error: loss_sup must be finite and nonnegative, got nan"),
+        ("accountant", "error: loss_sup must be finite and nonnegative, got nan"),
+    ],
+    ids=["equilibrium", "simulate", "constants", "accountant"],
+)
+def test_overflowing_costs_are_one_line_error(tmp_path, capsys, command, message):
+    # Flows of 1e300 on slopes of 1e300 overflow; the finiteness checks, not a
+    # numpy warning, report it.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["edge_costs"] = [{"affine": [1e300, 0.0]}] * 2
+    cfg["populations"][0]["theta"] = [1e300]
+    del cfg["mass_bound"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)]
+    if command in ("simulate", "accountant"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
     "command, block, key, values, message",
     [
         ("accountant", "privacy", "c_adj", [1e-3, 1.0000001e-3],

@@ -8,7 +8,6 @@ import pytest
 import privroute as pr
 from privroute.game import (
     AffineCost,
-    GenericCost,
     build_game,
     edge_flows,
     gradient_smoothness,
@@ -106,28 +105,6 @@ def test_potential_zero_mass():
     game = build_game(net, [AffineCost(1, 0), AffineCost(2, 1)], [[0.0]])
     for x in ([[1.0, 0.0]], [[0.3, 0.7]]):
         assert potential(game, np.array(x)) == 0.0
-
-
-def test_generic_cost_requires_antiderivative():
-    net = pr.build_network(
-        {"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["s", "t"]]}
-    )
-    cost = GenericCost(fn=lambda u: u * u, lipschitz=10.0)
-    game = build_game(net, [cost], [[1.0]])
-    with pytest.raises(ValueError, match="antiderivative"):
-        potential(game, np.array([[1.0]]))
-
-
-def test_generic_cost_monotonicity_spot_check():
-    net = pr.build_network(
-        {"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["s", "t"]]}
-    )
-    decreasing = GenericCost(fn=lambda u: -u, lipschitz=1.0)
-    with pytest.raises(ValueError, match="decreasing"):
-        build_game(net, [decreasing], [[1.0]])
-    too_steep = GenericCost(fn=lambda u: 5.0 * u, lipschitz=1.0)
-    with pytest.raises(ValueError, match="Lipschitz"):
-        build_game(net, [too_steep], [[1.0]])
 
 
 def central_difference_gradient(game, x, h=1e-5):
@@ -268,11 +245,20 @@ def test_build_game_rejects_non_finite_masses(pigou_game, mass):
 
 
 def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
-    # The spot check cannot see a NaN cost, so the solver's first gap is NaN.
-    nan_cost = GenericCost(fn=lambda u: float("nan"), lipschitz=1.0, antiderivative=lambda u: 0.0)
-    game = build_game(pigou_game.network, [AffineCost(1.0, 0.0), nan_cost], [[1.0]])
-    with pytest.raises(pr.EquilibriumError, match="NaN at iteration 0"):
+    # Flows of 1e300 on slopes of 1e300 overflow to inf, so the first gap is inf - inf.
+    game = build_game(pigou_game.network, [AffineCost(1e300, 0.0)] * 2, [[1e300]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        pr.EquilibriumError, match="NaN at iteration 0"
+    ):
         solve_equilibrium(game)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["slope", "intercept"])
+def test_affine_cost_rejects_non_finite_coefficients(bad, slot):
+    coefficients = {"slope": 1.0, "intercept": 1.0, slot: bad}
+    with pytest.raises(ValueError, match="finite"):
+        AffineCost(**coefficients)
 
 
 def test_equilibrium_beats_every_vertex(standin_game):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_diamond_and_triangle_match_oracle():
     cols = [paths.incidence[0][:, p].tolist() for p in range(2)]
     assert cols == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
+    # c and d are dead ends (d leads only back to s); a and b form a cycle.
+    dead_ends = {
+        "nodes": ["s", "a", "b", "c", "d", "t"],
+        "edges": [["s", "a"], ["a", "b"], ["b", "a"], ["b", "t"], ["a", "d"],
+                  ["d", "s"], ["s", "c"], ["c", "d"], ["a", "t"]],
+        "od_pairs": [["s", "t"], ["c", "t"]],
+    }
+    paths = enumerate_paths(build_network(dead_ends))
+    oracle = dfs_oracle(dead_ends)
+    assert list(paths.paths[0]) == oracle[("s", "t")] == [(0, 1, 3), (0, 8)]
+    assert list(paths.paths[1]) == oracle[("c", "t")]
+
 
 def test_seven_node_two_od_network(standin_game):
     net = standin_game.network
@@ -99,6 +112,24 @@ def test_unreachable_od_pair_fails_at_enumeration():
     spec = {"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["t", "s"]]}
     with pytest.raises(NetworkError, match=r"^unreachable OD pair \(t, s\)$"):
         enumerate_paths(build_network(spec))
+
+
+@pytest.mark.parametrize("dest_edge", [True, False])
+def test_dense_dead_ends_are_not_walked(dest_edge):
+    # A complete digraph on 11 nodes, left only by the edge v0 -> t if at all:
+    # a walk over every simple path out of v0 would take seconds.
+    nodes = [f"v{i}" for i in range(11)]
+    edges = [[u, v] for u in nodes for v in nodes if u != v]
+    if dest_edge:
+        edges.append(["v0", "t"])
+    net = build_network({"nodes": nodes + ["t"], "edges": edges, "od_pairs": [["v0", "t"]]})
+    start = time.perf_counter()
+    if dest_edge:
+        assert enumerate_paths(net).paths == (((len(edges) - 1,),),)
+    else:
+        with pytest.raises(NetworkError, match="unreachable OD pair"):
+            enumerate_paths(net)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_path_cap_errors_instead_of_truncating():

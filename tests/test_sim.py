@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -160,33 +159,6 @@ def loop_oracle(cfg, seed):
     return np.array(potentials), np.array(gaps), np.array(allocations), np.array(observed)
 
 
-def generic_cost_game():
-    """two_od's network with non-affine costs, one of them scalar-only (math.exp)."""
-    net = pr.build_network(
-        {
-            "nodes": ["v0", "v1", "v2", "v3", "v4", "v5", "v6"],
-            "edges": [
-                ["v0", "v2"], ["v1", "v2"], ["v2", "v3"], ["v2", "v4"],
-                ["v3", "v5"], ["v4", "v5"], ["v5", "v6"], ["v3", "v6"],
-            ],
-            "od_pairs": [["v0", "v6"], ["v1", "v5"]],
-        }
-    )
-    quadratic = pr.GenericCost(
-        fn=lambda u: 0.2 * u * u + 0.05,
-        lipschitz=1.0,
-        antiderivative=lambda u: u**3 / 15 + 0.05 * u,
-    )
-    exponential = pr.GenericCost(
-        fn=lambda u: 0.1 * math.exp(0.5 * u),
-        lipschitz=0.2,
-        antiderivative=lambda u: 0.2 * math.expm1(0.5 * u),
-    )
-    costs = [quadratic, pr.AffineCost(0.25, 0.0), exponential, quadratic,
-             pr.AffineCost(0.25, 0.0), exponential, quadratic, pr.AffineCost(0.25, 0.12)]
-    return pr.build_game(net, costs, [[1.0, 0.0], [0.2, 1.2]])
-
-
 def engine_case(name, standin_game, standin_dynamics):
     geometries, schedules = standin_dynamics
     if name == "two_od_sigma0":
@@ -196,17 +168,13 @@ def engine_case(name, standin_game, standin_dynamics):
     if name == "mixed_geometries":
         mixed = (geometries[0], BregmanGeometry("euclidean", standin_game.block_sizes))
         return SimulationConfig(standin_game, mixed, schedules, 0.4, 40, 4, 3)
-    if name == "all_euclidean":
-        euclidean = (BregmanGeometry("euclidean", standin_game.block_sizes),) * 2
-        return SimulationConfig(standin_game, euclidean, schedules, 0.4, 40, 4, 5)
-    game = generic_cost_game()
-    geoms = tuple(BregmanGeometry(kind, game.block_sizes) for kind in ("entropic", "euclidean"))
-    return SimulationConfig(game, geoms, schedules, 0.3, 30, 3, 4)
+    euclidean = (BregmanGeometry("euclidean", standin_game.block_sizes),) * 2
+    return SimulationConfig(standin_game, euclidean, schedules, 0.4, 40, 4, 5)
 
 
 @pytest.mark.parametrize(
     "case",
-    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean", "generic_costs"],
+    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean"],
 )
 def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
@@ -228,7 +196,7 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
 
 @pytest.mark.parametrize(
     "case",
-    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean", "generic_costs"],
+    ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries", "all_euclidean"],
 )
 def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
     # Each sigma of a sweep gets the same bytes as a call with that sigma alone.
