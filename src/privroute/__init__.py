@@ -17,7 +17,6 @@ from .dynamics import (
     suboptimality_bound,
 )
 from .game import (
-    AffineCost,
     Equilibrium,
     EquilibriumError,
     GameInstance,
@@ -37,11 +36,8 @@ from .privacy import (
     PrivacyReport,
     SensitivityConstants,
     allocation_shift_bound,
-    allocation_supremum,
     compose_adaptive,
     gaussian_epsilon,
-    incidence_gain,
-    loss_lipschitz_bound,
     loss_sup_bound,
     privacy_report,
     step_sensitivity,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import BregmanGeometry, LearningSchedule
-from .game import AffineCost, GameInstance, build_game
+from .game import GameInstance, build_game
 from .network import PathSet, build_network
 
 __all__ = [
@@ -266,7 +266,7 @@ def _as_list(value) -> list:
 
 def build_game_from_config(cfg: dict) -> GameInstance:
     network = build_network(cfg["network"])
-    costs = [AffineCost(*entry["affine"]) for entry in cfg["edge_costs"]]
+    costs = [entry["affine"] for entry in cfg["edge_costs"]]
     masses = np.array([pop["theta"] for pop in cfg["populations"]], dtype=float)
     return build_game(
         network,

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import block_softmax
-from .network import DEFAULT_PATH_CAP, Network, PathSet, enumerate_paths
+from .network import DEFAULT_PATH_CAP, Network, PathSet, block_slices, enumerate_paths
 
 __all__ = [
-    "AffineCost",
     "EQUILIBRIUM_TOL",
     "EquilibriumError",
     "Equilibrium",
@@ -41,38 +39,22 @@ class EquilibriumError(RuntimeError):
     """Equilibrium solve exhausted its iteration budget or met a NaN Nash gap."""
 
 
-@dataclass(frozen=True)
-class AffineCost:
-    """Edge travel cost ``slope * u + intercept`` with both coefficients >= 0."""
-
-    slope: float
-    intercept: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.slope) and np.isfinite(self.intercept)):
-            raise ValueError("affine cost coefficients must be finite")
-        if self.slope < 0 or self.intercept < 0:
-            raise ValueError("affine cost coefficients must be nonnegative")
-
-    def value(self, u):
-        return self.slope * u + self.intercept
-
-
 @dataclass(frozen=True, eq=False)
 class GameInstance:
     """A routing game: network, path structure, edge costs, population masses.
 
-    ``masses`` has one row per population and one column per OD pair; each
-    entry is the traffic mass that population routes on that OD pair.
-    ``mass_bound`` is the common-knowledge sup-norm bound on every row.
+    ``costs`` has one ``[slope, intercept]`` row per edge: edge ``j`` costs
+    ``slope * u + intercept`` at flow ``u``.  ``masses`` has one row per
+    population and one column per OD pair; each entry is the traffic mass
+    that population routes on that OD pair.  ``mass_bound`` is the
+    common-knowledge sup-norm bound on every row.  Both arrays are read-only.
     """
 
     network: Network
     paths: PathSet
-    costs: tuple[AffineCost, ...]
+    costs: np.ndarray
     masses: np.ndarray
     mass_bound: float
-    incidence: np.ndarray  # stacked num_edges x total_paths matrix
 
     @property
     def num_populations(self) -> int:
@@ -94,20 +76,15 @@ class GameInstance:
         """Per-population masses expanded over the concatenated path axis."""
         return np.repeat(self.masses, self.block_sizes, axis=1)
 
-    @cached_property
-    def affine_coefficients(self) -> np.ndarray:
-        """The ``(2, E)`` rows of per-edge slopes and intercepts."""
-        return np.array([[c.slope, c.intercept] for c in self.costs]).T
-
     @property
     def max_slope(self) -> float:
         """Largest edge-cost slope: the Lipschitz constant of every edge cost."""
-        return float(self.affine_coefficients[0].max(initial=0.0))
+        return float(self.costs[:, 0].max(initial=0.0))
 
 
 def build_game(
     network: Network,
-    costs: Sequence[AffineCost],
+    costs,
     masses,
     mass_bound: float | None = None,
     paths: PathSet | None = None,
@@ -115,15 +92,21 @@ def build_game(
 ) -> GameInstance:
     """Assemble and validate a :class:`GameInstance`.
 
-    ``mass_bound`` defaults to the largest mass entry.
+    ``costs`` holds one ``[slope, intercept]`` row per edge, both finite and
+    nonnegative.  ``mass_bound`` defaults to the largest mass entry.
     """
     if paths is None:
         paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
-    costs = tuple(costs)
-    if len(costs) != network.num_edges:
+    costs = np.array(costs, dtype=float)
+    if costs.shape != (network.num_edges, 2):
         raise ValueError(
-            f"expected {network.num_edges} edge costs, got {len(costs)}"
+            f"expected {network.num_edges} edge costs as [slope, intercept] rows, "
+            f"got shape {costs.shape}"
         )
+    if not np.isfinite(costs).all():
+        raise ValueError("affine cost coefficients must be finite")
+    if (costs < 0).any():
+        raise ValueError("affine cost coefficients must be nonnegative")
     masses = np.array(masses, dtype=float)
     if masses.ndim != 2 or masses.shape[1] != network.num_od_pairs:
         raise ValueError(
@@ -137,14 +120,10 @@ def build_game(
         mass_bound = peak
     elif peak > mass_bound + 1e-12:
         raise ValueError(f"mass entry {peak} exceeds the declared bound {mass_bound}")
+    costs.setflags(write=False)
     masses.setflags(write=False)
     return GameInstance(
-        network=network,
-        paths=paths,
-        costs=costs,
-        masses=masses,
-        mass_bound=float(mass_bound),
-        incidence=np.concatenate(paths.incidence, axis=1),
+        network=network, paths=paths, costs=costs, masses=masses, mass_bound=float(mass_bound)
     )
 
 
@@ -164,12 +143,12 @@ def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cost_values(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
+    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
     return slope * phi + intercept
 
 
 def _cost_integrals(game: GameInstance, phi: np.ndarray):
-    slope, intercept = _lead(game.affine_coefficients, phi.ndim + 1)
+    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
     total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total
 
@@ -188,7 +167,7 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
         raise ValueError(f"allocation shape {x.shape} does not match {expected}")
     if np.any(x < -tol):
         raise ValueError("allocation has negative entries")
-    for s in game.paths.block_slices():
+    for s in block_slices(game.block_sizes):
         sums = x[:, s].sum(axis=1)
         if np.any(np.abs(sums - 1.0) > max(tol, 1e-9)):
             raise ValueError(f"allocation block {s} does not sum to one: {sums}")
@@ -203,7 +182,7 @@ def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
             f"({game.num_populations}, {game.total_paths}, ...)"
         )
     weighted = (_lead(game.path_weights(), x.ndim) * x).sum(axis=0)
-    return _contract(game.incidence, weighted)
+    return _contract(game.paths.incidence, weighted)
 
 
 def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
@@ -211,7 +190,7 @@ def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, float)
     if phi.ndim < 1 or phi.shape[0] != game.network.num_edges:
         raise ValueError("flow vector length does not match the edge count")
-    return _contract(game.incidence.T, _cost_values(game, phi))
+    return _contract(game.paths.incidence.T, _cost_values(game, phi))
 
 
 def potential_from_flows(game: GameInstance, phi: np.ndarray):
@@ -242,7 +221,7 @@ def weighted_inner(x: np.ndarray, y: np.ndarray, theta, block_sizes: Sequence[in
 def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):
     """Nash gap of allocations ``(K, P, ...)`` at losses ``(P, ...)``: float or ``(...)`` array."""
     x = np.asarray(x, float)
-    starts = [s.start for s in game.paths.block_slices()]
+    starts = [s.start for s in block_slices(game.block_sizes)]
     block_min = np.minimum.reduceat(losses, starts, axis=0)
     current = (_lead(game.path_weights(), x.ndim) * x * losses).sum(axis=(0, 1))
     best = (_lead(game.masses, x.ndim) * block_min).sum(axis=(0, 1))
@@ -266,7 +245,7 @@ def gradient_smoothness(game: GameInstance) -> float:
     lam = game.max_slope
     if lam == 0.0 or game.total_mass == 0.0:
         return 0.0
-    spectral = np.linalg.norm(game.incidence, 2)
+    spectral = np.linalg.norm(game.paths.incidence, 2)
     mass_sq = float(np.sum(game.masses.max(axis=1) ** 2))
     return lam * spectral**2 * mass_sq
 

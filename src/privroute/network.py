@@ -99,17 +99,18 @@ def build_network(spec: dict) -> Network:
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
-    """Enumerated simple paths and edge-path incidence matrices.
+    """Enumerated simple paths and their edge-path incidence matrix.
 
     ``paths[i]`` lists the simple paths of OD pair ``i`` as tuples of edge
     indices, ordered lexicographically so repeated enumeration is
-    byte-identical.  ``incidence[i]`` is the ``num_edges x len(paths[i])``
-    0/1 matrix whose column ``p`` marks the edges of path ``p``.
+    byte-identical.  ``incidence`` is the read-only ``num_edges x
+    total_paths`` 0/1 matrix whose column ``p`` marks the edges of path
+    ``p``, with the OD pairs' paths in order along the columns.
     """
 
     network: Network
     paths: tuple[tuple[tuple[int, ...], ...], ...]
-    incidence: tuple[np.ndarray, ...]
+    incidence: np.ndarray
 
     @cached_property
     def block_sizes(self) -> tuple[int, ...]:
@@ -119,10 +120,6 @@ class PathSet:
     @property
     def total_paths(self) -> int:
         return sum(self.block_sizes)
-
-    def block_slices(self) -> list[slice]:
-        """Slices of the concatenated path vector, one per OD pair."""
-        return block_slices(self.block_sizes)
 
 
 def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) -> PathSet:
@@ -138,7 +135,6 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
     for tail, head in network.edges:
         into[head].append(tail)
     all_paths: list[tuple[tuple[int, ...], ...]] = []
-    matrices: list[np.ndarray] = []
     for origin, dest in network.od_pairs:
         # A walk never returns to the origin, so it enters only nodes that
         # reach ``dest`` without passing through ``origin``: no dead ends.
@@ -174,9 +170,10 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
                 visited.remove(head)
 
         walk(origin)
-        matrix = np.zeros((network.num_edges, len(found)))
-        for p, path in enumerate(found):
-            matrix[list(path), p] = 1.0
         all_paths.append(tuple(found))
-        matrices.append(matrix)
-    return PathSet(network, tuple(all_paths), tuple(matrices))
+    columns = [path for group in all_paths for path in group]
+    incidence = np.zeros((network.num_edges, len(columns)))
+    for p, path in enumerate(columns):
+        incidence[list(path), p] = 1.0
+    incidence.setflags(write=False)
+    return PathSet(network, tuple(all_paths), incidence)

@@ -32,18 +32,15 @@ import numpy as np
 
 from .dynamics import LearningSchedule
 from .game import GameInstance, path_losses
-from .network import PathSet
+from .network import block_slices
 
 __all__ = [
     "PrivacyCurve",
     "PrivacyReport",
     "SensitivityConstants",
     "allocation_shift_bound",
-    "allocation_supremum",
     "compose_adaptive",
     "gaussian_epsilon",
-    "incidence_gain",
-    "loss_lipschitz_bound",
     "loss_sup_bound",
     "privacy_curve",
     "privacy_report",
@@ -66,36 +63,6 @@ def spectral_norm(matrix) -> float:
     if not m.any():
         raise ValueError("spectral_norm is degenerate on an all-zero matrix")
     return float(np.linalg.norm(m, 2)) * (1.0 + 1e-12)
-
-
-def incidence_gain(paths: PathSet) -> float:
-    """Operator norm of the allocation-to-flow map under the block norms.
-
-    With per-block euclidean norms summed across OD pairs on the domain and
-    the euclidean norm on edge flows, the supremum over unit-norm inputs is
-    attained by loading one block, so the gain is the largest per-block
-    incidence spectral norm.
-    """
-    return max(spectral_norm(m) for m in paths.incidence)
-
-
-def allocation_supremum(paths: PathSet) -> float:
-    """Largest reference norm of a feasible allocation.
-
-    The norm is a sum of per-block euclidean norms and each block norm is
-    maximized at a simplex vertex, where it equals one; the supremum is
-    therefore the number of OD pairs.
-    """
-    return float(len(paths.block_sizes))
-
-
-def loss_lipschitz_bound(game: GameInstance) -> float:
-    """Lipschitz constant of flows -> path losses, edge norm to block norm.
-
-    Each block contributes at most its incidence spectral norm times the
-    worst per-edge cost slope, and the block norms add up.
-    """
-    return float(sum(spectral_norm(m) for m in game.paths.incidence)) * game.max_slope
 
 
 def loss_sup_bound(game: GameInstance) -> float:
@@ -161,11 +128,28 @@ class SensitivityConstants:
     def from_game(
         cls, game: GameInstance, schedules: Sequence[LearningSchedule]
     ) -> "SensitivityConstants":
+        """The constants of ``game``, from one spectral norm per OD block of its incidence.
+
+        Allocations carry the reference norm, the sum over OD pairs of each
+        block's euclidean norm; flows carry the euclidean norm.
+
+        - ``incidence_gain`` (``A_x``), the operator norm of the
+          allocation-to-flow map: the supremum over unit-norm inputs is
+          attained by loading one block, so it is the largest block norm.
+        - ``loss_lipschitz`` (``A_ell``), the Lipschitz constant of flows to
+          path losses: each block contributes at most its norm times the
+          worst edge slope, and the block norms add up.
+        - ``allocation_norm_bound`` (``A_Delta``), the largest reference norm
+          of a feasible allocation: each block norm is at most one, attained
+          at a simplex vertex, so the bound is the number of blocks.
+        """
+        incidence = game.paths.incidence
+        block_norms = [spectral_norm(incidence[:, s]) for s in block_slices(game.block_sizes)]
         return cls(
             mass_bound=game.mass_bound,
-            allocation_norm_bound=allocation_supremum(game.paths),
-            incidence_gain=incidence_gain(game.paths),
-            loss_lipschitz=loss_lipschitz_bound(game),
+            allocation_norm_bound=float(len(block_norms)),
+            incidence_gain=max(block_norms),
+            loss_lipschitz=float(sum(block_norms)) * game.max_slope,
             loss_sup=loss_sup_bound(game),
             modulus_min=1.0 / game.network.num_od_pairs,
             total_paths=game.total_paths,
@@ -356,15 +340,14 @@ def privacy_report(
     horizon: int,
     clip: float = 2.0,
     delta_budget: float = 1e-3,
-    adjacency_radius: float | None = None,
+    *,
+    adjacency_radius: float,
 ) -> PrivacyReport:
     """Account the full release sequence of ``horizon`` noisy loss vectors.
 
-    This is :func:`privacy_curve` at the single horizon ``horizon``, with
-    the constants taken from ``game``.
+    This is :func:`privacy_curve` at the single horizon ``horizon`` and
+    radius ``adjacency_radius``, with the constants taken from ``game``.
     """
-    if adjacency_radius is None:
-        raise ValueError("an adjacency radius is required for privacy accounting")
     consts = SensitivityConstants.from_game(game, schedules)
     return privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget).report
 

@@ -16,7 +16,7 @@ def make_pigou() -> pr.GameInstance:
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    return pr.build_game(net, [pr.AffineCost(1.0, 0.0), pr.AffineCost(0.0, 1.0)], [[1.0]])
+    return pr.build_game(net, [[1.0, 0.0], [0.0, 1.0]], [[1.0]])
 
 
 def random_game(rng: np.random.Generator, n_populations: int | None = None) -> pr.GameInstance:
@@ -42,10 +42,7 @@ def random_game(rng: np.random.Generator, n_populations: int | None = None) -> p
             "od_pairs": [["s", "t"], ["a", "t"]],
         }
     net = pr.build_network(spec)
-    costs = [
-        pr.AffineCost(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.5)))
-        for _ in net.edges
-    ]
+    costs = [[rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.5)] for _ in net.edges]
     k = n_populations if n_populations is not None else int(rng.integers(1, 3))
     masses = rng.uniform(0.0, 1.5, size=(k, net.num_od_pairs))
     return pr.build_game(net, costs, masses)

@@ -659,6 +659,29 @@ def test_constants_two_od(capsys):
     assert "A_theta = 1.2" in out
 
 
+# Exact values, compared by repr: an ulp of drift in A_x or A_ell fails.
+PINNED_CONSTANTS = {
+    "pigou": {
+        "allocation_norm_bound": 1.0, "incidence_gain": 1.000000000001,
+        "loss_lipschitz": 1.000000000001, "loss_sup": 1.0, "mass_bound": 1.0,
+        "moduli": [1.0], "paths_per_od": [2], "total_paths": 2,
+    },
+    "two_od": {
+        "allocation_norm_bound": 2.0, "incidence_gain": 2.668150422210142,
+        "loss_lipschitz": 1.1670376055530354, "loss_sup": 1.948, "mass_bound": 1.2,
+        "moduli": [0.5, 0.5], "paths_per_od": [3, 2], "total_paths": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONSTANTS))
+def test_constants_json_is_pinned(capsys, name):
+    assert main(["constants", "--config", str(CONFIG_DIR / f"{name}.json"), "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)
+    pinned = PINNED_CONSTANTS[name]
+    assert {k: repr(v) for k, v in values.items()} == {k: repr(v) for k, v in pinned.items()}
+
+
 def test_constants_constant_costs(tmp_path, capsys):
     cfg = json.loads(PIGOU.read_text())
     cfg["edge_costs"] = [{"affine": [0.0, 1.0]}, {"affine": [0.0, 2.0]}]

@@ -24,6 +24,7 @@ from privroute.game import (
     potential,
     uniform_allocation,
 )
+from privroute.network import block_slices
 
 from conftest import random_allocation, random_game
 
@@ -237,7 +238,7 @@ def test_joint_update_matches_first_order_conditions():
             new = smd_update(geoms[k], scheds[k], 3, x[k], game.masses[k], losses)
             weights = np.repeat(game.masses[k], sizes)
             v = weights * losses + (np.log(new) - np.log(x[k])) / eta
-            for s in game.paths.block_slices():
+            for s in block_slices(game.block_sizes):
                 resid = v[s] - v[s].mean()
                 assert np.max(np.abs(resid)) < 1e-8
 

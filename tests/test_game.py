@@ -7,7 +7,6 @@ import pytest
 
 import privroute as pr
 from privroute.game import (
-    AffineCost,
     build_game,
     edge_flows,
     gradient_smoothness,
@@ -19,6 +18,7 @@ from privroute.game import (
     uniform_allocation,
     weighted_inner,
 )
+from privroute.network import block_slices
 
 from conftest import random_allocation, random_game
 
@@ -76,7 +76,7 @@ def test_path_losses_zero_flow_gives_intercepts(standin_game):
     expected = []
     for group in standin_game.paths.paths:
         for path in group:
-            expected.append(sum(standin_game.costs[j].intercept for j in path))
+            expected.append(sum(standin_game.costs[j, 1] for j in path))
     np.testing.assert_allclose(losses, expected, rtol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_path_losses_match_per_path_summation():
         expected = []
         for group in game.paths.paths:
             for path in group:
-                expected.append(sum(game.costs[j].value(phi[j]) for j in path))
+                expected.append(sum(game.costs[j, 0] * phi[j] + game.costs[j, 1] for j in path))
         np.testing.assert_allclose(losses, expected, rtol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_potential_zero_mass():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = build_game(net, [AffineCost(1, 0), AffineCost(2, 1)], [[0.0]])
+    game = build_game(net, [[1, 0], [2, 1]], [[0.0]])
     for x in ([[1.0, 0.0]], [[0.3, 0.7]]):
         assert potential(game, np.array(x)) == 0.0
 
@@ -186,7 +186,7 @@ def test_nash_gap_indifference_is_zero():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = build_game(net, [AffineCost(0.0, 2.0), AffineCost(0.0, 2.0)], [[1.3]])
+    game = build_game(net, [[0.0, 2.0], [0.0, 2.0]], [[1.3]])
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = random_allocation(rng, game)
@@ -221,7 +221,7 @@ def test_solve_equilibrium_symmetric_split():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = build_game(net, [AffineCost(1.0, 0.0), AffineCost(1.0, 0.0)], [[1.0]])
+    game = build_game(net, [[1.0, 0.0], [1.0, 0.0]], [[1.0]])
     eq = solve_equilibrium(game, tol=1e-10)
     np.testing.assert_allclose(eq.allocation, [[0.5, 0.5]], atol=1e-6)
     assert nash_gap(game, eq.allocation) <= 1e-10
@@ -246,7 +246,7 @@ def test_build_game_rejects_non_finite_masses(pigou_game, mass):
 
 def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
     # Flows of 1e300 on slopes of 1e300 overflow to inf, so the first gap is inf - inf.
-    game = build_game(pigou_game.network, [AffineCost(1e300, 0.0)] * 2, [[1e300]])
+    game = build_game(pigou_game.network, [[1e300, 0.0]] * 2, [[1e300]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         pr.EquilibriumError, match="NaN at iteration 0"
     ):
@@ -255,16 +255,42 @@ def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("slot", ["slope", "intercept"])
-def test_affine_cost_rejects_non_finite_coefficients(bad, slot):
-    coefficients = {"slope": 1.0, "intercept": 1.0, slot: bad}
-    with pytest.raises(ValueError, match="finite"):
-        AffineCost(**coefficients)
+def test_affine_cost_rejects_non_finite_coefficients(pigou_game, bad, slot):
+    costs = pigou_game.costs.copy()
+    costs[1, ["slope", "intercept"].index(slot)] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        build_game(pigou_game.network, costs, [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "costs, match",
+    [
+        ([[1.0, 0.0], [-1.0, 1.0]], "coefficients must be nonnegative"),
+        ([[1.0, 0.0], [0.0, -0.5]], "coefficients must be nonnegative"),
+        ([[1.0, 0.0]], r"expected 2 edge costs .* shape \(1, 2\)"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"expected 2 edge costs .* shape \(2, 3\)"),
+        ([1.0, 0.0], r"expected 2 edge costs .* shape \(2,\)"),
+    ],
+    ids=["negative-slope", "negative-intercept", "missing-row", "3-wide-rows", "flat"],
+)
+def test_build_game_rejects_malformed_costs(pigou_game, costs, match):
+    with pytest.raises(ValueError, match=match):
+        build_game(pigou_game.network, costs, [[1.0]])
+
+
+def test_build_game_stores_cost_rows_read_only(pigou_game):
+    # The stored (E, 2) rows build the same game again, also where E = 2.
+    np.testing.assert_array_equal(pigou_game.costs, [[1.0, 0.0], [0.0, 1.0]])
+    assert not pigou_game.costs.flags.writeable
+    again = build_game(pigou_game.network, pigou_game.costs, pigou_game.masses)
+    np.testing.assert_array_equal(again.costs, pigou_game.costs)
+    assert potential(again, np.array([[1.0, 0.0]])) == pytest.approx(0.5)
 
 
 def test_equilibrium_beats_every_vertex(standin_game):
     eq = solve_equilibrium(standin_game, tol=1e-8)
     losses = path_losses(standin_game, edge_flows(standin_game, eq.allocation))
-    slices = standin_game.paths.block_slices()
+    slices = block_slices(standin_game.block_sizes)
     sizes = standin_game.block_sizes
     for k in range(standin_game.num_populations):
         current = weighted_inner(eq.allocation[k], losses, standin_game.masses[k], sizes)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from privroute.network import NetworkError, build_network, enumerate_paths
+from privroute.network import NetworkError, block_slices, build_network, enumerate_paths
 
 
 def dfs_oracle(spec: dict) -> dict[tuple[str, str], list[tuple[int, ...]]]:
@@ -41,7 +41,7 @@ def test_pigou_parallel_links():
     assert net.num_edges == 2
     paths = enumerate_paths(net)
     assert paths.paths == (((0,), (1,)),)
-    np.testing.assert_array_equal(paths.incidence[0], np.eye(2))
+    np.testing.assert_array_equal(paths.incidence, np.eye(2))
 
 
 def test_diamond_and_triangle_match_oracle():
@@ -53,7 +53,7 @@ def test_diamond_and_triangle_match_oracle():
     net = build_network(diamond)
     paths = enumerate_paths(net)
     assert list(paths.paths[0]) == dfs_oracle(diamond)[("s", "t")]
-    assert paths.incidence[0].sum(axis=0).tolist() == [2.0, 2.0]
+    assert paths.incidence.sum(axis=0).tolist() == [2.0, 2.0]
 
     triangle = {
         "nodes": ["s", "a", "t"],
@@ -63,7 +63,7 @@ def test_diamond_and_triangle_match_oracle():
     net = build_network(triangle)
     paths = enumerate_paths(net)
     assert list(paths.paths[0]) == dfs_oracle(triangle)[("s", "t")]
-    cols = [paths.incidence[0][:, p].tolist() for p in range(2)]
+    cols = [paths.incidence[:, p].tolist() for p in range(2)]
     assert cols == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     # c and d are dead ends (d leads only back to s); a and b form a cycle.
@@ -146,8 +146,9 @@ def test_path_cap_errors_instead_of_truncating():
 
 def test_column_sums_equal_path_lengths(standin_game):
     paths = standin_game.paths
-    for group, matrix in zip(paths.paths, paths.incidence):
-        assert matrix.sum(axis=0).tolist() == [float(len(p)) for p in group]
+    assert paths.incidence.shape == (paths.network.num_edges, paths.total_paths)
+    for group, s in zip(paths.paths, block_slices(paths.block_sizes)):
+        assert paths.incidence[:, s].sum(axis=0).tolist() == [float(len(p)) for p in group]
         # Simplicity: walking the edges never repeats a node.
         for path in group:
             nodes = [paths.network.edges[path[0]][0]]
@@ -163,5 +164,4 @@ def test_enumeration_is_deterministic(standin_config):
     first = enumerate_paths(net)
     second = enumerate_paths(net)
     assert first.paths == second.paths
-    for a, b in zip(first.incidence, second.incidence):
-        assert a.tobytes() == b.tobytes()
+    assert first.incidence.tobytes() == second.incidence.tobytes()

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 import privroute as pr
+from privroute import privacy
 from privroute.dynamics import (
     BregmanGeometry,
     LearningSchedule,
@@ -18,11 +19,8 @@ from privroute.game import edge_flows
 from privroute.privacy import (
     SensitivityConstants,
     allocation_shift_bound,
-    allocation_supremum,
     compose_adaptive,
     gaussian_epsilon,
-    incidence_gain,
-    loss_lipschitz_bound,
     loss_sup_bound,
     privacy_curve,
     privacy_report,
@@ -32,11 +30,21 @@ from privroute.privacy import (
 )
 
 from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
+from privroute.network import block_slices
 
 from conftest import CONFIG_DIR, random_allocation, random_game
 
 
 # ------------------------------------------------------------- constants
+
+
+def constants(game) -> SensitivityConstants:
+    """``from_game`` with a placeholder schedule, for the game-derived constants."""
+    return SensitivityConstants.from_game(game, (LearningSchedule(1.0, 0.5),))
+
+
+def incidence_blocks(game) -> list[np.ndarray]:
+    return [game.paths.incidence[:, s] for s in block_slices(game.block_sizes)]
 
 
 def test_spectral_norm_identity():
@@ -80,7 +88,7 @@ def exceeds_spectrum(gram, bound: Fraction) -> bool:
 
 def test_spectral_norm_is_an_upper_bound(standin_game):
     # Both two_od blocks (exact norms 2.66815042220747... and 2) and eye(2).
-    for m in (*standin_game.paths.incidence, np.eye(2)):
+    for m in (*incidence_blocks(standin_game), np.eye(2)):
         gram = (m.T @ m).round().astype(int).tolist()
         assert exceeds_spectrum(gram, Fraction(spectral_norm(m)) ** 2)
 
@@ -91,32 +99,44 @@ def test_spectral_norm_rejects_zero_matrix():
 
 
 def test_incidence_gain_pigou(pigou_game):
-    assert incidence_gain(pigou_game.paths) == pytest.approx(1.0, rel=1e-9)
+    assert constants(pigou_game).incidence_gain == pytest.approx(1.0, rel=1e-9)
 
 
 def test_incidence_gain_is_max_over_blocks(standin_game):
-    paths = standin_game.paths
-    oracle = max(np.linalg.norm(m, 2) for m in paths.incidence)
-    assert incidence_gain(paths) == pytest.approx(oracle, rel=1e-8)
+    oracle = max(np.linalg.norm(m, 2) for m in incidence_blocks(standin_game))
+    gain = constants(standin_game).incidence_gain
+    assert gain == pytest.approx(oracle, rel=1e-8)
     # Duplicating an OD pair leaves the max unchanged.
     spec = {
         "nodes": list(standin_game.network.nodes),
         "edges": [list(e) for e in standin_game.network.edges],
         "od_pairs": [["v0", "v6"], ["v1", "v5"], ["v0", "v6"]],
     }
-    doubled = pr.enumerate_paths(pr.build_network(spec))
-    assert incidence_gain(doubled) == pytest.approx(incidence_gain(paths), rel=1e-9)
+    doubled = pr.build_game(pr.build_network(spec), standin_game.costs, [[1.0, 1.0, 1.0]])
+    assert constants(doubled).incidence_gain == pytest.approx(gain, rel=1e-9)
 
 
 def test_allocation_supremum(pigou_game, standin_game):
-    assert allocation_supremum(pigou_game.paths) == 1.0
-    assert allocation_supremum(standin_game.paths) == 2.0
+    assert constants(pigou_game).allocation_norm_bound == 1.0
+    assert constants(standin_game).allocation_norm_bound == 2.0
+
+
+def test_constants_take_one_norm_per_block(monkeypatch, standin_game, standin_dynamics):
+    calls = []
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return spectral_norm(matrix)
+
+    monkeypatch.setattr(privacy, "spectral_norm", counting)
+    SensitivityConstants.from_game(standin_game, standin_dynamics[1])
+    assert calls == [(8, 3), (8, 2)]  # one norm per OD block
 
 
 def test_loss_lipschitz_pigou(pigou_game):
-    assert loss_lipschitz_bound(pigou_game) == pytest.approx(1.0, rel=1e-9)
+    assert constants(pigou_game).loss_lipschitz == pytest.approx(1.0, rel=1e-9)
     rng = np.random.default_rng(1)
-    bound = loss_lipschitz_bound(pigou_game)
+    bound = constants(pigou_game).loss_lipschitz
     from privroute.game import path_losses
 
     for _ in range(200):
@@ -134,8 +154,8 @@ def test_loss_lipschitz_constant_costs():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [pr.AffineCost(0.0, 1.0), pr.AffineCost(0.0, 2.0)], [[1.0]])
-    assert loss_lipschitz_bound(game) == 0.0
+    game = pr.build_game(net, [[0.0, 1.0], [0.0, 2.0]], [[1.0]])
+    assert constants(game).loss_lipschitz == 0.0
 
 
 def test_loss_lipschitz_monte_carlo_ratios():
@@ -144,7 +164,7 @@ def test_loss_lipschitz_monte_carlo_ratios():
 
     for _ in range(10):
         game = random_game(rng)
-        bound = loss_lipschitz_bound(game)
+        bound = constants(game).loss_lipschitz
         for _ in range(1000):
             phi_a = rng.uniform(0, 3, size=game.network.num_edges)
             phi_b = rng.uniform(0, 3, size=game.network.num_edges)
@@ -163,7 +183,7 @@ def test_loss_sup_bound_cases(pigou_game, standin_game):
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    zero_mass = pr.build_game(net, [pr.AffineCost(1.0, 0.3), pr.AffineCost(2.0, 0.7)], [[0.0]])
+    zero_mass = pr.build_game(net, [[1.0, 0.3], [2.0, 0.7]], [[0.0]])
     assert loss_sup_bound(zero_mass) == pytest.approx(0.7)
 
 
@@ -241,9 +261,9 @@ def flow_shift_trial(rng):
     x_b = np.array([geom.prox(x[k], scaled_b[k], eta) for k in range(game.num_populations)])
     moved = float(np.linalg.norm(edge_flows(game, x_a) - edge_flows(game_b, x_b)))
 
-    gain = incidence_gain(game.paths)
-    bound = actual_radius * gain * (
-        allocation_supremum(game.paths)
+    consts = constants(game)
+    bound = actual_radius * consts.incidence_gain * (
+        consts.allocation_norm_bound
         + game.mass_bound * eta * dual_norm(loss, sizes) / geom.strong_convexity
     )
     return moved, bound
@@ -492,7 +512,8 @@ def test_report_requires_radius(standin_game, standin_dynamics):
         mass_bound=standin_game.mass_bound,
         paths=standin_game.paths,
     )
-    with pytest.raises(ValueError, match="adjacency radius"):
+    missing = "missing 1 required keyword-only argument: 'adjacency_radius'"
+    with pytest.raises(TypeError, match=missing):
         privacy_report(game, schedules, sigma=0.1, horizon=5)
 
 

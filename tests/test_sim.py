@@ -68,7 +68,7 @@ def test_trajectory_zero_mass_is_constant():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [pr.AffineCost(1, 0), pr.AffineCost(0, 1)], [[0.0]])
+    game = pr.build_game(net, [[1, 0], [0, 1]], [[0.0]])
     cfg = small_config(game, sigma=0.2, horizon=30, runs=1)
     record = run_trajectory(cfg, 3)
     assert np.all(record.potentials == 0.0)
@@ -243,7 +243,7 @@ def test_engine_noise_is_successive_draws_from_each_child():
     net = pr.build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"]] * 3, "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [pr.AffineCost(0.0, 0.0)] * 3, [[1.0]])
+    game = pr.build_game(net, [[0.0, 0.0]] * 3, [[1.0]])
     cfg = small_config(game, sigma=1.0, horizon=25, runs=4, seed=8)
     seeds = run_seeds(cfg.seed, cfg.runs)
     runs = simulate_runs(cfg, seeds, keep_runs=True)
