@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "solve_equilibrium",
     "uniform_allocation",
     "validate_allocation",
-    "weighted_inner",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -82,6 +80,15 @@ class GameInstance:
         return float(self.costs[:, 0].max(initial=0.0))
 
 
+def _float_array(values, name: str, layout: str) -> np.ndarray:
+    """``values`` as a float array; a ragged or non-numeric input is one error naming it."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {layout} of numbers, got a ragged or "
+                         "non-numeric input") from None
+
+
 def build_game(
     network: Network,
     costs,
@@ -93,11 +100,11 @@ def build_game(
     """Assemble and validate a :class:`GameInstance`.
 
     ``costs`` holds one ``[slope, intercept]`` row per edge, both finite and
-    nonnegative.  ``mass_bound`` defaults to the largest mass entry.
+    nonnegative.  No mass entry may exceed ``mass_bound``, which defaults to the largest.
     """
     if paths is None:
         paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
-    costs = np.array(costs, dtype=float)
+    costs = _float_array(costs, "costs", f"{network.num_edges} [slope, intercept] rows")
     if costs.shape != (network.num_edges, 2):
         raise ValueError(
             f"expected {network.num_edges} edge costs as [slope, intercept] rows, "
@@ -107,7 +114,7 @@ def build_game(
         raise ValueError("affine cost coefficients must be finite")
     if (costs < 0).any():
         raise ValueError("affine cost coefficients must be nonnegative")
-    masses = np.array(masses, dtype=float)
+    masses = _float_array(masses, "masses", "a populations x od_pairs array")
     if masses.ndim != 2 or masses.shape[1] != network.num_od_pairs:
         raise ValueError(
             "masses must be a populations x od_pairs array, got shape "
@@ -118,7 +125,7 @@ def build_game(
     peak = float(masses.max(initial=0.0))
     if mass_bound is None:
         mass_bound = peak
-    elif peak > mass_bound + 1e-12:
+    elif peak > mass_bound:
         raise ValueError(f"mass entry {peak} exceeds the declared bound {mass_bound}")
     costs.setflags(write=False)
     masses.setflags(write=False)
@@ -140,17 +147,6 @@ def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.ndim <= 2:
         return matrix @ v
     return (matrix @ v.reshape(len(v), -1)).reshape(matrix.shape[:1] + v.shape[1:])
-
-
-def _cost_values(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
-    return slope * phi + intercept
-
-
-def _cost_integrals(game: GameInstance, phi: np.ndarray):
-    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
-    total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
-    return float(total) if np.ndim(total) == 0 else total
 
 
 def uniform_allocation(game: GameInstance) -> np.ndarray:
@@ -190,11 +186,16 @@ def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, float)
     if phi.ndim < 1 or phi.shape[0] != game.network.num_edges:
         raise ValueError("flow vector length does not match the edge count")
-    return _contract(game.paths.incidence.T, _cost_values(game, phi))
+    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
+    return _contract(game.paths.incidence.T, slope * phi + intercept)
 
 
 def potential_from_flows(game: GameInstance, phi: np.ndarray):
-    return _cost_integrals(game, np.asarray(phi, float))
+    """Congestion potential at edge flows ``(E, ...)``: float or ``(...)`` array."""
+    phi = np.asarray(phi, float)
+    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
+    total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def potential(game: GameInstance, x: np.ndarray) -> float:
@@ -206,16 +207,6 @@ def potential_gradient(game: GameInstance, x: np.ndarray) -> np.ndarray:
     """Gradient of the potential: mass-scaled path losses, one row per population."""
     losses = path_losses(game, edge_flows(game, x))
     return game.path_weights() * losses[None, :]
-
-
-def weighted_inner(x: np.ndarray, y: np.ndarray, theta, block_sizes: Sequence[int]) -> float:
-    """Mass-weighted inner product: blocks are scaled by their OD mass."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    weights = np.repeat(np.asarray(theta, float), block_sizes)
-    if x.shape != weights.shape or y.shape != weights.shape:
-        raise ValueError("weighted_inner arguments do not match the block structure")
-    return float(np.sum(weights * x * y))
 
 
 def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):

@@ -24,7 +24,6 @@ __all__ = [
     "monte_carlo",
     "run_seeds",
     "run_trajectory",
-    "simulate_runs",
     "simulate_sweep",
     "write_csv",
     "write_ensemble_csv",
@@ -170,14 +169,9 @@ def simulate_sweep(
     return [EnsembleRuns(potentials[i], gaps[i], flow_sum[i], records[i]) for i in range(S)]
 
 
-def simulate_runs(cfg: SimulationConfig, seeds: list, keep_runs: bool = False) -> EnsembleRuns:
-    """Advance one run per seed at ``cfg.sigma``: a :func:`simulate_sweep` of one sigma."""
-    return simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs)[0]
-
-
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     """Simulate one run; fully determined by the config and the seed."""
-    return simulate_runs(cfg, [seed], keep_runs=True).records[0]
+    return simulate_sweep(cfg, [cfg.sigma], [seed], keep_runs=True)[0].records[0]
 
 
 def fit_loglog_slope(iterations: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> float:
@@ -202,7 +196,7 @@ def monte_carlo(
 ) -> EnsembleStats:
     """Replicate the trajectory over independent seeds and aggregate.
 
-    All runs advance in one :func:`simulate_runs` call seeded by
+    All runs advance in one :func:`simulate_sweep` call seeded by
     :func:`run_seeds`, so runs are independent yet the whole ensemble is
     reproducible.  The potential reference value comes from a gap-certified
     equilibrium solve, shared across noise levels when passed in.
@@ -212,7 +206,7 @@ def monte_carlo(
     if equilibrium is None:
         equilibrium = solve_equilibrium(cfg.game)
     if records is None:
-        records = simulate_runs(cfg, run_seeds(cfg.seed, cfg.runs))
+        records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
         records = EnsembleRuns(np.stack([r.potentials for r in records]),
                                np.stack([r.gaps for r in records]),

@@ -5,21 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import privroute as pr
 from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
+from privroute.game import GameInstance, build_game
+from privroute.network import build_network
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 
 
-def make_pigou() -> pr.GameInstance:
-    net = pr.build_network(
+def make_pigou() -> GameInstance:
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    return pr.build_game(net, [[1.0, 0.0], [0.0, 1.0]], [[1.0]])
+    return build_game(net, [[1.0, 0.0], [0.0, 1.0]], [[1.0]])
 
 
-def random_game(rng: np.random.Generator, n_populations: int | None = None) -> pr.GameInstance:
+def random_game(rng: np.random.Generator, n_populations: int | None = None) -> GameInstance:
     """A random small instance from a family of solvable topologies."""
     kind = rng.integers(0, 3)
     if kind == 0:
@@ -41,14 +42,14 @@ def random_game(rng: np.random.Generator, n_populations: int | None = None) -> p
             "edges": [["s", "a"], ["a", "t"], ["s", "b"], ["b", "t"], ["s", "t"]],
             "od_pairs": [["s", "t"], ["a", "t"]],
         }
-    net = pr.build_network(spec)
+    net = build_network(spec)
     costs = [[rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.5)] for _ in net.edges]
     k = n_populations if n_populations is not None else int(rng.integers(1, 3))
     masses = rng.uniform(0.0, 1.5, size=(k, net.num_od_pairs))
-    return pr.build_game(net, costs, masses)
+    return build_game(net, costs, masses)
 
 
-def random_allocation(rng: np.random.Generator, game: pr.GameInstance) -> np.ndarray:
+def random_allocation(rng: np.random.Generator, game: GameInstance) -> np.ndarray:
     """Strictly positive feasible allocation drawn from per-block Dirichlets."""
     rows = []
     for _ in range(game.num_populations):
@@ -59,7 +60,7 @@ def random_allocation(rng: np.random.Generator, game: pr.GameInstance) -> np.nda
 
 
 @pytest.fixture(scope="session")
-def pigou_game() -> pr.GameInstance:
+def pigou_game() -> GameInstance:
     return make_pigou()
 
 
@@ -69,7 +70,7 @@ def standin_config() -> dict:
 
 
 @pytest.fixture(scope="session")
-def standin_game(standin_config) -> pr.GameInstance:
+def standin_game(standin_config) -> GameInstance:
     return build_game_from_config(standin_config)
 
 

@@ -227,6 +227,16 @@ def test_schema_uses_only_keywords_the_validator_checks():
         assert schema.get("additionalProperties", False) is False
 
 
+def test_importing_the_package_loads_no_module():
+    # The package holds only its version; callers import the modules they use.
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    probe = "import sys, privroute; print([m for m in sys.modules if m.startswith('privroute.')])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_does_not_import_jsonschema():
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     probe = "import sys, privroute.cli; print('jsonschema' in sys.modules)"

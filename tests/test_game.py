@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-import privroute as pr
 from privroute.game import (
+    EquilibriumError,
     build_game,
     edge_flows,
     gradient_smoothness,
@@ -16,9 +16,8 @@ from privroute.game import (
     potential_gradient,
     solve_equilibrium,
     uniform_allocation,
-    weighted_inner,
 )
-from privroute.network import block_slices
+from privroute.network import block_slices, build_network
 
 from conftest import random_allocation, random_game
 
@@ -54,7 +53,7 @@ def test_edge_flows_linear_in_allocation_and_mass(standin_game):
         lam * edge_flows(standin_game, x) + (1 - lam) * edge_flows(standin_game, y),
         rtol=1e-12,
     )
-    doubled = pr.build_game(
+    doubled = build_game(
         standin_game.network,
         standin_game.costs,
         2.0 * standin_game.masses,
@@ -99,7 +98,7 @@ def test_potential_pigou_analytic(pigou_game):
 
 
 def test_potential_zero_mass():
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
     game = build_game(net, [[1, 0], [2, 1]], [[0.0]])
@@ -126,7 +125,7 @@ def test_gradient_pigou(pigou_game):
 
 
 def test_gradient_zero_mass_population(standin_game):
-    game = pr.build_game(
+    game = build_game(
         standin_game.network,
         standin_game.costs,
         np.array([[1.0, 0.5], [0.0, 0.0]]),
@@ -148,42 +147,13 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(fd - grad) / denom < 1e-6
 
 
-def test_weighted_inner_examples():
-    sizes = (2, 2)
-    uniform = np.array([0.5, 0.5, 0.5, 0.5])
-    ones = np.ones(4)
-    assert weighted_inner(uniform, ones, [1.0, 1.0], sizes) == pytest.approx(2.0)
-    x = np.array([0.2, 0.8, 0.7, 0.3])
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    assert weighted_inner(x, y, [2.0, 0.0], sizes) == pytest.approx(
-        weighted_inner(x, y, [2.0, 5.0], sizes)
-        - 5.0 * (x[2] * y[2] + x[3] * y[3])
-    )
-
-
-def test_weighted_inner_matches_double_loop():
-    rng = np.random.default_rng(5)
-    sizes = (3, 2, 4)
-    for _ in range(50):
-        x = rng.normal(size=9)
-        y = rng.normal(size=9)
-        theta = rng.uniform(0, 2, size=3)
-        expected = 0.0
-        offset = 0
-        for i, n in enumerate(sizes):
-            for p in range(n):
-                expected += theta[i] * x[offset + p] * y[offset + p]
-            offset += n
-        assert weighted_inner(x, y, theta, sizes) == pytest.approx(expected, rel=1e-12)
-
-
 def test_nash_gap_pigou(pigou_game):
     assert nash_gap(pigou_game, np.array([[1.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
     assert nash_gap(pigou_game, np.array([[0.0, 1.0]])) == pytest.approx(1.0)
 
 
 def test_nash_gap_indifference_is_zero():
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
     game = build_game(net, [[0.0, 2.0], [0.0, 2.0]], [[1.3]])
@@ -218,7 +188,7 @@ def test_solve_equilibrium_pigou(pigou_game):
 
 
 def test_solve_equilibrium_symmetric_split():
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
     game = build_game(net, [[1.0, 0.0], [1.0, 0.0]], [[1.0]])
@@ -234,7 +204,7 @@ def test_solve_equilibrium_standin_certificate(standin_game):
 
 
 def test_solve_equilibrium_budget_error(pigou_game):
-    with pytest.raises(pr.EquilibriumError, match="iterations"):
+    with pytest.raises(EquilibriumError, match="iterations"):
         solve_equilibrium(pigou_game, tol=1e-10, max_iter=5)
 
 
@@ -248,7 +218,7 @@ def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
     # Flows of 1e300 on slopes of 1e300 overflow to inf, so the first gap is inf - inf.
     game = build_game(pigou_game.network, [[1e300, 0.0]] * 2, [[1e300]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        pr.EquilibriumError, match="NaN at iteration 0"
+        EquilibriumError, match="NaN at iteration 0"
     ):
         solve_equilibrium(game)
 
@@ -278,6 +248,27 @@ def test_build_game_rejects_malformed_costs(pigou_game, costs, match):
         build_game(pigou_game.network, costs, [[1.0]])
 
 
+@pytest.mark.parametrize(
+    "costs, masses, match",
+    [
+        ([[1.0, 0.0], [0.0, 1.0, 2.0]], [[1.0]], r"costs must be 2 \[slope, intercept\] rows"),
+        ([[1.0, 0.0], ["a", 1.0]], [[1.0]], r"costs must be 2 \[slope, intercept\] rows"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0], [1.0, 2.0]], "masses must be a populations x od_pairs"),
+    ],
+    ids=["ragged-costs", "string-cost", "ragged-masses"],
+)
+def test_build_game_names_ragged_or_non_numeric_inputs(pigou_game, costs, masses, match):
+    with pytest.raises(ValueError, match=match + ".* of numbers, got a ragged or non-numeric"):
+        build_game(pigou_game.network, costs, masses)
+
+
+def test_mass_bound_is_a_true_upper_bound(pigou_game):
+    with pytest.raises(ValueError, match="exceeds the declared bound 1.0"):
+        build_game(pigou_game.network, pigou_game.costs, [[1.0 + 5e-13]], mass_bound=1.0)
+    exact = build_game(pigou_game.network, pigou_game.costs, [[1.0]], mass_bound=1.0)
+    assert exact.mass_bound == 1.0
+
+
 def test_build_game_stores_cost_rows_read_only(pigou_game):
     # The stored (E, 2) rows build the same game again, also where E = 2.
     np.testing.assert_array_equal(pigou_game.costs, [[1.0, 0.0], [0.0, 1.0]])
@@ -292,13 +283,14 @@ def test_equilibrium_beats_every_vertex(standin_game):
     losses = path_losses(standin_game, edge_flows(standin_game, eq.allocation))
     slices = block_slices(standin_game.block_sizes)
     sizes = standin_game.block_sizes
+    weights = standin_game.path_weights()
     for k in range(standin_game.num_populations):
-        current = weighted_inner(eq.allocation[k], losses, standin_game.masses[k], sizes)
+        current = np.sum(weights[k] * eq.allocation[k] * losses)
         for choice in itertools.product(*(range(n) for n in sizes)):
             vertex = np.zeros(standin_game.total_paths)
             for s, p in zip(slices, choice):
                 vertex[s.start + p] = 1.0
-            value = weighted_inner(vertex, losses, standin_game.masses[k], sizes)
+            value = np.sum(weights[k] * vertex * losses)
             assert current <= value + 1e-8
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-import privroute as pr
 from privroute import privacy
 from privroute.dynamics import (
     BregmanGeometry,
@@ -15,7 +14,7 @@ from privroute.dynamics import (
     dual_norm,
     reference_norm,
 )
-from privroute.game import edge_flows
+from privroute.game import build_game, edge_flows
 from privroute.privacy import (
     SensitivityConstants,
     allocation_shift_bound,
@@ -30,7 +29,7 @@ from privroute.privacy import (
 )
 
 from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
-from privroute.network import block_slices
+from privroute.network import block_slices, build_network
 
 from conftest import CONFIG_DIR, random_allocation, random_game
 
@@ -112,7 +111,7 @@ def test_incidence_gain_is_max_over_blocks(standin_game):
         "edges": [list(e) for e in standin_game.network.edges],
         "od_pairs": [["v0", "v6"], ["v1", "v5"], ["v0", "v6"]],
     }
-    doubled = pr.build_game(pr.build_network(spec), standin_game.costs, [[1.0, 1.0, 1.0]])
+    doubled = build_game(build_network(spec), standin_game.costs, [[1.0, 1.0, 1.0]])
     assert constants(doubled).incidence_gain == pytest.approx(gain, rel=1e-9)
 
 
@@ -151,10 +150,10 @@ def test_loss_lipschitz_pigou(pigou_game):
 
 
 def test_loss_lipschitz_constant_costs():
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [[0.0, 1.0], [0.0, 2.0]], [[1.0]])
+    game = build_game(net, [[0.0, 1.0], [0.0, 2.0]], [[1.0]])
     assert constants(game).loss_lipschitz == 0.0
 
 
@@ -180,10 +179,10 @@ def test_loss_sup_bound_cases(pigou_game, standin_game):
     assert loss_sup_bound(pigou_game) == pytest.approx(1.0)
     # Documented bound of the bundled two-OD example.
     assert loss_sup_bound(standin_game) == pytest.approx(1.948, rel=1e-9)
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    zero_mass = pr.build_game(net, [[1.0, 0.3], [2.0, 0.7]], [[0.0]])
+    zero_mass = build_game(net, [[1.0, 0.3], [2.0, 0.7]], [[0.0]])
     assert loss_sup_bound(zero_mass) == pytest.approx(0.7)
 
 
@@ -252,7 +251,7 @@ def flow_shift_trial(rng):
     theta_b[k_star] = np.clip(theta_b[k_star] + shift, 0.0, game.mass_bound)
     actual_radius = float(np.max(np.abs(theta_b[k_star] - game.masses[k_star])))
 
-    game_b = pr.build_game(
+    game_b = build_game(
         game.network, game.costs, theta_b, mass_bound=game.mass_bound, paths=game.paths
     )
     scaled_a = np.repeat(game.masses, sizes, axis=1) * loss[None, :]
@@ -505,7 +504,7 @@ def test_report_monotonicities(standin_game, standin_dynamics):
 
 def test_report_requires_radius(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
-    game = pr.build_game(
+    game = build_game(
         standin_game.network,
         standin_game.costs,
         standin_game.masses,

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-import privroute as pr
 from privroute.dynamics import BregmanGeometry, LearningSchedule, smd_update
 from privroute.game import (
+    build_game,
     edge_flows,
     gap_from_losses,
     path_losses,
@@ -16,6 +14,7 @@ from privroute.game import (
     uniform_allocation,
     validate_allocation,
 )
+from privroute.network import build_network
 from privroute.sim import (
     SimulationConfig,
     check_suboptimality_bound,
@@ -23,7 +22,6 @@ from privroute.sim import (
     monte_carlo,
     run_seeds,
     run_trajectory,
-    simulate_runs,
     simulate_sweep,
 )
 
@@ -65,10 +63,10 @@ def test_trajectory_bit_identical_for_equal_seeds(standin_game, standin_dynamics
 
 
 def test_trajectory_zero_mass_is_constant():
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"], ["s", "t"]], "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [[1, 0], [0, 1]], [[0.0]])
+    game = build_game(net, [[1, 0], [0, 1]], [[0.0]])
     cfg = small_config(game, sigma=0.2, horizon=30, runs=1)
     record = run_trajectory(cfg, 3)
     assert np.all(record.potentials == 0.0)
@@ -179,7 +177,7 @@ def engine_case(name, standin_game, standin_dynamics):
 def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    runs = simulate_runs(cfg, seeds, keep_runs=True)
+    runs = simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs=True)[0]
     for seed, record in zip(seeds, runs.records):
         potentials, gaps, allocations, observed = loop_oracle(cfg, seed)
         np.testing.assert_allclose(record.potentials, potentials, rtol=0, atol=1e-12)
@@ -188,7 +186,7 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
         np.testing.assert_allclose(record.observed_losses, observed, rtol=0, atol=1e-12)
     summed = sum(record.allocations for record in runs.records)
     assert runs.flow_sum.tobytes() == summed.tobytes()
-    streamed = simulate_runs(cfg, seeds)
+    streamed = simulate_sweep(cfg, [cfg.sigma], seeds)[0]
     assert streamed.records is None
     assert streamed.potentials.tobytes() == runs.potentials.tobytes()
     assert streamed.flow_sum.tobytes() == runs.flow_sum.tobytes()
@@ -207,7 +205,7 @@ def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
     streamed = simulate_sweep(cfg, sigmas, seeds)
     assert len(kept) == len(streamed) == len(sigmas)
     for sigma, swept, swept_streamed in zip(sigmas, kept, streamed):
-        alone = simulate_runs(dataclasses.replace(cfg, sigma=sigma), seeds, keep_runs=True)
+        alone = simulate_sweep(cfg, [sigma], seeds, keep_runs=True)[0]
         for runs in (swept, swept_streamed):
             assert runs.potentials.tobytes() == alone.potentials.tobytes()
             assert runs.gaps.tobytes() == alone.gaps.tobytes()
@@ -240,13 +238,13 @@ def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
 def test_engine_noise_is_successive_draws_from_each_child():
     # Zero costs keep every loss at 0, so with sigma = 1 the observed losses
     # are the raw noise draws.
-    net = pr.build_network(
+    net = build_network(
         {"nodes": ["s", "t"], "edges": [["s", "t"]] * 3, "od_pairs": [["s", "t"]]}
     )
-    game = pr.build_game(net, [[0.0, 0.0]] * 3, [[1.0]])
+    game = build_game(net, [[0.0, 0.0]] * 3, [[1.0]])
     cfg = small_config(game, sigma=1.0, horizon=25, runs=4, seed=8)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    runs = simulate_runs(cfg, seeds, keep_runs=True)
+    runs = simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs=True)[0]
     for seed, record in zip(seeds, runs.records):
         rng = np.random.default_rng(seed)
         draws = np.array([rng.standard_normal(3) for _ in range(cfg.horizon)])
