@@ -6,45 +6,14 @@ import argparse
 import dataclasses
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .config import (
-    ConfigError,
-    build_dynamics_from_config,
-    build_game_from_config,
-    load_config,
-    privacy_pairs,
-)
-from .game import EQUILIBRIUM_TOL, EquilibriumError, solve_equilibrium
-from .network import NetworkError
-from .privacy import SensitivityConstants, privacy_curve
-from .sim import (
-    SimulationConfig,
-    check_suboptimality_bound,
-    monte_carlo,
-    run_seeds,
-    simulate_sweep,
-    stats_summary,
-    write_csv,
-    write_ensemble_csv,
-    write_manifest,
-    write_run_csv,
-)
-
-OUTPUT_DIR_ENV = "PRIVROUTE_OUTDIR"
-
-
-def _output_dir(args, cfg: dict) -> Path:
-    if args.out:
-        return Path(args.out)
-    if cfg.get("output_dir"):
-        return Path(cfg["output_dir"])
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+# main catches these modules' errors; sim and privacy are imported by the commands
+# that run them, so each command loads only the modules it uses.
+from . import __version__, config, game, network
 
 
 def _sigma_token(sigma: float) -> str:
@@ -61,7 +30,8 @@ def _check_distinct_names(values, name_of, what: str) -> None:
     for value in values:
         name = name_of(value)
         if name in first:
-            raise ConfigError(f"{what} {first[name]!r} and {value!r} would both write {name}")
+            raise config.ConfigError(
+                f"{what} {first[name]!r} and {value!r} would both write {name}")
         first[name] = value
 
 
@@ -77,12 +47,14 @@ def _manifest(command: str, cfg: dict, **fields) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    from . import sim
+
+    cfg = config.load_config(args.config)
     sim_cfg = cfg.get("simulation")
     if sim_cfg is None:
-        raise ConfigError("config has no simulation block")
-    game = build_game_from_config(cfg)
-    geometries, schedules = build_dynamics_from_config(cfg, game.paths)
+        raise config.ConfigError("config has no simulation block")
+    inst = config.build_game_from_config(cfg)
+    geometries, schedules = config.build_dynamics_from_config(cfg, inst.paths)
 
     sigmas = [args.sigma] if args.sigma is not None else np.atleast_1d(sim_cfg["sigma"]).tolist()
     horizon = args.T if args.T is not None else sim_cfg["T"]
@@ -91,18 +63,18 @@ def cmd_simulate(args) -> int:
     window = tuple(sim_cfg["slope_window"]) if "slope_window" in sim_cfg else None
     _check_distinct_names(sigmas, lambda s: f"ensemble_sigma_{_sigma_token(s)}.csv", "sigma")
 
-    equilibrium = solve_equilibrium(game)
-    base = SimulationConfig(
-        game=game, geometries=geometries, schedules=schedules, sigma=0.0,
+    equilibrium = game.solve_equilibrium(inst)
+    base = sim.SimulationConfig(
+        game=inst, geometries=geometries, schedules=schedules, sigma=0.0,
         horizon=int(horizon), runs=int(runs), seed=int(seed), slope_window=window,
     )
     # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
-    ensembles = simulate_sweep(base, sigmas, run_seeds(base.seed, base.runs), args.per_run)
+    ensembles = sim.simulate_sweep(base, sigmas, sim.run_seeds(base.seed, base.runs), args.per_run)
     run_cfgs = [dataclasses.replace(base, sigma=float(sigma)) for sigma in sigmas]
-    results = [monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
-    bounds = [check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
+    results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
+    bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
 
-    outdir = _output_dir(args, cfg)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for run, ensemble, stats, bound in zip(run_cfgs, ensembles, results, bounds):
         token = _sigma_token(run.sigma)
@@ -110,17 +82,17 @@ def cmd_simulate(args) -> int:
             run_dir = outdir / f"runs_sigma_{token}"
             run_dir.mkdir(parents=True, exist_ok=True)
             for i, record in enumerate(ensemble.records):
-                write_run_csv(record, run_dir / f"run_{i:03d}.csv")
-        write_ensemble_csv(stats, outdir / f"ensemble_sigma_{token}.csv")
+                sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv")
+        sim.write_ensemble_csv(stats, outdir / f"ensemble_sigma_{token}.csv")
         manifest = _manifest(
             "simulate", cfg,
             effective={"sigma": run.sigma, "T": run.horizon, "runs": run.runs, "seed": run.seed},
             seeding={"master_seed": run.seed,
                      "rule": "numpy SeedSequence(master_seed).spawn(runs)"},
-            results=stats_summary(stats),
+            results=sim.stats_summary(stats),
             checks={"suboptimality_bound": bound},
         )
-        write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
+        sim.write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
         print(
             f"sigma={run.sigma:g}: slope={stats.slope:.4f} "
             f"terminal_f_mean={stats.f_mean[-1]:.6f} f_star={stats.f_star:.6f} "
@@ -133,25 +105,28 @@ def _parse_t_range(text: str) -> range:
     try:
         parts = [int(p) for p in text.split(":")]
     except ValueError:
-        raise ConfigError(f"bad T-range {text!r}; expected integers start:stop[:step]") from None
+        raise config.ConfigError(
+            f"bad T-range {text!r}; expected integers start:stop[:step]") from None
     if len(parts) == 2:
         start, stop = parts
         step = 1
     elif len(parts) == 3:
         start, stop, step = parts
     else:
-        raise ConfigError(f"bad T-range {text!r}; expected start:stop[:step]")
+        raise config.ConfigError(f"bad T-range {text!r}; expected start:stop[:step]")
     if start < 1 or stop < start or step < 1:
-        raise ConfigError(f"bad T-range {text!r}; need 1 <= start <= stop and step >= 1")
+        raise config.ConfigError(f"bad T-range {text!r}; need 1 <= start <= stop and step >= 1")
     return range(start, stop + 1, step)
 
 
 def cmd_accountant(args) -> int:
-    cfg = load_config(args.config)
-    pairs = privacy_pairs(cfg)  # raises when the config has no privacy block
+    from . import privacy, sim
+
+    cfg = config.load_config(args.config)
+    pairs = config.privacy_pairs(cfg)  # raises when the config has no privacy block
     privacy_cfg = cfg["privacy"]
-    game = build_game_from_config(cfg)
-    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    inst = config.build_game_from_config(cfg)
+    _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
     if args.c is not None:
         pairs = [(args.c, sigma) for sigma in sorted({sigma for _, sigma in pairs})]
     spec = args.t_range or ":".join(map(str, privacy_cfg.get("T_range", [1, 200])))
@@ -161,20 +136,21 @@ def cmd_accountant(args) -> int:
     # privacy_curve's own defaults stand in for the keys the config leaves out.
     keys = {"a": "clip", "delta_budget": "delta_budget"}
     settings = {arg: privacy_cfg[key] for key, arg in keys.items() if key in privacy_cfg}
-    constants = SensitivityConstants.from_game(game, schedules)
-    curves = [privacy_curve(constants, c, sigma, horizons, **settings) for c, sigma in pairs]
+    constants = privacy.SensitivityConstants.from_game(inst, schedules)
+    curves = [privacy.privacy_curve(constants, c, sigma, horizons, **settings)
+              for c, sigma in pairs]
 
-    outdir = _output_dir(args, cfg)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "accountant.csv"
-    write_csv(out_path, ["c", "sigma", "T", "epsilon", "delta", "valid"], (
+    sim.write_csv(out_path, ["c", "sigma", "T", "epsilon", "delta", "valid"], (
         [c, sigma, *row]
         for (c, sigma), curve in zip(pairs, curves)
         for row in zip(*(col.tolist() for col in
                          (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
     for (c, sigma), curve in zip(pairs, curves):
-        write_manifest(outdir / _report_name(c, sigma), curve.report.to_dict())
+        sim.write_manifest(outdir / _report_name(c, sigma), curve.report.to_dict())
     used = curves[0].report  # every pair shares the settings
     manifest = _manifest(
         "accountant", cfg,
@@ -187,21 +163,23 @@ def cmd_accountant(args) -> int:
         diagnostics=[{"c": c, "sigma": sigma, **curve.diagnostics()}
                      for (c, sigma), curve in zip(pairs, curves)],
     )
-    write_manifest(outdir / "accountant_manifest.json", manifest)
+    sim.write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_constants(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game_from_config(cfg)
-    _, schedules = build_dynamics_from_config(cfg, game.paths)
-    consts = SensitivityConstants.from_game(game, schedules)
-    n_blocks = game.network.num_od_pairs
+    from . import privacy
+
+    cfg = config.load_config(args.config)
+    inst = config.build_game_from_config(cfg)
+    _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
+    consts = privacy.SensitivityConstants.from_game(inst, schedules)
+    n_blocks = inst.network.num_od_pairs
     skip = ("modulus_min", "schedules")  # accounting inputs, not printed
     values = {k: v for k, v in vars(consts).items() if k not in skip}
-    values["moduli"] = [consts.modulus_min] * game.num_populations
-    values["paths_per_od"] = list(game.block_sizes)
+    values["moduli"] = [consts.modulus_min] * inst.num_populations
+    values["paths_per_od"] = list(inst.block_sizes)
     if args.json:
         json.dump(values, sys.stdout, indent=2, sort_keys=True)
         print()
@@ -226,9 +204,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    cfg = load_config(args.config)
-    game = build_game_from_config(cfg)
-    eq = solve_equilibrium(game, tol=args.tol)
+    cfg = config.load_config(args.config)
+    inst = config.build_game_from_config(cfg)
+    eq = game.solve_equilibrium(inst, tol=args.tol)
     if args.json:
         payload = {
             "f_star": eq.potential,
@@ -240,7 +218,7 @@ def cmd_equilibrium(args) -> int:
         print()
         return 0
     print(f"f_star = {eq.potential!r}  (gap {eq.gap:.3e} after {eq.iterations} iterations)")
-    for k in range(game.num_populations):
+    for k in range(inst.num_populations):
         print(f"population {k} path flows: {np.round(eq.allocation[k], 6).tolist()}")
     return 0
 
@@ -264,14 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, help="override the master seed")
     p_sim.add_argument("--per-run", dest="per_run", action="store_true",
                        help="also write one CSV per Monte Carlo run")
-    p_sim.add_argument("--out", help="output directory")
+    p_sim.add_argument("--out", default=".",
+                       help="output directory (default: the working directory)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_acc = sub.add_parser("accountant", help="tabulate (epsilon, delta) against T")
     p_acc.add_argument("--config", required=True)
     p_acc.add_argument("--T-range", dest="t_range", help="start:stop[:step]")
     p_acc.add_argument("--c", type=float, help="override the adjacency radius")
-    p_acc.add_argument("--out", help="output directory")
+    p_acc.add_argument("--out", default=".",
+                       help="output directory (default: the working directory)")
     p_acc.set_defaults(func=cmd_accountant)
 
     p_const = sub.add_parser("constants", help="print the sensitivity constants")
@@ -281,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="solve for the equilibrium allocation")
     p_eq.add_argument("--config", required=True)
-    p_eq.add_argument("--tol", type=float, default=EQUILIBRIUM_TOL)
+    p_eq.add_argument("--tol", type=float, default=game.EQUILIBRIUM_TOL)
     p_eq.add_argument("--json", action="store_true")
     p_eq.set_defaults(func=cmd_equilibrium)
     return parser
@@ -295,10 +275,10 @@ def main(argv=None) -> int:
         # finiteness checks turn into the one-line error below.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, NetworkError, OSError) as exc:
+    except (config.ConfigError, network.NetworkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, EquilibriumError) as exc:
+    except (ValueError, game.EquilibriumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

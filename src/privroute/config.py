@@ -123,7 +123,6 @@ EXPERIMENT_SCHEMA = {
         "max_paths_per_od": {"type": "integer", "minimum": 1},
         "simulation": _SIMULATION_SCHEMA,
         "privacy": _PRIVACY_SCHEMA,
-        "output_dir": {"type": "string"},
     },
 }
 

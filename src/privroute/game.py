@@ -19,6 +19,7 @@ __all__ = [
     "edge_flows",
     "gap_from_losses",
     "gradient_smoothness",
+    "loss_sup_bound",
     "nash_gap",
     "path_losses",
     "potential",
@@ -188,6 +189,16 @@ def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
         raise ValueError("flow vector length does not match the edge count")
     slope, intercept = _lead(game.costs.T, phi.ndim + 1)
     return _contract(game.paths.incidence.T, slope * phi + intercept)
+
+
+def loss_sup_bound(game: GameInstance) -> float:
+    """Uniform bound on any path loss over all feasible allocations.
+
+    Costs are nondecreasing, so routing the entire mass of every
+    population over a single path is the worst case; evaluating all edges
+    at the total mass and taking the costliest path is an upper bound.
+    """
+    return float(np.max(path_losses(game, np.full(game.network.num_edges, game.total_mass))))
 
 
 def potential_from_flows(game: GameInstance, phi: np.ndarray):

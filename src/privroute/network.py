@@ -56,13 +56,6 @@ class Network:
     def num_od_pairs(self) -> int:
         return len(self.od_pairs)
 
-    def out_edges(self) -> dict[str, list[tuple[int, str]]]:
-        """Outgoing ``(edge index, head)`` lists per node, in index order."""
-        table: dict[str, list[tuple[int, str]]] = {v: [] for v in self.nodes}
-        for j, (tail, head) in enumerate(self.edges):
-            table[tail].append((j, head))
-        return table
-
 
 def build_network(spec: dict) -> Network:
     """Validate a ``{"nodes", "edges", "od_pairs"}`` description.
@@ -127,26 +120,16 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
 
     Paths visit no node twice and are emitted in lexicographic order of
     their edge-index sequences.  Raises :class:`NetworkError` on an OD pair
-    with no connecting path, before any walk, and on one with more than
-    ``max_paths_per_od`` simple paths, instead of truncating.
+    with no connecting path and on one with more than ``max_paths_per_od``
+    simple paths, instead of truncating.
     """
-    out = network.out_edges()
+    out: dict[str, list[tuple[int, str]]] = {v: [] for v in network.nodes}
     into: dict[str, list[str]] = {v: [] for v in network.nodes}
-    for tail, head in network.edges:
+    for j, (tail, head) in enumerate(network.edges):
+        out[tail].append((j, head))
         into[head].append(tail)
     all_paths: list[tuple[tuple[int, ...], ...]] = []
     for origin, dest in network.od_pairs:
-        # A walk never returns to the origin, so it enters only nodes that
-        # reach ``dest`` without passing through ``origin``: no dead ends.
-        live, stack = {dest}, [dest]
-        while stack:
-            for tail in into[stack.pop()]:
-                if tail not in live:
-                    live.add(tail)
-                    if tail != origin:
-                        stack.append(tail)
-        if origin not in live:
-            raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
         found: list[tuple[int, ...]] = []
         prefix: list[int] = []
         visited = {origin}
@@ -160,8 +143,16 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
                         f"{max_paths_per_od} simple paths; raise the cap explicitly"
                     )
                 return
+            # Step only into nodes that still reach ``dest`` around the nodes on
+            # the path, so every step ends in at least one path: no dead ends.
+            live, stack = {dest}, [dest]
+            while stack:
+                for tail in into[stack.pop()]:
+                    if tail not in live and tail not in visited:
+                        live.add(tail)
+                        stack.append(tail)
             for j, head in out[node]:
-                if head in visited or head not in live:
+                if head not in live:
                     continue
                 visited.add(head)
                 prefix.append(j)
@@ -170,6 +161,8 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
                 visited.remove(head)
 
         walk(origin)
+        if not found:
+            raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
         all_paths.append(tuple(found))
     columns = [path for group in all_paths for path in group]
     incidence = np.zeros((network.num_edges, len(columns)))

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import LearningSchedule
-from .game import GameInstance, path_losses
+from .game import GameInstance, loss_sup_bound
 from .network import block_slices
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "allocation_shift_bound",
     "compose_adaptive",
     "gaussian_epsilon",
-    "loss_sup_bound",
     "privacy_curve",
     "privacy_report",
     "spectral_norm",
@@ -63,16 +62,6 @@ def spectral_norm(matrix) -> float:
     if not m.any():
         raise ValueError("spectral_norm is degenerate on an all-zero matrix")
     return float(np.linalg.norm(m, 2)) * (1.0 + 1e-12)
-
-
-def loss_sup_bound(game: GameInstance) -> float:
-    """Uniform bound on any path loss over all feasible allocations.
-
-    Costs are nondecreasing, so routing the entire mass of every
-    population over a single path is the worst case; evaluating all edges
-    at the total mass and taking the costliest path is an upper bound.
-    """
-    return float(np.max(path_losses(game, np.full(game.network.num_edges, game.total_mass))))
 
 
 def allocation_shift_bound(

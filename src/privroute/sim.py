@@ -11,8 +11,7 @@ import numpy as np
 from . import game as game_ops
 from .dynamics import BregmanGeometry, LearningSchedule, block_projection, block_softmax
 from .dynamics import suboptimality_bound
-from .game import Equilibrium, GameInstance, solve_equilibrium
-from .privacy import loss_sup_bound
+from .game import Equilibrium, GameInstance, loss_sup_bound, solve_equilibrium
 
 __all__ = [
     "EnsembleRuns",

@@ -4,6 +4,9 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -16,7 +19,7 @@ from privroute.cli import main
 from privroute.game import solve_equilibrium
 from privroute.config import EXPERIMENT_SCHEMA, ConfigError, load_config, privacy_pairs
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 PIGOU = CONFIG_DIR / "pigou.json"
 TWO_OD = CONFIG_DIR / "two_od.json"
@@ -635,7 +638,8 @@ def test_accountant_manifest_diagnostics_match_csv(tmp_path, extra):
 
 
 def test_equilibrium_failure_is_one_line_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "solve_equilibrium", functools.partial(solve_equilibrium, max_iter=3))
+    capped = functools.partial(solve_equilibrium, max_iter=3)
+    monkeypatch.setattr(cli.game, "solve_equilibrium", capped)
     assert main(["equilibrium", "--config", str(TWO_OD)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no equilibrium within 3 iterations")
@@ -711,14 +715,60 @@ def test_equilibrium_command(capsys):
     assert payload["gap"] <= 1e-6
 
 
-def test_output_dir_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PRIVROUTE_OUTDIR", str(tmp_path / "envout"))
+def test_simulate_writes_into_the_working_directory_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", "--config", str(PIGOU), "--sigma", "0", "--runs", "1", "--T", "5"]
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ensemble_sigma_0.csv", "manifest_sigma_0.json",
+    ]
+
+
+@pytest.mark.parametrize("command", ["accountant", "simulate"])
+def test_config_output_dir_is_one_line_error(tmp_path, monkeypatch, capsys, command):
+    # The output directory is --out alone; the config key it once had is unknown.
     cfg = json.loads(PIGOU.read_text())
-    cfg.pop("output_dir", None)
-    path = tmp_path / "cfg.json"
+    cfg["output_dir"] = "runs"
+    path = tmp_path / "old_key.json"
     path.write_text(json.dumps(cfg))
-    code = main(
-        ["simulate", "--config", str(path), "--sigma", "0", "--runs", "1", "--T", "5"]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config invalid at document root: "
+        "additional properties are not allowed ('output_dir')\n"
     )
-    assert code == 0
-    assert (tmp_path / "envout" / "ensemble_sigma_0.csv").exists()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def loaded_modules(probe: str, *args: str) -> set[str]:
+    """The ``privroute.*`` modules a fresh interpreter holds after running ``probe``."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    report = "print(*sorted(m for m in sys.modules if m.startswith('privroute.')))"
+    probe = f"import sys\n{probe}\n{report}"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "command, args, modules",
+    [
+        ("simulate", ["--T", "5", "--runs", "1"], {"sim"}),
+        ("accountant", ["--T-range", "1:5"], {"privacy", "sim"}),
+        ("constants", [], {"privacy"}),
+        ("equilibrium", ["--tol", "1e-4"], set()),
+    ],
+    ids=["simulate", "accountant", "constants", "equilibrium"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, command, args, modules):
+    if command in ("simulate", "accountant"):
+        args = [*args, "--out", str(tmp_path)]
+    run = "from privroute import cli\nassert cli.main(sys.argv[1:]) == 0"
+    loaded = loaded_modules(run, command, "--config", str(PIGOU), *args)
+    base = {"cli", "config", "dynamics", "game", "network"}
+    assert loaded == {f"privroute.{name}" for name in base | modules}
+
+
+def test_importing_sim_does_not_load_privacy():
+    assert "privroute.privacy" not in loaded_modules("import privroute.sim")

@@ -114,20 +114,22 @@ def test_unreachable_od_pair_fails_at_enumeration():
         enumerate_paths(build_network(spec))
 
 
-@pytest.mark.parametrize("dest_edge", [True, False])
-def test_dense_dead_ends_are_not_walked(dest_edge):
-    # A complete digraph on 11 nodes, left only by the edge v0 -> t if at all:
-    # a walk over every simple path out of v0 would take seconds.
-    nodes = [f"v{i}" for i in range(11)]
+@pytest.mark.parametrize(("n", "dest_tail"), [(11, "v0"), (11, None), (12, "v1")])
+def test_dense_dead_ends_are_not_walked(n, dest_tail):
+    # A complete digraph on n nodes, left only by the edge dest_tail -> t if at all.
+    # A walk over every simple path out of v0 would take seconds, and so would one
+    # that steps past v1 into nodes that reach t only through v1.
+    nodes = [f"v{i}" for i in range(n)]
     edges = [[u, v] for u in nodes for v in nodes if u != v]
-    if dest_edge:
-        edges.append(["v0", "t"])
+    if dest_tail is not None:
+        edges.append([dest_tail, "t"])
     net = build_network({"nodes": nodes + ["t"], "edges": edges, "od_pairs": [["v0", "t"]]})
     start = time.perf_counter()
-    if dest_edge:
+    if dest_tail == "v0":
         assert enumerate_paths(net).paths == (((len(edges) - 1,),),)
     else:
-        with pytest.raises(NetworkError, match="unreachable OD pair"):
+        message = "more than 10000 simple paths" if dest_tail else "unreachable OD pair"
+        with pytest.raises(NetworkError, match=message):
             enumerate_paths(net)
     assert time.perf_counter() - start < 1.0
 

@@ -14,13 +14,12 @@ from privroute.dynamics import (
     dual_norm,
     reference_norm,
 )
-from privroute.game import build_game, edge_flows
+from privroute.game import build_game, edge_flows, loss_sup_bound
 from privroute.privacy import (
     SensitivityConstants,
     allocation_shift_bound,
     compose_adaptive,
     gaussian_epsilon,
-    loss_sup_bound,
     privacy_curve,
     privacy_report,
     spectral_norm,
