@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import block_softmax
 from .network import DEFAULT_PATH_CAP, Network, PathSet, block_slices, enumerate_paths
 
 __all__ = [
@@ -14,11 +13,9 @@ __all__ = [
     "EquilibriumError",
     "Equilibrium",
     "GameInstance",
-    "SIMPLEX_TOL",
     "build_game",
     "edge_flows",
     "gap_from_losses",
-    "gradient_smoothness",
     "loss_sup_bound",
     "nash_gap",
     "path_losses",
@@ -27,15 +24,13 @@ __all__ = [
     "potential_gradient",
     "solve_equilibrium",
     "uniform_allocation",
-    "validate_allocation",
 ]
 
-SIMPLEX_TOL = 1e-12
 EQUILIBRIUM_TOL = 1e-8  # the Nash gap every equilibrium solve stops at by default
 
 
 class EquilibriumError(RuntimeError):
-    """Equilibrium solve exhausted its iteration budget or met a NaN Nash gap."""
+    """Equilibrium solve ran out of iterations, met a NaN Nash gap or a failed step search."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,20 +151,6 @@ def uniform_allocation(game: GameInstance) -> np.ndarray:
     return np.tile(row, (game.num_populations, 1))
 
 
-def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
-    """Check shape, nonnegativity, and per-block normalization of ``x``."""
-    x = np.asarray(x)
-    expected = (game.num_populations, game.total_paths)
-    if x.shape != expected:
-        raise ValueError(f"allocation shape {x.shape} does not match {expected}")
-    if np.any(x < -tol):
-        raise ValueError("allocation has negative entries")
-    for s in block_slices(game.block_sizes):
-        sums = x[:, s].sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > max(tol, 1e-9)):
-            raise ValueError(f"allocation block {s} does not sum to one: {sums}")
-
-
 def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
     """Mass-weighted aggregation of allocations ``(K, P, ...)`` into edge flows ``(E, ...)``."""
     x = np.asarray(x, float)
@@ -242,16 +223,6 @@ def nash_gap(game: GameInstance, x: np.ndarray) -> float:
     return gap_from_losses(game, x, losses)
 
 
-def gradient_smoothness(game: GameInstance) -> float:
-    """Upper bound on the Lipschitz constant of the potential gradient."""
-    lam = game.max_slope
-    if lam == 0.0 or game.total_mass == 0.0:
-        return 0.0
-    spectral = np.linalg.norm(game.paths.incidence, 2)
-    mass_sq = float(np.sum(game.masses.max(axis=1) ** 2))
-    return lam * spectral**2 * mass_sq
-
-
 @dataclass(frozen=True, eq=False)
 class Equilibrium:
     allocation: np.ndarray
@@ -267,29 +238,51 @@ def solve_equilibrium(
 ) -> Equilibrium:
     """Minimize the potential over the allocation polytope to a gap certificate.
 
-    Runs deterministic entropic mirror descent on exact losses from the
-    uniform allocation and stops once :func:`nash_gap` (which upper-bounds
-    the potential suboptimality) drops to ``tol``, or at a NaN gap.  The step
-    size is the inverse gradient-smoothness bound; iterates are kept in the log
-    domain so long runs cannot underflow a path's weight into a hard zero.
+    Entropic mirror descent on exact losses, in the log domain, from the
+    uniform allocation; it stops once :func:`nash_gap` (an upper bound on the
+    potential suboptimality) is at most ``tol``.  The step ``eta`` starts at 1,
+    doubles after each accepted step and halves on each rejection; a step is
+    accepted when ``D_f(x+, x) <= KL(x+ || x) / eta`` (relative smoothness).
+    Both sides are sums of nonnegative terms: affine costs make ``D_f`` exactly
+    ``0.5 sum_j slope_j dphi_j**2`` in the edge-flow change ``dphi``, and the KL
+    sums ``x ((1 + u) d - u)`` over ``d = log x+ - log x``, ``u = expm1(d)``, so
+    no difference of potentials is lost to roundoff near the optimum.  A NaN
+    gap, a non-finite step test, an ``eta`` that underflows or ``max_iter``
+    steps without reaching ``tol`` raise :class:`EquilibriumError`.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    smoothness = gradient_smoothness(game)
-    eta = 1.0 / smoothness if smoothness > 0 else 1.0
-
-    weights, sizes = game.path_weights(), game.block_sizes
-    logits = np.log(uniform_allocation(game))
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    weights, sizes, slope = game.path_weights(), game.block_sizes, game.costs[:, 0]
+    starts = [s.start for s in block_slices(sizes)]
+    x = uniform_allocation(game)
+    log_x, phi, eta = np.log(x), edge_flows(game, x), 1.0
     for it in range(max_iter + 1):
-        x = block_softmax(logits, sizes)
-        phi = edge_flows(game, x)
         losses = path_losses(game, phi)
         gap = gap_from_losses(game, x, losses)
         if gap <= tol:
             return Equilibrium(x, potential_from_flows(game, phi), gap, it)
         if np.isnan(gap):
             raise EquilibriumError(f"the Nash gap is NaN at iteration {it}")
-        logits -= eta * weights * losses[None, :]
-    raise EquilibriumError(
-        f"no equilibrium within {max_iter} iterations (gap {gap:.3e} > tol {tol:.1e})"
-    )
+        if it == max_iter:
+            raise EquilibriumError(
+                f"no equilibrium within {max_iter} iterations (gap {gap:.3e} > tol {tol:.1e})"
+            )
+        while True:
+            z = log_x - eta * weights * losses
+            log_y = z - np.repeat(np.logaddexp.reduceat(z, starts, axis=1), sizes, axis=1)
+            y = np.exp(log_y)
+            phi_y = edge_flows(game, y)
+            d = log_y - log_x
+            u = np.expm1(d)
+            curvature = 0.5 * np.sum(slope * (phi_y - phi) ** 2)
+            kl = np.sum(x * ((1 + u) * d - u))
+            if not np.isfinite(curvature + kl):  # both are sums of nonnegative terms
+                raise EquilibriumError(f"the step test is not finite at iteration {it}")
+            if curvature <= kl / eta:
+                break
+            eta /= 2
+            if eta == 0.0:
+                raise EquilibriumError(f"the step size underflowed at iteration {it}")
+        log_x, x, phi, eta = log_y, y, phi_y, 2 * eta

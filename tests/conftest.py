@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
-from privroute.game import GameInstance, build_game
-from privroute.network import build_network
+from privroute.dynamics import block_softmax
+from privroute.game import (
+    GameInstance,
+    build_game,
+    edge_flows,
+    gap_from_losses,
+    path_losses,
+    potential_from_flows,
+    uniform_allocation,
+)
+from privroute.network import block_slices, build_network
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
+SIMPLEX_TOL = 1e-12
 
 
 def make_pigou() -> GameInstance:
@@ -57,6 +67,46 @@ def random_allocation(rng: np.random.Generator, game: GameInstance) -> np.ndarra
         row = np.concatenate([b / b.sum() for b in blocks])
         rows.append(row)
     return np.array(rows)
+
+
+def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
+    """Check shape, nonnegativity, and per-block normalization of ``x``."""
+    x = np.asarray(x)
+    expected = (game.num_populations, game.total_paths)
+    if x.shape != expected:
+        raise ValueError(f"allocation shape {x.shape} does not match {expected}")
+    if np.any(x < -tol):
+        raise ValueError("allocation has negative entries")
+    for s in block_slices(game.block_sizes):
+        sums = x[:, s].sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > max(tol, 1e-9)):
+            raise ValueError(f"allocation block {s} does not sum to one: {sums}")
+
+
+def gradient_smoothness(game: GameInstance) -> float:
+    """Upper bound on the Lipschitz constant of the potential gradient."""
+    lam = game.max_slope
+    if lam == 0.0 or game.total_mass == 0.0:
+        return 0.0
+    spectral = np.linalg.norm(game.paths.incidence, 2)
+    mass_sq = float(np.sum(game.masses.max(axis=1) ** 2))
+    return lam * spectral**2 * mass_sq
+
+
+def fixed_step_potential(game: GameInstance, tol: float, max_iter: int = 500_000) -> float:
+    """Oracle: the potential that entropic mirror descent at the worst-case fixed
+    step ``1 / gradient_smoothness`` reaches once the Nash gap is at most ``tol``."""
+    smoothness = gradient_smoothness(game)
+    eta = 1.0 / smoothness if smoothness > 0 else 1.0
+    logits = np.log(uniform_allocation(game))
+    for _ in range(max_iter + 1):
+        x = block_softmax(logits, game.block_sizes)
+        phi = edge_flows(game, x)
+        losses = path_losses(game, phi)
+        if gap_from_losses(game, x, losses) <= tol:
+            return potential_from_flows(game, phi)
+        logits -= eta * game.path_weights() * losses[None, :]
+    raise AssertionError(f"the fixed-step oracle missed tol {tol} in {max_iter} iterations")
 
 
 @pytest.fixture(scope="session")

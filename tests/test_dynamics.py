@@ -19,14 +19,13 @@ from privroute.dynamics import (
 )
 from privroute.game import (
     edge_flows,
-    gradient_smoothness,
     path_losses,
     potential,
     uniform_allocation,
 )
 from privroute.network import block_slices
 
-from conftest import random_allocation, random_game
+from conftest import gradient_smoothness, random_allocation, random_game
 
 
 def random_point(rng, sizes, strict=True):

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import importlib
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from privroute import game as game_module
+from privroute.config import build_game_from_config
 from privroute.game import (
     EquilibriumError,
     build_game,
     edge_flows,
-    gradient_smoothness,
     nash_gap,
     path_losses,
     potential,
@@ -19,7 +22,13 @@ from privroute.game import (
 )
 from privroute.network import block_slices, build_network
 
-from conftest import random_allocation, random_game
+from conftest import (
+    REPO_ROOT,
+    fixed_step_potential,
+    gradient_smoothness,
+    random_allocation,
+    random_game,
+)
 
 
 def test_edge_flows_pigou(pigou_game):
@@ -221,6 +230,79 @@ def test_solve_equilibrium_stops_at_a_nan_gap(pigou_game):
         EquilibriumError, match="NaN at iteration 0"
     ):
         solve_equilibrium(game)
+
+
+def test_solve_equilibrium_rejects_negative_max_iter(pigou_game):
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+        solve_equilibrium(pigou_game, max_iter=-1)
+
+
+def test_solve_equilibrium_stops_at_a_non_finite_step_test(pigou_game):
+    # Both losses are finite, so the first gap is inf, not NaN; the mass-weighted
+    # loss 1e5 * 5e304 overflows, so the step drives a log-weight to -inf.
+    game = build_game(pigou_game.network, [[1e300, 0.0], [0.0, 1.0]], [[1e5]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        EquilibriumError, match="^the step test is not finite at iteration 0$"
+    ):
+        solve_equilibrium(game)
+
+
+def test_solve_equilibrium_stops_when_the_step_underflows(pigou_game, monkeypatch):
+    # Every candidate's flows sit one unit off the first ones, so its curvature
+    # stays at 0.5 while the KL term shrinks with eta: no step is ever accepted.
+    calls = []
+
+    def shifted_after_the_first_call(game, x):
+        calls.append(x)
+        return edge_flows(game, x) + (len(calls) > 1)
+
+    monkeypatch.setattr(game_module, "edge_flows", shifted_after_the_first_call)
+    with pytest.raises(EquilibriumError, match="^the step size underflowed at iteration 0$"):
+        solve_equilibrium(pigou_game, max_iter=5)
+
+
+def test_solve_equilibrium_with_constant_costs(pigou_game):
+    # Zero slope: the curvature is 0, every step is accepted and eta doubles each time.
+    game = build_game(pigou_game.network, [[0.0, 2.0], [0.0, 1.0]], [[1.0]])
+    eq = solve_equilibrium(game)
+    assert eq.gap <= 1e-8 and nash_gap(game, eq.allocation) <= 1e-8
+    assert eq.iterations <= 10
+    assert eq.allocation[0, 1] == pytest.approx(1.0, abs=1e-8)
+    assert eq.potential == pytest.approx(1.0, abs=1e-8)
+
+
+def test_solve_equilibrium_zero_mass_returns_at_iteration_0(standin_game):
+    game = build_game(standin_game.network, standin_game.costs, np.zeros_like(standin_game.masses))
+    eq = solve_equilibrium(game)
+    assert (eq.iterations, eq.gap, eq.potential) == (0, 0.0, 0.0)
+    np.testing.assert_array_equal(eq.allocation, uniform_allocation(game))
+
+
+# Both solvers stop at a gap of at most tol, which bounds each one's suboptimality.
+@pytest.mark.parametrize("name, tol", [("pigou_game", 1e-6), ("standin_game", 1e-8)])
+def test_equilibrium_matches_fixed_step_oracle(name, tol, request):
+    game = request.getfixturevalue(name)
+    assert abs(solve_equilibrium(game, tol=tol).potential - fixed_step_potential(game, tol)) <= tol
+
+
+def test_equilibrium_matches_fixed_step_oracle_on_random_games():
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        game = random_game(rng)
+        eq = solve_equilibrium(game, tol=1e-8)
+        assert abs(eq.potential - fixed_step_potential(game, 1e-8)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_equilibrium_at_1e_8_within_a_second(seed, monkeypatch):
+    # The benchmark's grid game: the fixed 1 / smoothness step took 184,440
+    # iterations at 1e-8 on seed 1.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    game = build_game_from_config(importlib.import_module("grid").make_config(seed))
+    start = time.perf_counter()
+    eq = solve_equilibrium(game, tol=1e-8)
+    assert time.perf_counter() - start < 1.0
+    assert nash_gap(game, eq.allocation) <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,7 +12,6 @@ from privroute.game import (
     potential_from_flows,
     solve_equilibrium,
     uniform_allocation,
-    validate_allocation,
 )
 from privroute.network import build_network
 from privroute.sim import (
@@ -24,6 +23,8 @@ from privroute.sim import (
     run_trajectory,
     simulate_sweep,
 )
+
+from conftest import validate_allocation
 
 
 def small_config(game, sigma=0.1, horizon=40, runs=3, seed=11, scale=1.0, decay=0.5):
