@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     except (ValueError, game.EquilibriumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # also numpy's _ArrayMemoryError
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -234,15 +234,8 @@ def _check_consistency(cfg: dict) -> None:
     bound = cfg.get("mass_bound")
     if bound is not None and peak > bound:
         raise ConfigError(f"mass entry {peak} exceeds declared mass_bound {bound}")
-    privacy = cfg.get("privacy")
-    if privacy is not None:
-        c_list = _as_list(privacy["c_adj"])
-        s_list = _as_list(privacy["sigma"])
-        if len(c_list) > 1 and len(s_list) > 1 and len(c_list) != len(s_list):
-            raise ConfigError(
-                f"privacy c_adj and sigma lists have mismatched lengths "
-                f"({len(c_list)} vs {len(s_list)})"
-            )
+    if "privacy" in cfg:
+        privacy_pairs(cfg)
 
 
 def load_config(path) -> dict:
@@ -296,8 +289,13 @@ def privacy_pairs(cfg: dict) -> list[tuple[float, float]]:
         raise ConfigError("config has no privacy block")
     c_list = _as_list(privacy["c_adj"])
     s_list = _as_list(privacy["sigma"])
-    if len(c_list) == 1 and len(s_list) > 1:
+    if len(c_list) > 1 and len(s_list) > 1 and len(c_list) != len(s_list):
+        raise ConfigError(
+            f"privacy c_adj and sigma lists have mismatched lengths "
+            f"({len(c_list)} vs {len(s_list)})"
+        )
+    if len(c_list) == 1:
         c_list = c_list * len(s_list)
-    if len(s_list) == 1 and len(c_list) > 1:
+    if len(s_list) == 1:
         s_list = s_list * len(c_list)
     return list(zip(map(float, c_list), map(float, s_list)))

@@ -18,7 +18,6 @@ __all__ = [
     "dual_norm",
     "project_simplex",
     "reference_norm",
-    "smd_update",
     "suboptimality_bound",
 ]
 
@@ -166,27 +165,6 @@ class BregmanGeometry:
                 raise ValueError("entropic prox requires a strictly positive iterate")
             return block_softmax(np.log(x) - eta * loss, self.block_sizes)
         return block_projection(x - eta * loss, self.block_sizes)
-
-
-def smd_update(
-    geometry: BregmanGeometry,
-    schedule: LearningSchedule,
-    t: int,
-    x: np.ndarray,
-    theta: np.ndarray,
-    loss_hat: np.ndarray,
-) -> np.ndarray:
-    """One stochastic mirror-descent step for a single population.
-
-    The observed loss vector is weighted block-wise by the population's
-    per-OD mass ``theta`` and fed to the geometry's prox operator with the
-    scheduled step size.
-    """
-    theta = np.asarray(theta, float)
-    if theta.shape != (geometry.num_blocks,):
-        raise ValueError("theta must have one entry per OD block")
-    scaled = np.repeat(theta, geometry.block_sizes) * np.asarray(loss_hat, float)
-    return geometry.prox(x, scaled, schedule.rate(t))
 
 
 def suboptimality_bound(

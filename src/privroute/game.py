@@ -19,7 +19,6 @@ __all__ = [
     "loss_sup_bound",
     "nash_gap",
     "path_losses",
-    "potential",
     "potential_from_flows",
     "potential_gradient",
     "solve_equilibrium",
@@ -100,6 +99,8 @@ def build_game(
     """
     if paths is None:
         paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
+    elif paths.network != network:
+        raise ValueError("paths were enumerated on another network than the game's")
     costs = _float_array(costs, "costs", f"{network.num_edges} [slope, intercept] rows")
     if costs.shape != (network.num_edges, 2):
         raise ValueError(
@@ -188,11 +189,6 @@ def potential_from_flows(game: GameInstance, phi: np.ndarray):
     slope, intercept = _lead(game.costs.T, phi.ndim + 1)
     total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total
-
-
-def potential(game: GameInstance, x: np.ndarray) -> float:
-    """Congestion potential: sum over edges of the cost antiderivative."""
-    return potential_from_flows(game, edge_flows(game, x))
 
 
 def potential_gradient(game: GameInstance, x: np.ndarray) -> np.ndarray:

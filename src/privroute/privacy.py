@@ -40,11 +40,9 @@ __all__ = [
     "SensitivityConstants",
     "allocation_shift_bound",
     "compose_adaptive",
-    "gaussian_epsilon",
     "privacy_curve",
     "privacy_report",
     "spectral_norm",
-    "step_sensitivity",
     "tail_delta",
 ]
 
@@ -159,7 +157,12 @@ def _sensitivities(consts: SensitivityConstants, c: float, releases, loss_dual_b
 
 
 def _epsilons(sensitivities, sigma: float, delta_steps):
-    """Gaussian-mechanism epsilons and their (0, 1) validity flags, elementwise."""
+    """Gaussian-mechanism epsilons and their (0, 1) validity flags, elementwise.
+
+    The epsilon of sensitivity ``d`` is the smallest one the calibration
+    ``sigma >= sqrt(2 ln(1.25 / delta)) * d / epsilon`` allows; it is flagged
+    invalid outside (0, 1), where the calibration is not known to hold.
+    """
     if sigma <= 0:
         raise ValueError("noise standard deviation must be positive")
     with np.errstate(over="ignore"):
@@ -169,35 +172,6 @@ def _epsilons(sensitivities, sigma: float, delta_steps):
     b = np.sqrt(np.maximum(2.0 * log_ratio, 0.0))
     epsilons = sensitivities * b / sigma
     return epsilons, (epsilons > 0.0) & (epsilons < 1.0)
-
-
-def step_sensitivity(
-    consts: SensitivityConstants, c: float, t: int, loss_dual_bound: float
-) -> float:
-    """Sensitivity, at adjacency radius ``c``, of the release following the update at ``t``.
-
-    ``loss_dual_bound`` caps the dual norm of the observed loss driving the
-    update.  The value decreases with ``t`` because the learning rates do,
-    and floors at ``c * loss_lipschitz * gain * allocation_bound``.
-    """
-    return float(_sensitivities(consts, c, t + 2, loss_dual_bound))
-
-
-def gaussian_epsilon(sensitivity: float, sigma: float, delta_step: float) -> tuple[float, bool]:
-    """Invert the Gaussian-mechanism calibration for one release.
-
-    Noise of standard deviation ``sigma >= sqrt(2 ln(1.25/delta)) *
-    sensitivity / epsilon`` gives (epsilon, delta) privacy for epsilon in
-    (0, 1); solving for the smallest epsilon gives the returned value.  The
-    flag is False whenever epsilon falls outside (0, 1), where the
-    calibration is not known to hold.
-    """
-    if delta_step <= 0:
-        raise ValueError("per-step delta must be positive")
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be nonnegative")
-    epsilon, valid = _epsilons(sensitivity, sigma, delta_step)
-    return float(epsilon), bool(valid)
 
 
 def tail_delta(sigma: float, clip: float, n_steps: int, n_paths: int) -> float:

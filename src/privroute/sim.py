@@ -24,6 +24,7 @@ __all__ = [
     "run_seeds",
     "run_trajectory",
     "simulate_sweep",
+    "stats_summary",
     "write_csv",
     "write_ensemble_csv",
     "write_manifest",

@@ -21,6 +21,11 @@ from privroute.config import EXPERIMENT_SCHEMA, ConfigError, load_config, privac
 
 from conftest import CONFIG_DIR, REPO_ROOT
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
 PIGOU = CONFIG_DIR / "pigou.json"
 TWO_OD = CONFIG_DIR / "two_od.json"
 
@@ -71,6 +76,20 @@ def test_privacy_pairs_zip_and_broadcast():
     assert privacy_pairs(cfg) == [(1e-6, 0.1), (1e-5, 0.3)]
     cfg_scalar = load_config(PIGOU)
     assert privacy_pairs(cfg_scalar) == [(1e-3, 0.1)]
+
+
+def test_privacy_pairs_rejects_mismatched_lengths(tmp_path):
+    cfg = {"privacy": {"c_adj": [1e-6, 1e-5, 1e-4], "sigma": [0.1, 0.3]}}
+    message = r"privacy c_adj and sigma lists have mismatched lengths \(3 vs 2\)"
+    with pytest.raises(ConfigError, match=message):
+        privacy_pairs(cfg)
+    # Loading a config checks the same rule.
+    doc = json.loads(TWO_OD.read_text())
+    doc["privacy"]["c_adj"] = cfg["privacy"]["c_adj"]
+    path = tmp_path / "mismatched.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 # -------------------------------------------------------------- subcommands
@@ -266,6 +285,25 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--per-run", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: slope window (300, 400)") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [_ArrayMemoryError((10**6, 10**6), np.dtype(float)), MemoryError("Unable to allocate")],
+    ids=["numpy", "python"],
+)
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, error):
+    from privroute import sim
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sim, "simulate_sweep", exhausted)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(TWO_OD), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -14,13 +14,12 @@ from privroute.dynamics import (
     dual_norm,
     project_simplex,
     reference_norm,
-    smd_update,
     suboptimality_bound,
 )
 from privroute.game import (
     edge_flows,
     path_losses,
-    potential,
+    potential_from_flows,
     uniform_allocation,
 )
 from privroute.network import block_slices
@@ -211,14 +210,14 @@ def test_project_simplex_kkt():
         assert np.all(v[~support] <= tau + 1e-9)
 
 
-# ---------------------------------------------------------------- smd_update
+# ------------------------------------------------ one mirror-descent step
 
 
 def test_smd_update_zero_mass_blocks_are_frozen():
     geom = BregmanGeometry("entropic", (2, 2))
-    sched = LearningSchedule(1.0, 0.5)
     x = np.array([0.3, 0.7, 0.6, 0.4])
-    out = smd_update(geom, sched, 0, x, np.array([0.0, 1.0]), np.array([5.0, -1.0, 0.5, 0.25]))
+    loss = np.repeat([0.0, 1.0], geom.block_sizes) * np.array([5.0, -1.0, 0.5, 0.25])
+    out = geom.prox(x, loss, 1.0)
     np.testing.assert_allclose(out[:2], x[:2], atol=1e-13)
     assert not np.allclose(out[2:], x[2:])
 
@@ -234,8 +233,8 @@ def test_joint_update_matches_first_order_conditions():
         scheds = [LearningSchedule(float(rng.uniform(0.2, 1.5)), 0.5)] * game.num_populations
         for k in range(game.num_populations):
             eta = scheds[k].rate(3)
-            new = smd_update(geoms[k], scheds[k], 3, x[k], game.masses[k], losses)
             weights = np.repeat(game.masses[k], sizes)
+            new = geoms[k].prox(x[k], weights * losses, eta)
             v = weights * losses + (np.log(new) - np.log(x[k])) / eta
             for s in block_slices(game.block_sizes):
                 resid = v[s] - v[s].mean()
@@ -245,10 +244,9 @@ def test_joint_update_matches_first_order_conditions():
 def test_euclidean_update_matches_projection_kkt():
     rng = np.random.default_rng(8)
     geom = BregmanGeometry("euclidean", (4,))
-    sched = LearningSchedule(0.9, 0.0)
     x = np.array([0.4, 0.3, 0.2, 0.1])
     loss = rng.normal(scale=2.0, size=4)
-    new = smd_update(geom, sched, 0, x, np.array([1.3]), loss)
+    new = geom.prox(x, 1.3 * loss, 0.9)
     v = 1.3 * loss + (new - x) / 0.9
     support = new > 1e-12
     mu = v[support].mean()
@@ -263,14 +261,14 @@ def test_deterministic_small_step_descends_potential():
         smooth = gradient_smoothness(game)
         eta = 0.5 / smooth if smooth > 0 else 0.5
         geoms = [BregmanGeometry("entropic", game.block_sizes)] * game.num_populations
-        scheds = [LearningSchedule(eta, 0.0)] * game.num_populations
+        weights = game.path_weights()
         x = uniform_allocation(game)
-        previous = potential(game, x)
-        for t in range(50):
+        previous = potential_from_flows(game, edge_flows(game, x))
+        for _ in range(50):
             losses = path_losses(game, edge_flows(game, x))
             for k in range(game.num_populations):
-                x[k] = smd_update(geoms[k], scheds[k], t, x[k], game.masses[k], losses)
-            current = potential(game, x)
+                x[k] = geoms[k].prox(x[k], weights[k] * losses, eta)
+            current = potential_from_flows(game, edge_flows(game, x))
             assert current <= previous + 1e-10
             previous = current
 

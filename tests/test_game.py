@@ -15,12 +15,12 @@ from privroute.game import (
     edge_flows,
     nash_gap,
     path_losses,
-    potential,
+    potential_from_flows,
     potential_gradient,
     solve_equilibrium,
     uniform_allocation,
 )
-from privroute.network import block_slices, build_network
+from privroute.network import block_slices, build_network, enumerate_paths
 
 from conftest import (
     REPO_ROOT,
@@ -102,8 +102,9 @@ def test_path_losses_match_per_path_summation():
 
 
 def test_potential_pigou_analytic(pigou_game):
-    assert potential(pigou_game, np.array([[1.0, 0.0]])) == pytest.approx(0.5)
-    assert potential(pigou_game, np.array([[0.0, 1.0]])) == pytest.approx(1.0)
+    for x, value in (([[1.0, 0.0]], 0.5), ([[0.0, 1.0]], 1.0)):
+        phi = edge_flows(pigou_game, np.array(x))
+        assert potential_from_flows(pigou_game, phi) == pytest.approx(value)
 
 
 def test_potential_zero_mass():
@@ -112,7 +113,7 @@ def test_potential_zero_mass():
     )
     game = build_game(net, [[1, 0], [2, 1]], [[0.0]])
     for x in ([[1.0, 0.0]], [[0.3, 0.7]]):
-        assert potential(game, np.array(x)) == 0.0
+        assert potential_from_flows(game, edge_flows(game, np.array(x))) == 0.0
 
 
 def central_difference_gradient(game, x, h=1e-5):
@@ -123,7 +124,8 @@ def central_difference_gradient(game, x, h=1e-5):
             down = x.copy()
             up[k, p] += h
             down[k, p] -= h
-            grad[k, p] = (potential(game, up) - potential(game, down)) / (2 * h)
+            f_up, f_down = (potential_from_flows(game, edge_flows(game, z)) for z in (up, down))
+            grad[k, p] = (f_up - f_down) / (2 * h)
     return grad
 
 
@@ -185,8 +187,10 @@ def test_potential_convex_along_segments():
         game = random_game(rng)
         x = random_allocation(rng, game)
         y = random_allocation(rng, game)
-        mid = potential(game, 0.5 * (x + y))
-        assert mid <= 0.5 * (potential(game, x) + potential(game, y)) + 1e-12
+        f_x, f_mid, f_y = (
+            potential_from_flows(game, edge_flows(game, z)) for z in (x, 0.5 * (x + y), y)
+        )
+        assert f_mid <= 0.5 * (f_x + f_y) + 1e-12
 
 
 def test_solve_equilibrium_pigou(pigou_game):
@@ -357,7 +361,8 @@ def test_build_game_stores_cost_rows_read_only(pigou_game):
     assert not pigou_game.costs.flags.writeable
     again = build_game(pigou_game.network, pigou_game.costs, pigou_game.masses)
     np.testing.assert_array_equal(again.costs, pigou_game.costs)
-    assert potential(again, np.array([[1.0, 0.0]])) == pytest.approx(0.5)
+    phi = edge_flows(again, np.array([[1.0, 0.0]]))
+    assert potential_from_flows(again, phi) == pytest.approx(0.5)
 
 
 def test_equilibrium_beats_every_vertex(standin_game):
@@ -378,3 +383,16 @@ def test_equilibrium_beats_every_vertex(standin_game):
 
 def test_gradient_smoothness_pigou(pigou_game):
     assert gradient_smoothness(pigou_game) == pytest.approx(1.0)
+
+
+def test_build_game_rejects_paths_of_another_network():
+    spec = {"nodes": ["s", "m", "t"], "edges": [["s", "t"], ["s", "m"], ["m", "t"]],
+            "od_pairs": [["s", "t"]]}
+    net = build_network(spec)
+    # The same nodes with the edges in another order: path (0, 1) would read s->t, s->m here.
+    other = build_network(spec | {"edges": [["s", "m"], ["m", "t"], ["s", "t"]]})
+    costs = [[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]]
+    with pytest.raises(ValueError, match="another network"):
+        build_game(net, costs, [[1.0]], paths=enumerate_paths(other))
+    same = build_game(net, costs, [[1.0]], paths=enumerate_paths(build_network(spec)))
+    assert same.paths.paths == enumerate_paths(net).paths

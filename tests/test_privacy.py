@@ -19,11 +19,9 @@ from privroute.privacy import (
     SensitivityConstants,
     allocation_shift_bound,
     compose_adaptive,
-    gaussian_epsilon,
     privacy_curve,
     privacy_report,
     spectral_norm,
-    step_sensitivity,
     tail_delta,
 )
 
@@ -292,33 +290,45 @@ def demo_constants(**overrides):
     return SensitivityConstants(**values)
 
 
+def release_sensitivity(consts, c, release, loss_dual_bound) -> float:
+    """The accountant's sensitivity of the 1-based ``release``, as a float."""
+    return float(privacy._sensitivities(consts, c, release, loss_dual_bound))
+
+
 def test_step_sensitivity_formula_value():
     consts = demo_constants()
-    # eta(0) = 1, dual bound sqrt(4) * (2 + 2) = 8.
-    value = step_sensitivity(consts, 1e-6, 0, math.sqrt(4) * (2.0 + 2.0))
+    # Release 2 follows the update at t = 0: eta(0) = 1, dual bound sqrt(4) * (2 + 2) = 8.
+    value = release_sensitivity(consts, 1e-6, 2, math.sqrt(4) * (2.0 + 2.0))
     assert value == pytest.approx(1e-6 * (2.0 + 1.2 * 1.0 * 8.0), rel=1e-12)
+    assert release_sensitivity(consts, 1e-6, 1, 8.0) == value  # the first release reuses eta(0)
 
 
 def test_step_sensitivity_zero_radius():
     consts = demo_constants()
-    assert step_sensitivity(consts, 0.0, 3, 8.0) == 0.0
+    assert release_sensitivity(consts, 0.0, 5, 8.0) == 0.0
 
 
 def test_step_sensitivity_monotone_with_floor():
     consts, c = demo_constants(), 1e-6
-    values = [step_sensitivity(consts, c, t, 8.0) for t in range(200)]
+    values = [release_sensitivity(consts, c, r, 8.0) for r in range(2, 202)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
     floor = c * consts.loss_lipschitz * consts.incidence_gain * 2.0
-    assert step_sensitivity(consts, c, 10**12, 8.0) == pytest.approx(floor, rel=1e-5)
+    assert release_sensitivity(consts, c, 10**12 + 2, 8.0) == pytest.approx(floor, rel=1e-5)
 
 
 # ------------------------------------------------------- gaussian mechanism
 
 
+def release_epsilon(sensitivity, sigma, delta_step) -> tuple[float, bool]:
+    """The accountant's epsilon and validity flag of one release, as Python scalars."""
+    epsilon, valid = privacy._epsilons(sensitivity, sigma, delta_step)
+    return float(epsilon), bool(valid)
+
+
 def test_gaussian_epsilon_round_trip():
     delta = 1.25 * math.exp(-2.0)
-    eps, valid = gaussian_epsilon(1.0, 5.0746, delta)
+    eps, valid = release_epsilon(1.0, 5.0746, delta)
     assert eps == pytest.approx(2.0 / 5.0746, rel=1e-12)
     assert valid
     # Re-inverting gives back the noise level.
@@ -327,20 +337,18 @@ def test_gaussian_epsilon_round_trip():
 
 
 def test_gaussian_epsilon_edge_cases():
-    eps, valid = gaussian_epsilon(0.0, 1.0, 1e-5)
+    eps, valid = release_epsilon(0.0, 1.0, 1e-5)
     assert eps == 0.0 and not valid
-    eps, valid = gaussian_epsilon(1.0, 1.0, 1.25)
+    eps, valid = release_epsilon(1.0, 1.0, 1.25)
     assert eps == 0.0 and not valid
-    with pytest.raises(ValueError, match="delta"):
-        gaussian_epsilon(1.0, 1.0, 0.0)
-    eps, valid = gaussian_epsilon(10.0, 0.1, 1e-5)
+    eps, valid = release_epsilon(10.0, 0.1, 1e-5)
     assert eps > 1.0 and not valid
 
 
 def test_single_step_dp_holds_on_interval_grid():
     """Exact-CDF check of the (eps, delta) guarantee for interval events."""
     sensitivity, sigma = 0.3, 2.0
-    eps, valid = gaussian_epsilon(sensitivity, sigma, 1e-4)
+    eps, valid = release_epsilon(sensitivity, sigma, 1e-4)
     assert valid
     delta = 1e-4
     grid = np.linspace(-10 * sigma, 10 * sigma + sensitivity, 400)
@@ -455,9 +463,9 @@ def test_report_per_step_matches_scalar_ops(horizon, c, standin_game, standin_dy
     )
     consts = report.constants
     for release in range(1, horizon + 1):
-        expected = step_sensitivity(consts, c, max(release - 2, 0), report.loss_dual_bound)
+        expected = release_sensitivity(consts, c, release, report.loss_dual_bound)
         assert report.sensitivities[release - 1] == pytest.approx(expected, rel=1e-12)
-        eps, valid = gaussian_epsilon(expected, 0.1, 1e-3 / horizon)
+        eps, valid = release_epsilon(expected, 0.1, 1e-3 / horizon)
         assert report.epsilons[release - 1] == pytest.approx(eps, rel=1e-12)
         assert bool(report.valid_steps[release - 1]) == valid
     eps, delta = compose_adaptive(
@@ -548,8 +556,9 @@ def test_curve_matches_per_horizon_reports(name, c):
             assert math.isinf(curve.delta[-1])
 
 
-# The scalar reference at every horizon: step_sensitivity -> gaussian_epsilon
-# -> compose_adaptive, with the delta budget split over the T releases.
+# The scalar reference at every horizon: one release at a time through the
+# sensitivity and the Gaussian mechanism, then compose_adaptive, with the
+# delta budget split over the T releases.
 @pytest.mark.parametrize(
     "name, c",
     [
@@ -568,14 +577,12 @@ def test_curve_matches_scalar_oracle_at_every_horizon(name, c):
     consts = SensitivityConstants.from_game(game, schedules)
     horizons = [1, 2, 3, 10, 57, 400, 1500, 10000]
     loss_bound = consts.clipped_loss_bound(2.0)
-    sens = [
-        step_sensitivity(consts, c, max(r - 2, 0), loss_bound) for r in range(1, horizons[-1] + 1)
-    ]
+    sens = [release_sensitivity(consts, c, r, loss_bound) for r in range(1, horizons[-1] + 1)]
     for sigma in (0.1, 0.3):
         curve = privacy_curve(consts, c, sigma, horizons, 2.0, 1e-3)
         for i, horizon in enumerate(horizons):
             step = 1e-3 / horizon
-            releases = [gaussian_epsilon(s, sigma, step) for s in sens[:horizon]]
+            releases = [release_epsilon(s, sigma, step) for s in sens[:horizon]]
             tail = tail_delta(sigma, 2.0, horizon, consts.total_paths)
             eps, delta = compose_adaptive([e for e, _ in releases], [step] * horizon, tail)
             assert curve.epsilon[i] == pytest.approx(eps, rel=1e-12, abs=0.0)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from privroute.dynamics import BregmanGeometry, LearningSchedule, smd_update
+from privroute.dynamics import BregmanGeometry, LearningSchedule
 from privroute.game import (
     build_game,
     edge_flows,
@@ -141,14 +141,15 @@ def loop_oracle(cfg, seed):
     """One run as a plain per-step, per-population loop (the engine's reference)."""
     game = cfg.game
     rng = np.random.default_rng(seed)
+    weights = game.path_weights()
     x = uniform_allocation(game)
     losses = path_losses(game, edge_flows(game, x))
     potentials, gaps, allocations, observed = [], [], [], []
     for t in range(cfg.horizon):
         loss_hat = losses + cfg.sigma * rng.standard_normal(losses.shape) if cfg.sigma else losses
         for k in range(game.num_populations):
-            geometry, schedule = cfg.geometries[k], cfg.schedules[k]
-            x[k] = smd_update(geometry, schedule, t, x[k], game.masses[k], loss_hat)
+            eta = cfg.schedules[k].rate(t)
+            x[k] = cfg.geometries[k].prox(x[k], weights[k] * loss_hat, eta)
         phi = edge_flows(game, x)
         losses = path_losses(game, phi)
         potentials.append(potential_from_flows(game, phi))
