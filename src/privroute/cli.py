@@ -60,13 +60,12 @@ def cmd_simulate(args) -> int:
     horizon = args.T if args.T is not None else sim_cfg["T"]
     runs = args.runs if args.runs is not None else sim_cfg["runs"]
     seed = args.seed if args.seed is not None else sim_cfg["seed"]
-    window = tuple(sim_cfg["slope_window"]) if "slope_window" in sim_cfg else None
     _check_distinct_names(sigmas, lambda s: f"ensemble_sigma_{_sigma_token(s)}.csv", "sigma")
 
     equilibrium = game.solve_equilibrium(inst)
     base = sim.SimulationConfig(
         game=inst, geometries=geometries, schedules=schedules, sigma=0.0,
-        horizon=int(horizon), runs=int(runs), seed=int(seed), slope_window=window,
+        horizon=int(horizon), runs=int(runs), seed=int(seed),
     )
     # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
     ensembles = sim.simulate_sweep(base, sigmas, sim.run_seeds(base.seed, base.runs), args.per_run)
@@ -127,9 +126,7 @@ def cmd_accountant(args) -> int:
     privacy_cfg = cfg["privacy"]
     inst = config.build_game_from_config(cfg)
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
-    if args.c is not None:
-        pairs = [(args.c, sigma) for sigma in sorted({sigma for _, sigma in pairs})]
-    spec = args.t_range or ":".join(map(str, privacy_cfg.get("T_range", [1, 200])))
+    spec = args.t_range or ":".join(str(int(v)) for v in privacy_cfg.get("T_range", [1, 200]))
     horizons = _parse_t_range(spec)
     _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
@@ -206,7 +203,7 @@ def cmd_constants(args) -> int:
 def cmd_equilibrium(args) -> int:
     cfg = config.load_config(args.config)
     inst = config.build_game_from_config(cfg)
-    eq = game.solve_equilibrium(inst, tol=args.tol)
+    eq = game.solve_equilibrium(inst)
     if args.json:
         payload = {
             "f_star": eq.potential,
@@ -233,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: --c would otherwise be read as --config.
 
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
+    p_sim = sub.add_parser("simulate", help="run the Monte Carlo experiment", allow_abbrev=False)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--sigma", type=float, help="override the config noise level")
     p_sim.add_argument("--runs", type=int, help="override the Monte Carlo run count")
@@ -246,22 +244,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: the working directory)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_acc = sub.add_parser("accountant", help="tabulate (epsilon, delta) against T")
+    p_acc = sub.add_parser("accountant", help="tabulate (epsilon, delta) against T",
+                           allow_abbrev=False)
     p_acc.add_argument("--config", required=True)
     p_acc.add_argument("--T-range", dest="t_range", help="start:stop[:step]")
-    p_acc.add_argument("--c", type=float, help="override the adjacency radius")
     p_acc.add_argument("--out", default=".",
                        help="output directory (default: the working directory)")
     p_acc.set_defaults(func=cmd_accountant)
 
-    p_const = sub.add_parser("constants", help="print the sensitivity constants")
+    p_const = sub.add_parser("constants", help="print the sensitivity constants",
+                             allow_abbrev=False)
     p_const.add_argument("--config", required=True)
     p_const.add_argument("--json", action="store_true")
     p_const.set_defaults(func=cmd_constants)
 
-    p_eq = sub.add_parser("equilibrium", help="solve for the equilibrium allocation")
+    p_eq = sub.add_parser("equilibrium", help="solve for the equilibrium allocation",
+                          allow_abbrev=False)
     p_eq.add_argument("--config", required=True)
-    p_eq.add_argument("--tol", type=float, default=game.EQUILIBRIUM_TOL)
     p_eq.add_argument("--json", action="store_true")
     p_eq.set_defaults(func=cmd_equilibrium)
     return parser

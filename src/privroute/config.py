@@ -83,12 +83,6 @@ _SIMULATION_SCHEMA = {
         "runs": {"type": "integer", "minimum": 1},
         "sigma": _NUMBER_OR_LIST,
         "seed": {"type": "integer", "minimum": 0},
-        "slope_window": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 2,
-            "maxItems": 2,
-        },
     },
 }
 
@@ -120,7 +114,6 @@ EXPERIMENT_SCHEMA = {
         "edge_costs": {"type": "array", "items": _COST_SCHEMA},
         "populations": {"type": "array", "items": _POPULATION_SCHEMA, "minItems": 1},
         "mass_bound": {"type": "number", "minimum": 0},
-        "max_paths_per_od": {"type": "integer", "minimum": 1},
         "simulation": _SIMULATION_SCHEMA,
         "privacy": _PRIVACY_SCHEMA,
     },
@@ -260,13 +253,7 @@ def build_game_from_config(cfg: dict) -> GameInstance:
     network = build_network(cfg["network"])
     costs = [entry["affine"] for entry in cfg["edge_costs"]]
     masses = np.array([pop["theta"] for pop in cfg["populations"]], dtype=float)
-    return build_game(
-        network,
-        costs,
-        masses,
-        mass_bound=cfg.get("mass_bound"),
-        max_paths_per_od=cfg.get("max_paths_per_od"),
-    )
+    return build_game(network, costs, masses, mass_bound=cfg.get("mass_bound"))
 
 
 def build_dynamics_from_config(

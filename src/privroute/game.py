@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DEFAULT_PATH_CAP, Network, PathSet, block_slices, enumerate_paths
+from .network import Network, PathSet, block_slices, enumerate_paths
 
 __all__ = [
     "EQUILIBRIUM_TOL",
@@ -84,23 +84,13 @@ def _float_array(values, name: str, layout: str) -> np.ndarray:
                          "non-numeric input") from None
 
 
-def build_game(
-    network: Network,
-    costs,
-    masses,
-    mass_bound: float | None = None,
-    paths: PathSet | None = None,
-    max_paths_per_od: int | None = None,
-) -> GameInstance:
-    """Assemble and validate a :class:`GameInstance`.
+def build_game(network: Network, costs, masses, mass_bound: float | None = None) -> GameInstance:
+    """Assemble and validate a :class:`GameInstance` over every simple path of ``network``.
 
     ``costs`` holds one ``[slope, intercept]`` row per edge, both finite and
     nonnegative.  No mass entry may exceed ``mass_bound``, which defaults to the largest.
     """
-    if paths is None:
-        paths = enumerate_paths(network, max_paths_per_od or DEFAULT_PATH_CAP)
-    elif paths.network != network:
-        raise ValueError("paths were enumerated on another network than the game's")
+    paths = enumerate_paths(network)
     costs = _float_array(costs, "costs", f"{network.num_edges} [slope, intercept] rows")
     if costs.shape != (network.num_edges, 2):
         raise ValueError(

@@ -115,12 +115,12 @@ class PathSet:
         return sum(self.block_sizes)
 
 
-def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) -> PathSet:
+def enumerate_paths(network: Network) -> PathSet:
     """Enumerate every simple path of every OD pair by depth-first search.
 
     Paths visit no node twice and are emitted in lexicographic order of
     their edge-index sequences.  Raises :class:`NetworkError` on an OD pair
-    with no connecting path and on one with more than ``max_paths_per_od``
+    with no connecting path and on one with more than ``DEFAULT_PATH_CAP``
     simple paths, instead of truncating.
     """
     out: dict[str, list[tuple[int, str]]] = {v: [] for v in network.nodes}
@@ -137,10 +137,10 @@ def enumerate_paths(network: Network, max_paths_per_od: int = DEFAULT_PATH_CAP) 
         def walk(node: str) -> None:
             if node == dest:
                 found.append(tuple(prefix))
-                if len(found) > max_paths_per_od:
+                if len(found) > DEFAULT_PATH_CAP:
                     raise NetworkError(
                         f"OD pair ({origin}, {dest}) has more than "
-                        f"{max_paths_per_od} simple paths; raise the cap explicitly"
+                        f"{DEFAULT_PATH_CAP} simple paths"
                     )
                 return
             # Step only into nodes that still reach ``dest`` around the nodes on

@@ -163,8 +163,6 @@ def _epsilons(sensitivities, sigma: float, delta_steps):
     ``sigma >= sqrt(2 ln(1.25 / delta)) * d / epsilon`` allows; it is flagged
     invalid outside (0, 1), where the calibration is not known to hold.
     """
-    if sigma <= 0:
-        raise ValueError("noise standard deviation must be positive")
     with np.errstate(over="ignore"):
         ratio = np.divide(1.25, delta_steps)
     # The quotient overflows once delta falls below about 7e-309; its log does not.
@@ -180,7 +178,7 @@ def tail_delta(sigma: float, clip: float, n_steps: int, n_paths: int) -> float:
     Equals ``1 - (1 - 2 exp(-clip^2 / 2 sigma^2))^(n_steps * n_paths)``,
     evaluated in the log domain so astronomically small masses survive.
     """
-    if clip <= 0 or sigma <= 0:
+    if not (clip > 0 and sigma > 0):
         raise ValueError("clip level and noise std must be positive")
     if n_steps < 0 or n_paths < 0:
         raise ValueError("counts must be nonnegative")
@@ -368,6 +366,11 @@ def privacy_curve(
     horizons = np.asarray(horizons, dtype=np.int64)
     if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
         raise ValueError("horizons must be a nonempty list of positive release counts")
+    for what, name, value in [("noise standard deviation", "sigma", sigma),
+                              ("clip level", "clip", clip),
+                              ("delta budget", "delta_budget", delta_budget)]:
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{what} must be positive and finite, got {name} = {value!r}")
     t_max = int(horizons.max())
     loss_dual_bound = consts.clipped_loss_bound(clip)
     steps = delta_budget / horizons

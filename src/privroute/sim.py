@@ -38,8 +38,6 @@ class SimulationConfig:
 
     ``sigma = 0`` runs the deterministic dynamics.  Each run draws one
     noise vector per iteration, observed identically by all populations.
-    ``slope_window`` bounds the iterations used for the log-log rate fit
-    and defaults to the last three quarters of the horizon.
     """
 
     game: GameInstance
@@ -49,7 +47,6 @@ class SimulationConfig:
     horizon: int
     runs: int
     seed: int
-    slope_window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         k = self.game.num_populations
@@ -216,7 +213,7 @@ def monte_carlo(
         raise ValueError(f"expected {cfg.runs} run records, got {len(f_runs)}")
 
     iterations = np.arange(1, cfg.horizon + 1)
-    window = cfg.slope_window or (max(1, cfg.horizon // 4), cfg.horizon)
+    window = (max(1, cfg.horizon // 4), cfg.horizon)  # the last three quarters
     f_mean = f_runs.mean(axis=0)
     slope = fit_loglog_slope(iterations, f_mean - equilibrium.potential, window)
     return EnsembleStats(

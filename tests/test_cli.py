@@ -16,8 +16,9 @@ from jsonschema import Draft202012Validator
 
 from privroute import cli
 from privroute.cli import main
-from privroute.game import solve_equilibrium
-from privroute.config import EXPERIMENT_SCHEMA, ConfigError, load_config, privacy_pairs
+from privroute.game import EQUILIBRIUM_TOL, solve_equilibrium
+from privroute.config import EXPERIMENT_SCHEMA, ConfigError, build_game_from_config, load_config
+from privroute.config import privacy_pairs
 
 from conftest import CONFIG_DIR, REPO_ROOT
 
@@ -276,15 +277,11 @@ def test_simulate_huge_sigma_gives_infinite_bound(tmp_path):
 
 
 def test_failing_simulate_writes_nothing(tmp_path, capsys):
-    # A schema-valid window past the horizon fails only in the slope fit, after every run.
-    cfg = json.loads(PIGOU.read_text())
-    cfg["simulation"]["slope_window"] = [300, 400]
-    path = tmp_path / "late_window.json"
-    path.write_text(json.dumps(cfg))
+    # One iteration is too few for the slope fit, which fails only after every run.
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--per-run", "--out", str(out)]) == 1
+    assert main(["simulate", "--config", str(PIGOU), "--T", "1", "--per-run", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: slope window (300, 400)") and err.count("\n") == 1
+    assert err.startswith("error: slope window (1, 1)") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -417,7 +414,7 @@ def test_accountant_curves(tmp_path):
 
 
 def test_accountant_writes_full_report_json(tmp_path):
-    from privroute.config import build_dynamics_from_config, build_game_from_config
+    from privroute.config import build_dynamics_from_config
     from privroute.privacy import privacy_report
 
     code = main(
@@ -461,13 +458,18 @@ def test_accountant_writes_full_report_json(tmp_path):
     assert long_path.stat().st_size < 2048
 
 
+def with_radius(tmp_path, config, c):
+    """A copy of ``config`` whose privacy block has the one adjacency radius ``c``."""
+    cfg = json.loads(config.read_text())
+    cfg["privacy"]["c_adj"] = c
+    path = tmp_path / "radius.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_accountant_zero_radius(tmp_path):
-    code = main(
-        [
-            "accountant", "--config", str(PIGOU), "--c", "0",
-            "--T-range", "1:3", "--out", str(tmp_path),
-        ]
-    )
+    path = with_radius(tmp_path, PIGOU, 0)
+    code = main(["accountant", "--config", str(path), "--T-range", "1:3", "--out", str(tmp_path)])
     assert code == 0
     with open(tmp_path / "accountant.csv", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -475,7 +477,7 @@ def test_accountant_zero_radius(tmp_path):
 
 
 def test_accountant_single_step_equals_mechanism(tmp_path):
-    from privroute.config import build_dynamics_from_config, build_game_from_config
+    from privroute.config import build_dynamics_from_config
     from privroute.privacy import privacy_report
 
     code = main(
@@ -501,12 +503,9 @@ def test_accountant_single_step_equals_mechanism(tmp_path):
 
 def test_accountant_overflowing_composition_is_trivial(tmp_path):
     # At c = 1e-2 the summed epsilon passes 709, where exp(suffix) overflows.
-    code = main(
-        [
-            "accountant", "--config", str(TWO_OD), "--c", "1e-2",
-            "--T-range", "1:1001:500", "--out", str(tmp_path),
-        ]
-    )
+    path = with_radius(tmp_path, TWO_OD, 1e-2)
+    code = main(["accountant", "--config", str(path), "--T-range", "1:1001:500",
+                 "--out", str(tmp_path)])
     assert code == 0
     with open(tmp_path / "accountant.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
@@ -531,6 +530,21 @@ def test_accountant_reversed_config_t_range_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "accountant.csv").exists()
 
 
+def test_accountant_integral_float_config_t_range(tmp_path, capsys):
+    # JSON Schema counts 1.0 as an integer, so the range is read as 1:10:3.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["privacy"]["T_range"] = [1.0, 10.0, 3.0]
+    path = tmp_path / "float_range.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "accountant.csv", newline="") as handle:
+        assert [row["T"] for row in csv.DictReader(handle)] == ["1", "4", "7", "10"]
+    manifest = json.loads((out / "accountant_manifest.json").read_text())
+    assert manifest["effective"]["T_range"] == [1, 10, 3]
+
+
 @pytest.mark.parametrize("spec", ["x:5", "1:5:2:3", "0:5", "3:4:0"])
 def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, spec):
     code = main(["accountant", "--config", str(PIGOU), "--T-range", spec, "--out", str(tmp_path)])
@@ -540,23 +554,29 @@ def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, spec):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("radius", ["-1", "nan"])
+@pytest.mark.parametrize("radius", [-1, math.nan], ids=["-1", "nan"])
 def test_accountant_bad_radius_is_one_line_error(tmp_path, capsys, radius):
-    code = main(["accountant", "--config", str(PIGOU), "--c", radius, "--out", str(tmp_path)])
-    assert code == 1
+    # The config is the one source of radii; privacy_curve's own rule is tested in test_privacy.
+    path = with_radius(tmp_path, PIGOU, radius)
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "radius" in err
+    assert err.startswith("error: config invalid at privacy/c_adj: ")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_failing_accountant_leaves_earlier_output_alone(tmp_path, capsys):
-    earlier = tmp_path / "accountant.csv"
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = out / "accountant.csv"
     earlier.write_text("c,sigma,T,epsilon,delta,valid\n0.001,0.1,1,0.5,0.001,1\n")
     before = earlier.read_bytes()
-    assert main(["accountant", "--config", str(PIGOU), "--c", "-1", "--out", str(tmp_path)]) == 1
+    path = with_radius(tmp_path, PIGOU, 1e308)
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("\n") == 1
     assert earlier.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["accountant.csv"]
+    assert [p.name for p in out.iterdir()] == ["accountant.csv"]
 
 
 @pytest.mark.parametrize("radius, spec", [("1e308", "1:50:10"), ("1e304", "1:5000:10")],
@@ -564,10 +584,10 @@ def test_failing_accountant_leaves_earlier_output_alone(tmp_path, capsys):
 def test_accountant_overflowing_radius_is_one_line_error(tmp_path, capsys, radius, spec):
     # At 1e308 every sensitivity overflows; at 1e304 only the composed epsilon at T = 5000 does.
     out = tmp_path / "out"
+    path = with_radius(tmp_path, PIGOU, float(radius))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["accountant", "--config", str(PIGOU), "--c", radius, "--T-range", spec,
-                     "--out", str(out)])
+        code = main(["accountant", "--config", str(path), "--T-range", spec, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: epsilon overflows at c = {float(radius)!r}, sigma = 0.1\n"
@@ -597,18 +617,18 @@ def test_accountant_tiny_per_release_delta_stays_finite(tmp_path, capsys):
     assert all(math.isfinite(float(row[key])) for row in rows for key in ("epsilon", "delta"))
 
 
-@pytest.mark.parametrize("extra", [[], ["--c", "0"]], ids=["shipped-radius", "zero-radius"])
-def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, extra):
+@pytest.mark.parametrize("radius", [1e-3, 0], ids=["shipped-radius", "zero-radius"])
+def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, radius):
     # 2 * sigma**2 underflows to 0 at sigma = 1e-200; so does the tail mass.
     cfg = json.loads(PIGOU.read_text())
     cfg["privacy"]["sigma"] = 1e-200
+    cfg["privacy"]["c_adj"] = radius
     path = tmp_path / "tiny_sigma.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["accountant", "--config", str(path), "--T-range", "1:5", *extra,
-                     "--out", str(out)])
+        code = main(["accountant", "--config", str(path), "--T-range", "1:5", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().err == ""
     with open(out / "accountant.csv", newline="") as handle:
@@ -616,7 +636,7 @@ def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, extra):
     epsilons = [float(row["epsilon"]) for row in rows]
     deltas = [float(row["delta"]) for row in rows]
     assert len(rows) == 5 and all(row["valid"] == "0" for row in rows)
-    if extra:
+    if radius == 0:
         assert epsilons == [0.0] * 5 and max(deltas) < 1.0
     else:
         assert all(1.0 < e < math.inf for e in epsilons)
@@ -636,19 +656,18 @@ def test_accountant_per_release_delta_underflow_is_one_line_error(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [[], ["--c", "1e-3"], ["--c", "0"]],
+    "radius",
+    [None, 1e-3, 0],
     ids=["shipped", "invalid-first-release", "zero-radius"],
 )
-def test_accountant_manifest_diagnostics_match_csv(tmp_path, extra):
-    code = main(
-        ["accountant", "--config", str(TWO_OD), "--T-range", "1:10000:50",
-         "--out", str(tmp_path), *extra]
-    )
+def test_accountant_manifest_diagnostics_match_csv(tmp_path, radius):
+    path = TWO_OD if radius is None else with_radius(tmp_path, TWO_OD, radius)
+    out = tmp_path / "out"
+    code = main(["accountant", "--config", str(path), "--T-range", "1:10000:50", "--out", str(out)])
     assert code == 0
-    with open(tmp_path / "accountant.csv", newline="") as handle:
+    with open(out / "accountant.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    manifest = json.loads((tmp_path / "accountant_manifest.json").read_text())
+    manifest = json.loads((out / "accountant_manifest.json").read_text())
     diagnostics = manifest["diagnostics"]
     assert [[d["c"], d["sigma"]] for d in diagnostics] == manifest["effective"]["pairs"]
     for diag in diagnostics:
@@ -668,10 +687,10 @@ def test_accountant_manifest_diagnostics_match_csv(tmp_path, extra):
             assert first(lambda r: r["valid"] == "0" and float(r["delta"]) < 1.0) == invalid
     by_case = {(d["first_invalid_release_T"], d["first_trivial_T"]) for d in diagnostics}
     expected = {
-        "": {(None, 8451), (None, 2201)},
-        "1e-3": {(1, 51), (51, 51)},
-        "0": {(1, None)},
-    }[extra[1] if extra else ""]
+        None: {(None, 8451), (None, 2201)},
+        1e-3: {(1, 51), (51, 51)},
+        0: {(1, None)},
+    }[radius]
     assert by_case == expected
 
 
@@ -739,18 +758,20 @@ def test_constants_constant_costs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_equilibrium_bad_tolerance_fails_fast(capsys, tol):
+def test_equilibrium_bad_tolerance_fails_fast(tol):
+    # The command solves to EQUILIBRIUM_TOL; a library caller may pass its own tolerance.
+    inst = build_game_from_config(load_config(PIGOU))
     start = time.perf_counter()
-    assert main(["equilibrium", "--config", str(PIGOU), "--tol", tol]) == 1
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        solve_equilibrium(inst, tol=float(tol))
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
 def test_equilibrium_command(capsys):
-    assert main(["equilibrium", "--config", str(PIGOU), "--tol", "1e-6", "--json"]) == 0
+    assert main(["equilibrium", "--config", str(PIGOU), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["f_star"] == pytest.approx(0.5, abs=1e-4)
-    assert payload["gap"] <= 1e-6
+    assert payload["gap"] <= EQUILIBRIUM_TOL
 
 
 def test_simulate_writes_into_the_working_directory_by_default(tmp_path, monkeypatch):
@@ -778,6 +799,47 @@ def test_config_output_dir_is_one_line_error(tmp_path, monkeypatch, capsys, comm
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize(
+    "command, removed",
+    [
+        ("simulate", ("simulation", "slope_window")),
+        ("equilibrium", ("simulation", "slope_window")),
+        ("simulate", ("max_paths_per_od",)),
+        ("equilibrium", ("max_paths_per_od",)),
+        ("equilibrium", "--tol"),
+        ("accountant", "--c"),
+    ],
+    ids=["simulate-slope_window", "equilibrium-slope_window", "simulate-max_paths_per_od",
+         "equilibrium-max_paths_per_od", "equilibrium--tol", "accountant--c"],
+)
+def test_removed_settings_are_rejected(tmp_path, capsys, command, removed):
+    # A removed setting is refused, not ignored.
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command != "equilibrium" else []
+    if isinstance(removed, str):
+        with pytest.raises(SystemExit) as info:
+            # Before --config, an abbreviation of it would be overridden without a word.
+            main([command, removed, "0", "--config", str(PIGOU), *args])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {removed} 0" in capsys.readouterr().err
+    else:
+        cfg = json.loads(PIGOU.read_text())
+        *parents, key = removed
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = {"slope_window": [50, 200], "max_paths_per_od": 10}[key]
+        path = tmp_path / "removed.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), *args]) == 2
+        location = "/".join(parents) or "document root"
+        assert capsys.readouterr().err == (
+            f"error: config invalid at {location}: "
+            f"additional properties are not allowed ({key!r})\n"
+        )
+    assert not out.exists()
+
+
 def loaded_modules(probe: str, *args: str) -> set[str]:
     """The ``privroute.*`` modules a fresh interpreter holds after running ``probe``."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
@@ -795,7 +857,7 @@ def loaded_modules(probe: str, *args: str) -> set[str]:
         ("simulate", ["--T", "5", "--runs", "1"], {"sim"}),
         ("accountant", ["--T-range", "1:5"], {"privacy", "sim"}),
         ("constants", [], {"privacy"}),
-        ("equilibrium", ["--tol", "1e-4"], set()),
+        ("equilibrium", [], set()),
     ],
     ids=["simulate", "accountant", "constants", "equilibrium"],
 )

@@ -41,9 +41,8 @@ MUTATIONS = [
     ("two_od", ("simulation", "T"), INF),
     ("two_od", ("simulation", "seed"), -0.0),
     ("two_od", ("simulation", "seed"), 2**70),
-    ("two_od", ("max_paths_per_od",), 3),
-    ("two_od", ("max_paths_per_od",), 0),
-    ("two_od", ("max_paths_per_od",), False),
+    ("two_od", ("simulation", "runs"), 3),
+    ("two_od", ("simulation", "runs"), False),
     # number
     ("two_od", ("populations", 0, "theta", 1), True),
     ("two_od", ("populations", 0, "theta", 1), NAN),
@@ -57,8 +56,9 @@ MUTATIONS = [
     ("two_od", ("edge_costs", 0, "affine", 0), -1e-300),
     ("two_od", ("edge_costs", 0, "affine", 0), 0.0),
     ("two_od", ("simulation", "runs"), 0),
+    ("two_od", ("simulation", "T"), 0),
     ("two_od", ("privacy", "T_range", 0), 0),
-    ("two_od", ("simulation", "slope_window"), [1, 0]),
+    ("two_od", ("privacy", "T_range"), [1, 0]),
     # exclusiveMinimum
     ("two_od", ("populations", 0, "c_k"), 0),
     ("two_od", ("populations", 0, "c_k"), -0.0),
@@ -107,6 +107,13 @@ MUTATIONS = [
     ("two_od", ("simulation", "sigmas"), [0.1]),
     ("pigou", ("privacy", "epsilon"), 1.0),
     ("pigou", ("privacy", "line\nbreak"), 1.0),
+    # settings that were removed
+    ("two_od", ("max_paths_per_od",), 3),
+    ("two_od", ("max_paths_per_od",), 0),
+    ("two_od", ("max_paths_per_od",), False),
+    ("two_od", ("simulation", "slope_window"), [1, 0]),
+    ("two_od", ("simulation", "slope_window"), [10, 100]),
+    ("two_od", ("simulation", "slope_window"), [10, 100, 150]),
     # items
     ("two_od", ("network", "nodes"), ["v0", "v1", "v2", "v3", "v4", "v5", 6]),
     ("two_od", ("network", "od_pairs", 1), ["v1", None]),
@@ -123,8 +130,7 @@ MUTATIONS = [
     ("two_od", ("privacy", "T_range"), [1]),
     ("two_od", ("privacy", "T_range"), [1, 10]),
     ("two_od", ("privacy", "T_range"), [1, 10, 2, 3]),
-    ("two_od", ("simulation", "slope_window"), [10, 100]),
-    ("two_od", ("simulation", "slope_window"), [10, 100, 150]),
+    ("two_od", ("network", "od_pairs", 0), ["v0", "v2", "v3"]),
 ]
 
 

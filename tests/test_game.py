@@ -20,7 +20,7 @@ from privroute.game import (
     solve_equilibrium,
     uniform_allocation,
 )
-from privroute.network import block_slices, build_network, enumerate_paths
+from privroute.network import block_slices, build_network
 
 from conftest import (
     REPO_ROOT,
@@ -67,7 +67,6 @@ def test_edge_flows_linear_in_allocation_and_mass(standin_game):
         standin_game.costs,
         2.0 * standin_game.masses,
         mass_bound=2.0 * standin_game.mass_bound,
-        paths=standin_game.paths,
     )
     np.testing.assert_allclose(
         edge_flows(doubled, x), 2.0 * edge_flows(standin_game, x), rtol=1e-12
@@ -140,7 +139,6 @@ def test_gradient_zero_mass_population(standin_game):
         standin_game.network,
         standin_game.costs,
         np.array([[1.0, 0.5], [0.0, 0.0]]),
-        paths=standin_game.paths,
     )
     x = uniform_allocation(game)
     grad = potential_gradient(game, x)
@@ -383,16 +381,3 @@ def test_equilibrium_beats_every_vertex(standin_game):
 
 def test_gradient_smoothness_pigou(pigou_game):
     assert gradient_smoothness(pigou_game) == pytest.approx(1.0)
-
-
-def test_build_game_rejects_paths_of_another_network():
-    spec = {"nodes": ["s", "m", "t"], "edges": [["s", "t"], ["s", "m"], ["m", "t"]],
-            "od_pairs": [["s", "t"]]}
-    net = build_network(spec)
-    # The same nodes with the edges in another order: path (0, 1) would read s->t, s->m here.
-    other = build_network(spec | {"edges": [["s", "m"], ["m", "t"], ["s", "t"]]})
-    costs = [[1.0, 0.0], [0.0, 0.5], [0.0, 0.5]]
-    with pytest.raises(ValueError, match="another network"):
-        build_game(net, costs, [[1.0]], paths=enumerate_paths(other))
-    same = build_game(net, costs, [[1.0]], paths=enumerate_paths(build_network(spec)))
-    assert same.paths.paths == enumerate_paths(net).paths

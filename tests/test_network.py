@@ -134,18 +134,6 @@ def test_dense_dead_ends_are_not_walked(n, dest_tail):
     assert time.perf_counter() - start < 1.0
 
 
-def test_path_cap_errors_instead_of_truncating():
-    # A 2x3 grid-ish graph with many parallel routes.
-    spec = {
-        "nodes": ["s", "a", "b", "t"],
-        "edges": [["s", "a"], ["s", "b"], ["a", "b"], ["b", "a"], ["a", "t"], ["b", "t"]],
-        "od_pairs": [["s", "t"]],
-    }
-    net = build_network(spec)
-    with pytest.raises(NetworkError, match="more than 2 simple paths"):
-        enumerate_paths(net, max_paths_per_od=2)
-
-
 def test_column_sums_equal_path_lengths(standin_game):
     paths = standin_game.paths
     assert paths.incidence.shape == (paths.network.num_edges, paths.total_paths)

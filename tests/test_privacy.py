@@ -248,9 +248,7 @@ def flow_shift_trial(rng):
     theta_b[k_star] = np.clip(theta_b[k_star] + shift, 0.0, game.mass_bound)
     actual_radius = float(np.max(np.abs(theta_b[k_star] - game.masses[k_star])))
 
-    game_b = build_game(
-        game.network, game.costs, theta_b, mass_bound=game.mass_bound, paths=game.paths
-    )
+    game_b = build_game(game.network, game.costs, theta_b, mass_bound=game.mass_bound)
     scaled_a = np.repeat(game.masses, sizes, axis=1) * loss[None, :]
     scaled_b = np.repeat(theta_b, sizes, axis=1) * loss[None, :]
     x_a = np.array([geom.prox(x[k], scaled_a[k], eta) for k in range(game.num_populations)])
@@ -511,16 +509,9 @@ def test_report_monotonicities(standin_game, standin_dynamics):
 
 def test_report_requires_radius(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
-    game = build_game(
-        standin_game.network,
-        standin_game.costs,
-        standin_game.masses,
-        mass_bound=standin_game.mass_bound,
-        paths=standin_game.paths,
-    )
     missing = "missing 1 required keyword-only argument: 'adjacency_radius'"
     with pytest.raises(TypeError, match=missing):
-        privacy_report(game, schedules, sigma=0.1, horizon=5)
+        privacy_report(standin_game, schedules, sigma=0.1, horizon=5)
 
 
 @pytest.mark.parametrize(
@@ -598,3 +589,33 @@ def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
     for horizons in ([], [0, 5], [[1, 2]]):
         with pytest.raises(ValueError, match="horizons"):
             privacy_curve(consts, 1e-6, 0.1, horizons)
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("sigma", 0.0), ("sigma", -0.1), ("sigma", math.nan), ("sigma", math.inf),
+        ("clip", 0.0), ("clip", math.nan), ("clip", math.inf),
+        ("delta_budget", -1e-3), ("delta_budget", 0.0), ("delta_budget", math.nan),
+        ("delta_budget", math.inf),
+    ],
+)
+def test_curve_rejects_bad_settings(pigou_game, setting, value):
+    # Each is refused at the entry, by name, before it can read as an overflow.
+    what = {"sigma": "noise standard deviation", "clip": "clip level",
+            "delta_budget": "delta budget"}[setting]
+    args = {"c": 1e-3, "sigma": 0.1, "clip": 2.0, "delta_budget": 1e-3} | {setting: value}
+    with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got {setting} = "):
+        privacy_curve(constants(pigou_game), horizons=[5], **args)
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_curve_rejects_bad_radius(pigou_game, radius):
+    with pytest.raises(ValueError, match="adjacency radius must be finite and nonnegative"):
+        privacy_curve(constants(pigou_game), radius, 0.1, [5])
+
+
+@pytest.mark.parametrize("sigma, clip", [(math.nan, 2.0), (1.0, math.nan)])
+def test_tail_delta_rejects_nan(sigma, clip):
+    with pytest.raises(ValueError, match="must be positive"):
+        tail_delta(sigma, clip, 5, 2)
