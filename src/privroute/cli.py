@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import sys
@@ -50,26 +49,25 @@ def cmd_simulate(args) -> int:
     from . import sim
 
     cfg = config.load_config(args.config)
-    sim_cfg = cfg.get("simulation")
-    if sim_cfg is None:
+    if "simulation" not in cfg:
         raise config.ConfigError("config has no simulation block")
+    # The flags that are set replace their config values and meet the same schema.
+    flags = {"sigma": args.sigma, "T": args.T, "runs": args.runs, "seed": args.seed}
+    block = cfg["simulation"] | {k: v for k, v in flags.items() if v is not None}
+    config.validate_config(cfg | {"simulation": block})
     inst = config.build_game_from_config(cfg)
     geometries, schedules = config.build_dynamics_from_config(cfg, inst.paths)
 
-    sigmas = [args.sigma] if args.sigma is not None else np.atleast_1d(sim_cfg["sigma"]).tolist()
-    horizon = args.T if args.T is not None else sim_cfg["T"]
-    runs = args.runs if args.runs is not None else sim_cfg["runs"]
-    seed = args.seed if args.seed is not None else sim_cfg["seed"]
+    sigmas = np.atleast_1d(block["sigma"]).tolist()
     _check_distinct_names(sigmas, lambda s: f"ensemble_sigma_{_sigma_token(s)}.csv", "sigma")
 
     equilibrium = game.solve_equilibrium(inst)
-    base = sim.SimulationConfig(
-        game=inst, geometries=geometries, schedules=schedules, sigma=0.0,
-        horizon=int(horizon), runs=int(runs), seed=int(seed),
-    )
+    # int() because the schema also accepts integral floats such as 20.0.
+    horizon, runs, seed = (int(block[key]) for key in ("T", "runs", "seed"))
+    run_cfgs = [sim.SimulationConfig(inst, geometries, schedules, float(sigma), horizon, runs, seed)
+                for sigma in sigmas]
     # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
-    ensembles = sim.simulate_sweep(base, sigmas, sim.run_seeds(base.seed, base.runs), args.per_run)
-    run_cfgs = [dataclasses.replace(base, sigma=float(sigma)) for sigma in sigmas]
+    ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs), args.per_run)
     results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
     bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
 
@@ -88,13 +86,13 @@ def cmd_simulate(args) -> int:
             effective={"sigma": run.sigma, "T": run.horizon, "runs": run.runs, "seed": run.seed},
             seeding={"master_seed": run.seed,
                      "rule": "numpy SeedSequence(master_seed).spawn(runs)"},
-            results=sim.stats_summary(stats),
+            results=sim.stats_summary(run, stats),
             checks={"suboptimality_bound": bound},
         )
         sim.write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
         print(
             f"sigma={run.sigma:g}: slope={stats.slope:.4f} "
-            f"terminal_f_mean={stats.f_mean[-1]:.6f} f_star={stats.f_star:.6f} "
+            f"terminal_f_mean={stats.f_mean[-1]:.6f} f_star={stats.equilibrium.potential:.6f} "
             f"bound_ok={bound['ok']}"
         )
     return 0 if all(bound["ok"] for bound in bounds) else 1
@@ -130,11 +128,11 @@ def cmd_accountant(args) -> int:
     horizons = _parse_t_range(spec)
     _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
-    # privacy_curve's own defaults stand in for the keys the config leaves out.
-    keys = {"a": "clip", "delta_budget": "delta_budget"}
-    settings = {arg: privacy_cfg[key] for key, arg in keys.items() if key in privacy_cfg}
+    # float(), so the manifest records an integer "a": 2 as 2.0, as the reports do.
+    clip = float(privacy_cfg.get("a", privacy.DEFAULT_CLIP))
+    delta_budget = float(privacy_cfg.get("delta_budget", privacy.DEFAULT_DELTA_BUDGET))
     constants = privacy.SensitivityConstants.from_game(inst, schedules)
-    curves = [privacy.privacy_curve(constants, c, sigma, horizons, **settings)
+    curves = [privacy.privacy_curve(constants, c, sigma, horizons, clip, delta_budget)
               for c, sigma in pairs]
 
     outdir = Path(args.out)
@@ -148,14 +146,13 @@ def cmd_accountant(args) -> int:
     ))
     for (c, sigma), curve in zip(pairs, curves):
         sim.write_manifest(outdir / _report_name(c, sigma), curve.report.to_dict())
-    used = curves[0].report  # every pair shares the settings
     manifest = _manifest(
         "accountant", cfg,
         effective={
             "pairs": [[c, s] for c, s in pairs],
             "T_range": [horizons.start, horizons.stop - 1, horizons.step],
-            "a": used.clip,
-            "delta_budget": used.delta_budget,
+            "a": clip,
+            "delta_budget": delta_budget,
         },
         diagnostics=[{"c": c, "sigma": sigma, **curve.diagnostics()}
                      for (c, sigma), curve in zip(pairs, curves)],

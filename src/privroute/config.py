@@ -79,7 +79,7 @@ _SIMULATION_SCHEMA = {
     "additionalProperties": False,
     "required": ["T", "runs", "sigma", "seed"],
     "properties": {
-        "T": {"type": "integer", "minimum": 1},
+        "T": {"type": "integer", "minimum": 2},  # the slope fit needs two iterations
         "runs": {"type": "integer", "minimum": 1},
         "sigma": _NUMBER_OR_LIST,
         "seed": {"type": "integer", "minimum": 0},

@@ -74,8 +74,8 @@ class LearningSchedule:
     bound additionally requires ``decay`` strictly inside (0, 1).
     """
 
-    scale: float = 1.0
-    decay: float = 0.5
+    scale: float
+    decay: float
 
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):

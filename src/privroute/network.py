@@ -101,7 +101,6 @@ class PathSet:
     ``p``, with the OD pairs' paths in order along the columns.
     """
 
-    network: Network
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     incidence: np.ndarray
 
@@ -169,4 +168,4 @@ def enumerate_paths(network: Network) -> PathSet:
     for p, path in enumerate(columns):
         incidence[list(path), p] = 1.0
     incidence.setflags(write=False)
-    return PathSet(network, tuple(all_paths), incidence)
+    return PathSet(tuple(all_paths), incidence)

@@ -35,6 +35,8 @@ from .game import GameInstance, loss_sup_bound
 from .network import block_slices
 
 __all__ = [
+    "DEFAULT_CLIP",
+    "DEFAULT_DELTA_BUDGET",
     "PrivacyCurve",
     "PrivacyReport",
     "SensitivityConstants",
@@ -45,6 +47,9 @@ __all__ = [
     "spectral_norm",
     "tail_delta",
 ]
+
+DEFAULT_CLIP = 2.0  # the noise level ``a`` each coordinate is conditioned to stay within
+DEFAULT_DELTA_BUDGET = 1e-3  # split uniformly over the releases
 
 
 def spectral_norm(matrix) -> float:
@@ -299,8 +304,8 @@ def privacy_report(
     schedules: Sequence[LearningSchedule],
     sigma: float,
     horizon: int,
-    clip: float = 2.0,
-    delta_budget: float = 1e-3,
+    clip: float = DEFAULT_CLIP,
+    delta_budget: float = DEFAULT_DELTA_BUDGET,
     *,
     adjacency_radius: float,
 ) -> PrivacyReport:
@@ -339,8 +344,8 @@ def privacy_curve(
     c: float,
     sigma: float,
     horizons,
-    clip: float = 2.0,
-    delta_budget: float = 1e-3,
+    clip: float = DEFAULT_CLIP,
+    delta_budget: float = DEFAULT_DELTA_BUDGET,
 ) -> PrivacyCurve:
     """Account ``T`` noisy loss releases at adjacency radius ``c``, for each ``T`` in ``horizons``.
 

@@ -74,25 +74,19 @@ class RunRecord:
     gaps: np.ndarray
     allocations: np.ndarray
     observed_losses: np.ndarray
-    seed: object
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
     """Per-iteration statistics across independent runs."""
 
-    iterations: np.ndarray
     f_mean: np.ndarray
     f_std: np.ndarray
     gap_mean: np.ndarray
     flow_mean: np.ndarray
-    f_star: float
     equilibrium: Equilibrium
     slope: float
     slope_window: tuple[int, int]
-    sigma: float
-    runs: int
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +120,9 @@ def simulate_sweep(
     kinds = np.array([g.kind for g in cfg.geometries])
     entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
     rates = np.array([[s.rate(t) for s in cfg.schedules] for t in range(T)])[..., None, None, None]
-    noise = np.zeros((T, 1, 1, 1))
-    if np.any(sigmas > 0):
-        noise = np.empty((T, P, 1, R))
-        for r, seed in enumerate(seeds):
-            noise[:, :, 0, r] = np.random.default_rng(seed).standard_normal((T, P))
+    noise = np.empty((T, P, 1, R))
+    for r, seed in enumerate(seeds):
+        noise[:, :, 0, r] = np.random.default_rng(seed).standard_normal((T, P))
     x = np.tile(game_ops.uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
     logits = np.log(x[entropic])
     potentials, gaps, flow_sum = np.empty((S, R, T)), np.empty((S, R, T)), np.empty((S, T, K, P))
@@ -159,8 +151,8 @@ def simulate_sweep(
             allocations[:, :, t] = x.transpose(2, 3, 0, 1)
             observed[:, :, t] = loss_hat.transpose(1, 2, 0)
     records = [
-        [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r], s)
-         for r, s in enumerate(seeds)] if keep_runs else None
+        [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r])
+         for r in range(R)] if keep_runs else None
         for i in range(S)
     ]
     return [EnsembleRuns(potentials[i], gaps[i], flow_sum[i], records[i]) for i in range(S)]
@@ -217,18 +209,13 @@ def monte_carlo(
     f_mean = f_runs.mean(axis=0)
     slope = fit_loglog_slope(iterations, f_mean - equilibrium.potential, window)
     return EnsembleStats(
-        iterations=iterations,
         f_mean=f_mean,
         f_std=f_runs.std(axis=0),
         gap_mean=records.gaps.mean(axis=0),
         flow_mean=records.flow_sum / cfg.runs,
-        f_star=equilibrium.potential,
         equilibrium=equilibrium,
         slope=slope,
         slope_window=window,
-        sigma=cfg.sigma,
-        runs=cfg.runs,
-        seed=cfg.seed,
     )
 
 
@@ -242,7 +229,7 @@ def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> di
     loss_sup = loss_sup_bound(cfg.game)
     noise_bound = cfg.game.total_paths * (loss_sup**2 + cfg.sigma * cfg.sigma)
     bound = suboptimality_bound(cfg.geometries, cfg.schedules, noise_bound, cfg.horizon)
-    realized = float(stats.f_mean[-1] - stats.f_star)
+    realized = float(stats.f_mean[-1] - stats.equilibrium.potential)
     return {
         "noise_bound": noise_bound,
         "bound": bound,
@@ -257,14 +244,13 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     Columns: ``t, f_mean, f_std, gap_mean`` then ``flow[k][p]`` for every
     population ``k`` and concatenated path index ``p``.
     """
-    _, n_pops, n_paths = stats.flow_mean.shape
+    horizon, n_pops, n_paths = stats.flow_mean.shape
     header = ["t", "f_mean", "f_std", "gap_mean"] + [
         f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)
     ]
     values = np.column_stack([stats.f_mean, stats.f_std, stats.gap_mean,
-                              stats.flow_mean.reshape(len(stats.iterations), -1)])
-    rows = zip(stats.iterations.tolist(), values.tolist())
-    write_csv(path, header, ([t, *row] for t, row in rows))
+                              stats.flow_mean.reshape(horizon, -1)])
+    write_csv(path, header, ([t, *row] for t, row in enumerate(values.tolist(), 1)))
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -302,13 +288,13 @@ def write_manifest(path, payload: dict) -> None:
         handle.write("\n")
 
 
-def stats_summary(stats: EnsembleStats) -> dict:
-    """Manifest-ready summary of an ensemble (no per-iteration arrays)."""
+def stats_summary(cfg: SimulationConfig, stats: EnsembleStats) -> dict:
+    """Manifest-ready summary of the ensemble ``cfg`` produced (no per-iteration arrays)."""
     return {
-        "sigma": stats.sigma,
-        "runs": stats.runs,
-        "seed": stats.seed,
-        "f_star": stats.f_star,
+        "sigma": cfg.sigma,
+        "runs": cfg.runs,
+        "seed": cfg.seed,
+        "f_star": stats.equilibrium.potential,
         "equilibrium_gap": stats.equilibrium.gap,
         "equilibrium_iterations": stats.equilibrium.iterations,
         "slope": stats.slope,

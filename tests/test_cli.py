@@ -277,12 +277,63 @@ def test_simulate_huge_sigma_gives_infinite_bound(tmp_path):
 
 
 def test_failing_simulate_writes_nothing(tmp_path, capsys):
-    # One iteration is too few for the slope fit, which fails only after every run.
+    # A noise level this loud overflows the observed losses partway through the runs.
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(PIGOU), "--T", "1", "--per-run", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: slope window (1, 1)") and err.count("\n") == 1
+    args = ["--sigma", "1e308", "--T", "50", "--per-run", "--out", str(out)]
+    assert main(["simulate", "--config", str(PIGOU), *args]) == 1
+    assert capsys.readouterr().err == "error: non-finite loss entries\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--T", "1", "1 is less than the minimum of 2"),
+        ("--T", "0", "0 is less than the minimum of 2"),
+        ("--runs", "0", "0 is less than the minimum of 1"),
+        ("--seed", "-1", "-1 is less than the minimum of 0"),
+        ("--sigma", "-1", "-1.0 is not valid under any of the given schemas"),
+    ],
+    ids=["T-1", "T-0", "runs-0", "seed--1", "sigma--1"],
+)
+def test_bad_simulate_flag_fails_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
+                                                 message):
+    # A flag meets the schema like the config value it replaces, before the game is solved.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved the equilibrium for a config the schema refuses")
+
+    monkeypatch.setattr(cli.game, "solve_equilibrium", unreachable)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(PIGOU), flag, value, "--out", str(out)]) == 2
+    location = f"simulation/{flag.removeprefix('--')}"
+    assert capsys.readouterr().err == f"error: config invalid at {location}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sigma, message",
+    [("nan", "noise standard deviation must be nonnegative"), ("inf", "non-finite loss entries")],
+)
+def test_non_finite_sigma_flag_is_one_line_error(tmp_path, capsys, sigma, message):
+    # The schema's bounds let NaN and infinity through; the sweep refuses them.
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(PIGOU), "--sigma", sigma, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_integral_float_config_runs(tmp_path):
+    # JSON Schema counts 20.0 as an integer; the run is the one of the integer config.
+    cfg = json.loads(PIGOU.read_text())
+    outputs = []
+    for name, cast in (("int", int), ("float", float)):
+        cfg["simulation"] |= {"T": cast(20), "runs": cast(2), "seed": cast(3)}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(path), "--per-run", "--out", str(out)]) == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2 * (1 + 2)
 
 
 @pytest.mark.parametrize(
@@ -411,6 +462,23 @@ def test_accountant_curves(tmp_path):
     for rows_for_pair in by_pair.values():
         eps = [float(r[3]) for r in rows_for_pair]
         assert eps == sorted(eps)
+
+
+def test_accountant_defaults_stand_in_for_missing_settings(tmp_path):
+    # pigou.json states the defaults; leaving them out gives the same files.
+    cfg = json.loads(PIGOU.read_text())
+    del cfg["privacy"]["a"], cfg["privacy"]["delta_budget"]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(cfg))
+    stated, default = tmp_path / "stated", tmp_path / "default"
+    assert main(["accountant", "--config", str(PIGOU), "--out", str(stated)]) == 0
+    assert main(["accountant", "--config", str(path), "--out", str(default)]) == 0
+    effective = json.loads((default / "accountant_manifest.json").read_text())["effective"]
+    assert (repr(effective["a"]), repr(effective["delta_budget"])) == ("2.0", "0.001")
+    names = sorted(p.name for p in stated.iterdir() if p.name != "accountant_manifest.json")
+    assert names == ["accountant.csv", "report_c_0.001_sigma_0p1.json"]
+    for name in names:
+        assert (default / name).read_bytes() == (stated / name).read_bytes()
 
 
 def test_accountant_writes_full_report_json(tmp_path):

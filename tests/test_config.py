@@ -57,6 +57,7 @@ MUTATIONS = [
     ("two_od", ("edge_costs", 0, "affine", 0), 0.0),
     ("two_od", ("simulation", "runs"), 0),
     ("two_od", ("simulation", "T"), 0),
+    ("two_od", ("simulation", "T"), 1),
     ("two_od", ("privacy", "T_range", 0), 0),
     ("two_od", ("privacy", "T_range"), [1, 0]),
     # exclusiveMinimum

@@ -135,15 +135,15 @@ def test_dense_dead_ends_are_not_walked(n, dest_tail):
 
 
 def test_column_sums_equal_path_lengths(standin_game):
-    paths = standin_game.paths
-    assert paths.incidence.shape == (paths.network.num_edges, paths.total_paths)
+    paths, net = standin_game.paths, standin_game.network
+    assert paths.incidence.shape == (net.num_edges, paths.total_paths)
     for group, s in zip(paths.paths, block_slices(paths.block_sizes)):
         assert paths.incidence[:, s].sum(axis=0).tolist() == [float(len(p)) for p in group]
         # Simplicity: walking the edges never repeats a node.
         for path in group:
-            nodes = [paths.network.edges[path[0]][0]]
+            nodes = [net.edges[path[0]][0]]
             for j in path:
-                tail, head = paths.network.edges[j]
+                tail, head = net.edges[j]
                 assert tail == nodes[-1]
                 assert head not in nodes
                 nodes.append(head)
