@@ -54,7 +54,7 @@ def cmd_simulate(args) -> int:
     # The flags that are set replace their config values and meet the same schema.
     flags = {"sigma": args.sigma, "T": args.T, "runs": args.runs, "seed": args.seed}
     block = cfg["simulation"] | {k: v for k, v in flags.items() if v is not None}
-    config.validate_config(cfg | {"simulation": block})
+    config.check_config(cfg | {"simulation": block})
     inst = config.build_game_from_config(cfg)
     geometries, schedules = config.build_dynamics_from_config(cfg, inst.paths)
 
@@ -98,22 +98,12 @@ def cmd_simulate(args) -> int:
     return 0 if all(bound["ok"] for bound in bounds) else 1
 
 
-def _parse_t_range(text: str) -> range:
+def _parse_t_range(text: str) -> list[int]:
     try:
-        parts = [int(p) for p in text.split(":")]
+        return [int(p) for p in text.split(":")]
     except ValueError:
         raise config.ConfigError(
             f"bad T-range {text!r}; expected integers start:stop[:step]") from None
-    if len(parts) == 2:
-        start, stop = parts
-        step = 1
-    elif len(parts) == 3:
-        start, stop, step = parts
-    else:
-        raise config.ConfigError(f"bad T-range {text!r}; expected start:stop[:step]")
-    if start < 1 or stop < start or step < 1:
-        raise config.ConfigError(f"bad T-range {text!r}; need 1 <= start <= stop and step >= 1")
-    return range(start, stop + 1, step)
 
 
 def cmd_accountant(args) -> int:
@@ -122,10 +112,15 @@ def cmd_accountant(args) -> int:
     cfg = config.load_config(args.config)
     pairs = config.privacy_pairs(cfg)  # raises when the config has no privacy block
     privacy_cfg = cfg["privacy"]
+    if args.t_range is not None:
+        # The flag replaces the config's range and meets the same schema.
+        privacy_cfg = privacy_cfg | {"T_range": _parse_t_range(args.t_range)}
+        config.check_config(cfg | {"privacy": privacy_cfg})
+    # int() because the schema also accepts integral floats such as 1.0.
+    start, stop, step = [*map(int, privacy_cfg.get("T_range", [1, 200])), 1][:3]
+    horizons = np.arange(start, stop + 1, step)
     inst = config.build_game_from_config(cfg)
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
-    spec = args.t_range or ":".join(str(int(v)) for v in privacy_cfg.get("T_range", [1, 200]))
-    horizons = _parse_t_range(spec)
     _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
     # float(), so the manifest records an integer "a": 2 as 2.0, as the reports do.
@@ -150,7 +145,7 @@ def cmd_accountant(args) -> int:
         "accountant", cfg,
         effective={
             "pairs": [[c, s] for c, s in pairs],
-            "T_range": [horizons.start, horizons.stop - 1, horizons.step],
+            "T_range": [start, stop, step],
             "a": clip,
             "delta_budget": delta_budget,
         },
@@ -278,7 +273,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # also numpy's _ArrayMemoryError
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(": ".join(filter(None, ["error: out of memory", str(exc)])), file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "EXPERIMENT_SCHEMA",
     "build_dynamics_from_config",
     "build_game_from_config",
+    "check_config",
     "load_config",
     "privacy_pairs",
     "validate_config",
@@ -229,6 +230,10 @@ def _check_consistency(cfg: dict) -> None:
         raise ConfigError(f"mass entry {peak} exceeds declared mass_bound {bound}")
     if "privacy" in cfg:
         privacy_pairs(cfg)
+        t_range = cfg["privacy"].get("T_range")
+        if t_range and t_range[1] < t_range[0]:
+            raise ConfigError(
+                f"config invalid at privacy/T_range: {t_range!r} stops before it starts")
 
 
 def load_config(path) -> dict:
@@ -238,15 +243,16 @@ def load_config(path) -> dict:
             cfg = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return check_config(cfg)
+
+
+def check_config(cfg: dict) -> dict:
+    """The gate every document meets, from a file or with flags merged in: finite, then valid."""
     found = _first_non_finite(cfg)
     if found is not None:
         location = "/".join(map(str, found[0])) or "document root"
         raise ConfigError(f"config invalid at {location}: {found[1]} is not a finite number")
     return validate_config(cfg)
-
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def build_game_from_config(cfg: dict) -> GameInstance:
@@ -274,15 +280,8 @@ def privacy_pairs(cfg: dict) -> list[tuple[float, float]]:
     privacy = cfg.get("privacy")
     if privacy is None:
         raise ConfigError("config has no privacy block")
-    c_list = _as_list(privacy["c_adj"])
-    s_list = _as_list(privacy["sigma"])
-    if len(c_list) > 1 and len(s_list) > 1 and len(c_list) != len(s_list):
-        raise ConfigError(
-            f"privacy c_adj and sigma lists have mismatched lengths "
-            f"({len(c_list)} vs {len(s_list)})"
-        )
-    if len(c_list) == 1:
-        c_list = c_list * len(s_list)
-    if len(s_list) == 1:
-        s_list = s_list * len(c_list)
-    return list(zip(map(float, c_list), map(float, s_list)))
+    c, s = (np.atleast_1d(np.asarray(privacy[key], float)) for key in ("c_adj", "sigma"))
+    if c.size > 1 and s.size > 1 and c.size != s.size:
+        raise ConfigError("privacy c_adj and sigma lists have mismatched lengths "
+                          f"({c.size} vs {s.size})")
+    return list(zip(*(a.tolist() for a in np.broadcast_arrays(c, s))))

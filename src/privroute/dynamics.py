@@ -84,7 +84,7 @@ class LearningSchedule:
             raise ValueError(f"schedule decay must lie in [0, 1), got {self.decay}")
 
     def rate(self, t):  # t: a loop index or an array of them
-        if (t.min() if isinstance(t, np.ndarray) else t) < 0:
+        if np.min(t) < 0:
             raise ValueError("iteration counter must be nonnegative")
         return self.scale * (t + 1.0) ** (-self.decay)
 

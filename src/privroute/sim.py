@@ -55,10 +55,17 @@ class SimulationConfig:
         for geom in self.geometries:
             if geom.block_sizes != self.game.block_sizes:
                 raise ValueError("geometry block structure does not match the game")
-        if self.sigma < 0:
-            raise ValueError("noise standard deviation must be nonnegative")
+        _check_sigmas(self.sigma)
         if self.horizon < 1 or self.runs < 1:
             raise ValueError("horizon and run count must be at least one")
+
+
+def _check_sigmas(sigmas) -> np.ndarray:
+    """``sigmas`` as a float array, refused unless every entry is finite and nonnegative."""
+    sigmas = np.asarray(sigmas, float)
+    if not np.all(np.isfinite(sigmas) & (sigmas >= 0)):
+        raise ValueError("noise standard deviation must be finite and nonnegative")
+    return sigmas
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +119,13 @@ def simulate_sweep(
     column is computed alone, so it gets the same bytes in any sweep.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
-    sigmas = np.asarray(sigmas, float)
-    if not np.all(sigmas >= 0):
-        raise ValueError("noise standard deviation must be nonnegative")
+    sigmas = _check_sigmas(sigmas)
     S, K, sizes = len(sigmas), game.num_populations, game.block_sizes
     weights = game.path_weights()[:, :, None, None]
     kinds = np.array([g.kind for g in cfg.geometries])
     entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
-    rates = np.array([[s.rate(t) for s in cfg.schedules] for t in range(T)])[..., None, None, None]
+    # One array call per schedule, as the accountant makes, so both see the same rounding.
+    rates = np.stack([s.rate(np.arange(T)) for s in cfg.schedules], 1)[..., None, None, None]
     noise = np.empty((T, P, 1, R))
     for r, seed in enumerate(seeds):
         noise[:, :, 0, r] = np.random.default_rng(seed).standard_normal((T, P))

@@ -310,14 +310,17 @@ def test_bad_simulate_flag_fails_before_any_work(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "sigma, message",
-    [("nan", "noise standard deviation must be nonnegative"), ("inf", "non-finite loss entries")],
-)
-def test_non_finite_sigma_flag_is_one_line_error(tmp_path, capsys, sigma, message):
-    # The schema's bounds let NaN and infinity through; the sweep refuses them.
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_flag_is_one_line_error(tmp_path, capsys, monkeypatch, sigma):
+    # The schema's bounds let NaN and infinity through, as JSON Schema's do; the
+    # finiteness check a config file meets refuses them, before the game is solved.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved the equilibrium for a non-finite sigma")
+
+    monkeypatch.setattr(cli.game, "solve_equilibrium", unreachable)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(PIGOU), "--sigma", sigma, "--out", str(out)]) == 1
+    assert main(["simulate", "--config", str(PIGOU), "--sigma", sigma, "--out", str(out)]) == 2
+    message = f"config invalid at simulation/sigma: {sigma} is not a finite number"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -352,6 +355,36 @@ def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, error):
     assert main(["simulate", "--config", str(TWO_OD), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_without_text_has_no_dangling_colon(tmp_path, capsys, monkeypatch):
+    from privroute import sim
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sim, "simulate_sweep", exhausted)
+    assert main(["simulate", "--config", str(TWO_OD), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_unallocatable_t_range_names_the_shape(tmp_path):
+    # Run capped at 4 GiB of address space: uncapped, an overcommitting kernel
+    # may grant the 72.8 TiB, and filling it would exhaust the machine.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    args = ["accountant", "--config", str(PIGOU), "--T-range", "1:9999999999999", "--out", str(out)]
+    result = subprocess.run([sys.executable, "-m", "privroute.cli", *args], env=env,
+                            preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "shape (9999999999999,)" in result.stderr and result.stderr.count("\n") == 1
     assert not out.exists()
 
 
@@ -593,8 +626,7 @@ def test_accountant_reversed_config_t_range_is_one_line_error(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["accountant", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad T-range '5:2'")
-    assert err.count("\n") == 1
+    assert err == "error: config invalid at privacy/T_range: [5, 2] stops before it starts\n"
     assert not (tmp_path / "accountant.csv").exists()
 
 
@@ -613,13 +645,28 @@ def test_accountant_integral_float_config_t_range(tmp_path, capsys):
     assert manifest["effective"]["T_range"] == [1, 10, 3]
 
 
-@pytest.mark.parametrize("spec", ["x:5", "1:5:2:3", "0:5", "3:4:0"])
-def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, spec):
-    code = main(["accountant", "--config", str(PIGOU), "--T-range", spec, "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: bad T-range {spec!r}")
-    assert err.count("\n") == 1
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("x:5", "bad T-range 'x:5'; expected integers start:stop[:step]"),
+        ("1:5:2:3", "config invalid at privacy/T_range: [1, 5, 2, 3] has more than 3 items"),
+        ("0:5", "config invalid at privacy/T_range/0: 0 is less than the minimum of 1"),
+        ("3:4:0", "config invalid at privacy/T_range/2: 0 is less than the minimum of 1"),
+        ("5:2", "config invalid at privacy/T_range: [5, 2] stops before it starts"),
+    ],
+    ids=["x:5", "1:5:2:3", "0:5", "3:4:0", "5:2"],
+)
+def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, monkeypatch, spec,
+                                                       message):
+    # The flag meets the schema like a config's T_range, before the game is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the game for a range the schema refuses")
+
+    monkeypatch.setattr(cli.config, "build_game_from_config", unreachable)
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(PIGOU), "--T-range", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("radius", [-1, math.nan], ids=["-1", "nan"])

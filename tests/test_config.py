@@ -10,7 +10,8 @@ import sys
 import pytest
 from jsonschema import Draft202012Validator
 
-from privroute.config import EXPERIMENT_SCHEMA, ConfigError, _schema_violation, validate_config
+from privroute.config import EXPERIMENT_SCHEMA, ConfigError, _schema_violation, check_config
+from privroute.config import validate_config
 
 from conftest import CONFIG_DIR, REPO_ROOT
 
@@ -175,6 +176,30 @@ def test_validator_agrees_with_jsonschema(case):
     at = [] if location == "document root" else location.split("/")
     target = [str(key) for key in path]
     assert at[: len(target)] == target[: len(at)]
+
+
+def test_check_config_refuses_the_non_finite_values_the_schema_accepts():
+    # validate_config keeps JSON Schema's semantics; check_config, the gate a
+    # loaded file and a document with flags merged in both meet, scans first.
+    doc = mutated("two_od", ("populations", 0, "theta", 1), NAN)
+    assert ORACLE.is_valid(doc) and validate_config(doc) is doc
+    message = "config invalid at populations/0/theta/1: nan is not a finite number"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        check_config(doc)
+    clean = mutated("two_od", ("simulation", "T"), 20)
+    assert check_config(clean) is clean
+
+
+@pytest.mark.parametrize("t_range", [[5, 2], [5.0, 4.0, 1], [7, 6, 3]])
+def test_reversed_t_range_fails_the_consistency_check(t_range):
+    # The schema bounds each entry and the length; stop >= start is the one rule it cannot state.
+    doc = mutated("two_od", ("privacy", "T_range"), t_range)
+    assert ORACLE.is_valid(doc)
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert str(info.value) == f"config invalid at privacy/T_range: {t_range!r} stops before it starts"
+    single = mutated("two_od", ("privacy", "T_range"), [5, 5])
+    assert validate_config(single) is single
 
 
 @pytest.mark.parametrize("doc", [[], "config", None, 3, True])

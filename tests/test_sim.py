@@ -224,6 +224,47 @@ def test_sweep_rejects_a_negative_sigma(standin_game, standin_dynamics):
         simulate_sweep(cfg, [0.1, -0.1], run_seeds(cfg.seed, cfg.runs))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_non_finite_sigma_is_refused(standin_game, standin_dynamics, sigma):
+    geometries, schedules = standin_dynamics
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        SimulationConfig(standin_game, geometries, schedules, sigma, 10, 1, 0)
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 10, 1, 0)
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        simulate_sweep(cfg, [0.1, sigma], run_seeds(cfg.seed, cfg.runs))
+
+
+def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin_dynamics,
+                                                           monkeypatch):
+    # numpy's array power and libm's scalar pow may round differently, so both
+    # sides must take each schedule's rates from the same kind of call.
+    from privroute import privacy
+
+    calls = []
+    rate = LearningSchedule.rate
+
+    def spy(self, t):
+        eta = rate(self, t)
+        calls.append((self, t, eta))
+        return eta
+
+    monkeypatch.setattr(LearningSchedule, "rate", spy)
+    geometries, schedules = standin_dynamics
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, 2, 1)
+    simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
+    engine = calls[:]
+    consts = privacy.SensitivityConstants.from_game(standin_game, schedules)
+    privacy.privacy_curve(consts, 1e-6, 0.1, [cfg.horizon])
+    accountant = calls[len(engine):]
+    assert all(isinstance(t, np.ndarray) for _, t, _ in calls)
+    assert len(engine) == len(accountant) == len(schedules)
+    for schedule, (own, t, eta), (other, t_acc, eta_acc) in zip(schedules, engine, accountant):
+        assert own is schedule and other is schedule
+        assert t.tolist() == list(range(cfg.horizon))
+        # Release r is bounded at t = max(r - 2, 0), every one a step the engine took.
+        assert eta_acc.tobytes() == eta[t_acc].tobytes()
+
+
 def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
     cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
     eq = solve_equilibrium(standin_game)
