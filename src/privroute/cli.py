@@ -86,7 +86,12 @@ def cmd_simulate(args) -> int:
             effective={"sigma": run.sigma, "T": run.horizon, "runs": run.runs, "seed": run.seed},
             seeding={"master_seed": run.seed,
                      "rule": "numpy SeedSequence(master_seed).spawn(runs)"},
-            results=sim.stats_summary(run, stats),
+            results={"sigma": run.sigma, "runs": run.runs, "seed": run.seed,
+                     "f_star": equilibrium.potential, "equilibrium_gap": equilibrium.gap,
+                     "equilibrium_iterations": equilibrium.iterations,
+                     "slope": stats.slope, "slope_window": list(stats.slope_window),
+                     "terminal_f_mean": float(stats.f_mean[-1]),
+                     "terminal_gap_mean": float(stats.gap_mean[-1])},
             checks={"suboptimality_bound": bound},
         )
         sim.write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
@@ -162,12 +167,11 @@ def cmd_constants(args) -> int:
 
     cfg = config.load_config(args.config)
     inst = config.build_game_from_config(cfg)
-    _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
+    geometries, schedules = config.build_dynamics_from_config(cfg, inst.paths)
     consts = privacy.SensitivityConstants.from_game(inst, schedules)
-    n_blocks = inst.network.num_od_pairs
     skip = ("modulus_min", "schedules")  # accounting inputs, not printed
     values = {k: v for k, v in vars(consts).items() if k not in skip}
-    values["moduli"] = [consts.modulus_min] * inst.num_populations
+    values["moduli"] = [g.strong_convexity for g in geometries]
     values["paths_per_od"] = list(inst.block_sizes)
     if args.json:
         json.dump(values, sys.stdout, indent=2, sort_keys=True)
@@ -187,7 +191,7 @@ def cmd_constants(args) -> int:
     for k, modulus in enumerate(values["moduli"]):
         print(
             f"population {k}: strong-convexity modulus = {modulus!r}"
-            f"  (1 per simplex, / {n_blocks} OD blocks for the summed norm)"
+            f"  (1 per simplex, / {len(inst.block_sizes)} OD blocks for the summed norm)"
         )
     return 0
 

@@ -68,6 +68,10 @@ _POPULATION_SCHEMA = {
     },
 }
 
+# The largest count a config may give.  Every integral float up to 2**53 is
+# exact, so 20.0 means 20; and no array of that many steps can be allocated.
+_MAX_COUNT = 2**53
+
 _NUMBER_OR_LIST = {
     "oneOf": [
         {"type": "number", "minimum": 0},
@@ -80,8 +84,8 @@ _SIMULATION_SCHEMA = {
     "additionalProperties": False,
     "required": ["T", "runs", "sigma", "seed"],
     "properties": {
-        "T": {"type": "integer", "minimum": 2},  # the slope fit needs two iterations
-        "runs": {"type": "integer", "minimum": 1},
+        "T": {"type": "integer", "minimum": 2, "maximum": _MAX_COUNT},  # two for the slope fit
+        "runs": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT},
         "sigma": _NUMBER_OR_LIST,
         "seed": {"type": "integer", "minimum": 0},
     },
@@ -98,7 +102,7 @@ _PRIVACY_SCHEMA = {
         "delta_budget": {"type": "number", "exclusiveMinimum": 0},
         "T_range": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 1},
+            "items": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT},
             "minItems": 2,
             "maxItems": 3,
         },
@@ -136,6 +140,7 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number
 
 _BOUNDS = [
     ("minimum", lambda v, b: v < b, "less than the minimum of"),
+    ("maximum", lambda v, b: v > b, "greater than the maximum of"),
     ("exclusiveMinimum", lambda v, b: v <= b, "less than or equal to the minimum of"),
     ("exclusiveMaximum", lambda v, b: v >= b, "greater than or equal to the maximum of"),
 ]

@@ -10,6 +10,7 @@ from .network import Network, PathSet, block_slices, enumerate_paths
 
 __all__ = [
     "EQUILIBRIUM_TOL",
+    "MAX_ITERATIONS",
     "EquilibriumError",
     "Equilibrium",
     "GameInstance",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 EQUILIBRIUM_TOL = 1e-8  # the Nash gap every equilibrium solve stops at by default
+MAX_ITERATIONS = 500_000  # the steps a solve may take before it fails; read at each call
 
 
 class EquilibriumError(RuntimeError):
@@ -217,11 +219,7 @@ class Equilibrium:
     iterations: int
 
 
-def solve_equilibrium(
-    game: GameInstance,
-    tol: float = EQUILIBRIUM_TOL,
-    max_iter: int = 500_000,
-) -> Equilibrium:
+def solve_equilibrium(game: GameInstance, tol: float = EQUILIBRIUM_TOL) -> Equilibrium:
     """Minimize the potential over the allocation polytope to a gap certificate.
 
     Entropic mirror descent on exact losses, in the log domain, from the
@@ -233,28 +231,25 @@ def solve_equilibrium(
     ``0.5 sum_j slope_j dphi_j**2`` in the edge-flow change ``dphi``, and the KL
     sums ``x ((1 + u) d - u)`` over ``d = log x+ - log x``, ``u = expm1(d)``, so
     no difference of potentials is lost to roundoff near the optimum.  A NaN
-    gap, a non-finite step test, an ``eta`` that underflows or ``max_iter``
+    gap, a non-finite step test, an ``eta`` that underflows or ``MAX_ITERATIONS``
     steps without reaching ``tol`` raise :class:`EquilibriumError`.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     weights, sizes, slope = game.path_weights(), game.block_sizes, game.costs[:, 0]
     starts = [s.start for s in block_slices(sizes)]
     x = uniform_allocation(game)
     log_x, phi, eta = np.log(x), edge_flows(game, x), 1.0
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITERATIONS + 1):
         losses = path_losses(game, phi)
         gap = gap_from_losses(game, x, losses)
         if gap <= tol:
             return Equilibrium(x, potential_from_flows(game, phi), gap, it)
         if np.isnan(gap):
             raise EquilibriumError(f"the Nash gap is NaN at iteration {it}")
-        if it == max_iter:
-            raise EquilibriumError(
-                f"no equilibrium within {max_iter} iterations (gap {gap:.3e} > tol {tol:.1e})"
-            )
+        if it == MAX_ITERATIONS:
+            raise EquilibriumError(f"no equilibrium within {MAX_ITERATIONS} iterations "
+                                   f"(gap {gap:.3e} > tol {tol:.1e})")
         while True:
             z = log_x - eta * weights * losses
             log_y = z - np.repeat(np.logaddexp.reduceat(z, starts, axis=1), sizes, axis=1)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import LearningSchedule
+from .dynamics import GEOMETRY_KINDS, BregmanGeometry, LearningSchedule
 from .game import GameInstance, loss_sup_bound
 from .network import block_slices
 
@@ -134,16 +134,21 @@ class SensitivityConstants:
         - ``allocation_norm_bound`` (``A_Delta``), the largest reference norm
           of a feasible allocation: each block norm is at most one, attained
           at a simplex vertex, so the bound is the number of blocks.
+        - ``modulus_min``, the modulus the prox bound divides by: built without
+          the populations' geometries, it is the smallest ``strong_convexity``
+          of any geometry kind on the game's blocks.
         """
         incidence = game.paths.incidence
         block_norms = [spectral_norm(incidence[:, s]) for s in block_slices(game.block_sizes)]
+        modulus_min = min(BregmanGeometry(kind, game.block_sizes).strong_convexity
+                          for kind in GEOMETRY_KINDS)
         return cls(
             mass_bound=game.mass_bound,
             allocation_norm_bound=float(len(block_norms)),
             incidence_gain=max(block_norms),
             loss_lipschitz=float(sum(block_norms)) * game.max_slope,
             loss_sup=loss_sup_bound(game),
-            modulus_min=1.0 / game.network.num_od_pairs,
+            modulus_min=modulus_min,
             total_paths=game.total_paths,
             schedules=tuple(schedules),
         )
@@ -304,8 +309,8 @@ def privacy_report(
     schedules: Sequence[LearningSchedule],
     sigma: float,
     horizon: int,
-    clip: float = DEFAULT_CLIP,
-    delta_budget: float = DEFAULT_DELTA_BUDGET,
+    clip: float,
+    delta_budget: float,
     *,
     adjacency_radius: float,
 ) -> PrivacyReport:
@@ -344,8 +349,8 @@ def privacy_curve(
     c: float,
     sigma: float,
     horizons,
-    clip: float = DEFAULT_CLIP,
-    delta_budget: float = DEFAULT_DELTA_BUDGET,
+    clip: float,
+    delta_budget: float,
 ) -> PrivacyCurve:
     """Account ``T`` noisy loss releases at adjacency radius ``c``, for each ``T`` in ``horizons``.
 

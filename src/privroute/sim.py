@@ -11,7 +11,7 @@ import numpy as np
 from . import game as game_ops
 from .dynamics import BregmanGeometry, LearningSchedule, block_projection, block_softmax
 from .dynamics import suboptimality_bound
-from .game import Equilibrium, GameInstance, loss_sup_bound, solve_equilibrium
+from .game import Equilibrium, GameInstance, loss_sup_bound
 
 __all__ = [
     "EnsembleRuns",
@@ -24,7 +24,6 @@ __all__ = [
     "run_seeds",
     "run_trajectory",
     "simulate_sweep",
-    "stats_summary",
     "write_csv",
     "write_ensemble_csv",
     "write_manifest",
@@ -186,20 +185,18 @@ def run_seeds(seed: int, runs: int) -> list[np.random.SeedSequence]:
 
 def monte_carlo(
     cfg: SimulationConfig,
-    equilibrium: Equilibrium | None = None,
+    equilibrium: Equilibrium,
     records: EnsembleRuns | list[RunRecord] | None = None,
 ) -> EnsembleStats:
     """Replicate the trajectory over independent seeds and aggregate.
 
     All runs advance in one :func:`simulate_sweep` call seeded by
     :func:`run_seeds`, so runs are independent yet the whole ensemble is
-    reproducible.  The potential reference value comes from a gap-certified
-    equilibrium solve, shared across noise levels when passed in.
-    Precomputed runs (one noise level of a :func:`simulate_sweep`, or a list
-    of run records) skip the simulation pass.
+    reproducible.  The potential reference value is ``equilibrium``'s, one
+    gap-certified solve shared across noise levels.  Precomputed runs (one
+    noise level of a :func:`simulate_sweep`, or a list of run records) skip
+    the simulation pass.
     """
-    if equilibrium is None:
-        equilibrium = solve_equilibrium(cfg.game)
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
@@ -293,18 +290,3 @@ def write_manifest(path, payload: dict) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-
-def stats_summary(cfg: SimulationConfig, stats: EnsembleStats) -> dict:
-    """Manifest-ready summary of the ensemble ``cfg`` produced (no per-iteration arrays)."""
-    return {
-        "sigma": cfg.sigma,
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "f_star": stats.equilibrium.potential,
-        "equilibrium_gap": stats.equilibrium.gap,
-        "equilibrium_iterations": stats.equilibrium.iterations,
-        "slope": stats.slope,
-        "slope_window": list(stats.slope_window),
-        "terminal_f_mean": float(stats.f_mean[-1]),
-        "terminal_gap_mean": float(stats.gap_mean[-1]),
-    }

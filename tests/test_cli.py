@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -18,7 +17,9 @@ from privroute import cli
 from privroute.cli import main
 from privroute.game import EQUILIBRIUM_TOL, solve_equilibrium
 from privroute.config import EXPERIMENT_SCHEMA, ConfigError, build_game_from_config, load_config
-from privroute.config import privacy_pairs
+from privroute.config import build_dynamics_from_config, privacy_pairs
+from privroute.dynamics import BregmanGeometry
+from privroute.privacy import SensitivityConstants
 
 from conftest import CONFIG_DIR, REPO_ROOT
 
@@ -239,6 +240,44 @@ def test_non_finite_config_value_is_one_line_error(tmp_path, capsys, command, pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("simulate", lambda cfg: cfg.pop("simulation"), "config has no simulation block"),
+        ("accountant", lambda cfg: cfg.pop("privacy"), "config has no privacy block"),
+        ("simulate", lambda cfg: cfg["edge_costs"].append({"affine": [1.0, 0.0]}),
+         "3 cost entries for only 2 edges"),
+        ("accountant", lambda cfg: cfg["populations"][0].update(theta=[1.5]),
+         "mass entry 1.5 exceeds declared mass_bound 1.0"),
+        ("simulate", lambda cfg: cfg["network"].update(od_pairs=[["s", "u"]]),
+         "OD pair (s, u) references an unknown node"),
+        ("accountant", lambda cfg: cfg["network"].update(od_pairs=[["t", "t"]]),
+         "degenerate OD pair (t, t)"),
+    ],
+    ids=["no-simulation", "no-privacy", "extra-cost", "theta-above-bound", "unknown-od-node",
+         "degenerate-od"],
+)
+def test_config_failure_is_one_line_error(tmp_path, capsys, command, edit, message):
+    cfg = json.loads(PIGOU.read_text())
+    edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_that_is_not_json_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text(PIGOU.read_text()[:40])
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = [
         "simulate", "--config", str(TWO_OD), "--sigma", "0.4",
@@ -293,8 +332,12 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
         ("--runs", "0", "0 is less than the minimum of 1"),
         ("--seed", "-1", "-1 is less than the minimum of 0"),
         ("--sigma", "-1", "-1.0 is not valid under any of the given schemas"),
+        # np.arange(2**63 - 1) is empty, and the seed spawn cannot count to 10**23.
+        ("--T", str(2**63 - 1), f"{2**63 - 1} is greater than the maximum of {2**53}"),
+        ("--T", str(2**63), f"{2**63} is greater than the maximum of {2**53}"),
+        ("--runs", str(10**23 - 1), f"{10**23 - 1} is greater than the maximum of {2**53}"),
     ],
-    ids=["T-1", "T-0", "runs-0", "seed--1", "sigma--1"],
+    ids=["T-1", "T-0", "runs-0", "seed--1", "sigma--1", "T-2**63-1", "T-2**63", "runs-10**23-1"],
 )
 def test_bad_simulate_flag_fails_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
@@ -653,8 +696,12 @@ def test_accountant_integral_float_config_t_range(tmp_path, capsys):
         ("0:5", "config invalid at privacy/T_range/0: 0 is less than the minimum of 1"),
         ("3:4:0", "config invalid at privacy/T_range/2: 0 is less than the minimum of 1"),
         ("5:2", "config invalid at privacy/T_range: [5, 2] stops before it starts"),
+        (f"{10**23 - 1}:{10**23 - 1}", "config invalid at privacy/T_range/0: "
+         f"{10**23 - 1} is greater than the maximum of {2**53}"),
+        (f"1:{2**63 - 2}", "config invalid at privacy/T_range/1: "
+         f"{2**63 - 2} is greater than the maximum of {2**53}"),
     ],
-    ids=["x:5", "1:5:2:3", "0:5", "3:4:0", "5:2"],
+    ids=["x:5", "1:5:2:3", "0:5", "3:4:0", "5:2", "10**23-1", "1:2**63-2"],
 )
 def test_accountant_bad_t_range_flag_is_one_line_error(tmp_path, capsys, monkeypatch, spec,
                                                        message):
@@ -810,8 +857,7 @@ def test_accountant_manifest_diagnostics_match_csv(tmp_path, radius):
 
 
 def test_equilibrium_failure_is_one_line_error(monkeypatch, capsys):
-    capped = functools.partial(solve_equilibrium, max_iter=3)
-    monkeypatch.setattr(cli.game, "solve_equilibrium", capped)
+    monkeypatch.setattr(cli.game, "MAX_ITERATIONS", 3)
     assert main(["equilibrium", "--config", str(TWO_OD)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no equilibrium within 3 iterations")
@@ -826,6 +872,23 @@ def test_constants_pigou(capsys):
     assert values["loss_lipschitz"] == pytest.approx(1.0, rel=1e-9)
     assert values["loss_sup"] == pytest.approx(1.0)
     assert values["moduli"] == [1.0]
+
+
+def test_accountant_modulus_follows_the_geometry(tmp_path, capsys, monkeypatch):
+    # Each population's modulus is its geometry's; the accountant's constants,
+    # built without the geometries, take the smallest any geometry kind has.
+    per_block = {"entropic": 0.375, "euclidean": 0.125}
+    monkeypatch.setattr(BregmanGeometry, "strong_convexity",
+                        property(lambda self: per_block[self.kind] / self.num_blocks))
+    cfg = json.loads(TWO_OD.read_text())
+    cfg["populations"][1]["geometry"] = "euclidean"
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(cfg))
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    assert SensitivityConstants.from_game(game, schedules).modulus_min == 0.0625
+    assert main(["constants", "--config", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["moduli"] == [0.1875, 0.0625]
 
 
 def test_constants_two_od(capsys):
@@ -887,6 +950,17 @@ def test_equilibrium_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["f_star"] == pytest.approx(0.5, abs=1e-4)
     assert payload["gap"] <= EQUILIBRIUM_TOL
+
+
+def test_equilibrium_text_output_matches_json(capsys):
+    assert main(["equilibrium", "--config", str(TWO_OD), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["equilibrium", "--config", str(TWO_OD)]) == 0
+    f_star, *flows = capsys.readouterr().out.splitlines()
+    assert f_star == (f"f_star = {payload['f_star']!r}  (gap {payload['gap']:.3e} "
+                      f"after {payload['iterations']} iterations)")
+    assert flows == [f"population {k} path flows: {np.round(row, 6).tolist()}"
+                     for k, row in enumerate(payload["allocation"])]
 
 
 def test_simulate_writes_into_the_working_directory_by_default(tmp_path, monkeypatch):

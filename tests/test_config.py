@@ -61,6 +61,17 @@ MUTATIONS = [
     ("two_od", ("simulation", "T"), 1),
     ("two_od", ("privacy", "T_range", 0), 0),
     ("two_od", ("privacy", "T_range"), [1, 0]),
+    # maximum: 2**53, past which an integral float is no longer exact
+    ("two_od", ("simulation", "T"), 2**53),
+    ("two_od", ("simulation", "T"), 2**53 + 1),
+    ("two_od", ("simulation", "T"), 2**63 - 1),
+    ("two_od", ("simulation", "T"), 2.0**53),
+    ("two_od", ("simulation", "T"), 1e300),
+    ("two_od", ("simulation", "runs"), 10**23 - 1),
+    ("two_od", ("privacy", "T_range"), [1, 2**53, 10]),
+    ("two_od", ("privacy", "T_range", 1), 2**63 - 2),
+    ("two_od", ("privacy", "T_range"), [10**23 - 1, 10**23 - 1]),
+    ("two_od", ("simulation", "seed"), 2**63),
     # exclusiveMinimum
     ("two_od", ("populations", 0, "c_k"), 0),
     ("two_od", ("populations", 0, "c_k"), -0.0),
@@ -202,6 +213,23 @@ def test_reversed_t_range_fails_the_consistency_check(t_range):
     assert validate_config(single) is single
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("simulation", "T"), 2**63 - 1),
+        (("simulation", "T"), 1e300),
+        (("simulation", "runs"), 10**23 - 1),
+        (("privacy", "T_range", 0), 10**23 - 1),
+    ],
+)
+def test_count_above_the_maximum_says_what_jsonschema_says(path, value):
+    doc = mutated("two_od", path, value)
+    [error] = ORACLE.iter_errors(doc)
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert str(info.value) == f"config invalid at {'/'.join(map(str, path))}: {error.message}"
+
+
 @pytest.mark.parametrize("doc", [[], "config", None, 3, True])
 def test_validator_rejects_non_object_documents(doc):
     assert not ORACLE.is_valid(doc)
@@ -249,8 +277,8 @@ def test_schema_uses_only_keywords_the_validator_checks():
     # The validator ignores other keywords, so a schema edit must not add one.
     supported = {
         "$schema", "type", "properties", "required", "additionalProperties", "items",
-        "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum", "enum",
-        "oneOf",
+        "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+        "enum", "oneOf",
     }
     types = {"object", "array", "string", "boolean", "number", "integer"}
     for schema in subschemas(EXPERIMENT_SCHEMA):

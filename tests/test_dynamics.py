@@ -78,6 +78,22 @@ def test_divergence_strong_convexity():
                 assert geom.divergence(x, y) >= 0.5 * geom.strong_convexity * dist**2 - 1e-12
 
 
+def test_divergence_bound_is_attained_at_a_vertex():
+    # From the uniform start each block's divergence peaks at a vertex, and the blocks add up.
+    rng = np.random.default_rng(2)
+    sizes = (2, 4, 3)
+    uniform = np.concatenate([np.full(n, 1.0 / n) for n in sizes])
+    vertex = np.concatenate([np.eye(n)[0] for n in sizes])
+    for kind in ("entropic", "euclidean"):
+        geom = BregmanGeometry(kind, sizes)
+        bound = geom.divergence_bound()
+        assert geom.divergence(vertex, uniform) == pytest.approx(bound, rel=1e-12)
+        for _ in range(200):
+            assert geom.divergence(random_point(rng, sizes, strict=False), uniform) <= bound + 1e-12
+    assert BregmanGeometry("euclidean", sizes).divergence_bound() == pytest.approx(
+        0.5 * (1 / 2 + 3 / 4 + 2 / 3), rel=1e-12)
+
+
 def test_norm_duality_on_samples():
     rng = np.random.default_rng(2)
     sizes = (3, 2)

@@ -101,6 +101,14 @@ def test_seven_node_two_od_network(standin_game):
             {"nodes": ["a", "b"], "edges": [["a", "a"]], "od_pairs": [["a", "b"]]},
             "self-loop",
         ),
+        (
+            {"nodes": ["a", "b"], "edges": [["a", "b"]], "od_pairs": [["a", "c"]]},
+            r"^OD pair \(a, c\) references an unknown node$",
+        ),
+        (
+            {"nodes": ["a", "b"], "edges": [["a", "b"]], "od_pairs": [["b", "b"]]},
+            r"^degenerate OD pair \(b, b\)$",
+        ),
     ],
 )
 def test_build_errors(spec, message):

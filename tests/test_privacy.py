@@ -477,7 +477,8 @@ def test_report_zero_radius(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     for horizon in (1, 5, 40):
         report = privacy_report(
-            standin_game, schedules, sigma=0.1, horizon=horizon, adjacency_radius=0.0
+            standin_game, schedules, sigma=0.1, horizon=horizon, clip=2.0,
+            delta_budget=1e-3, adjacency_radius=0.0,
         )
         assert report.epsilon == 0.0
         assert report.delta == pytest.approx(
@@ -491,8 +492,8 @@ def test_report_monotonicities(standin_game, standin_dynamics):
 
     def build(sigma=0.1, radius=1e-6, horizon=50):
         return privacy_report(
-            standin_game, schedules, sigma=sigma, horizon=horizon,
-            adjacency_radius=radius,
+            standin_game, schedules, sigma=sigma, horizon=horizon, clip=2.0,
+            delta_budget=1e-3, adjacency_radius=radius,
         )
 
     horizons = [1, 5, 20, 50, 100, 200]
@@ -511,7 +512,7 @@ def test_report_requires_radius(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     missing = "missing 1 required keyword-only argument: 'adjacency_radius'"
     with pytest.raises(TypeError, match=missing):
-        privacy_report(standin_game, schedules, sigma=0.1, horizon=5)
+        privacy_report(standin_game, schedules, sigma=0.1, horizon=5, clip=2.0, delta_budget=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -588,7 +589,7 @@ def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
     consts = SensitivityConstants.from_game(standin_game, schedules)
     for horizons in ([], [0, 5], [[1, 2]]):
         with pytest.raises(ValueError, match="horizons"):
-            privacy_curve(consts, 1e-6, 0.1, horizons)
+            privacy_curve(consts, 1e-6, 0.1, horizons, 2.0, 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -612,7 +613,7 @@ def test_curve_rejects_bad_settings(pigou_game, setting, value):
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
 def test_curve_rejects_bad_radius(pigou_game, radius):
     with pytest.raises(ValueError, match="adjacency radius must be finite and nonnegative"):
-        privacy_curve(constants(pigou_game), radius, 0.1, [5])
+        privacy_curve(constants(pigou_game), radius, 0.1, [5], 2.0, 1e-3)
 
 
 @pytest.mark.parametrize("sigma, clip", [(math.nan, 2.0), (1.0, math.nan)])

@@ -88,7 +88,7 @@ def test_trajectory_feasible_at_every_iteration(standin_game, standin_dynamics):
 def test_monte_carlo_singleton_equals_single_run(standin_game, standin_dynamics):
     geometries, schedules = standin_dynamics
     cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 30, 1, 77)
-    stats = monte_carlo(cfg)
+    stats = monte_carlo(cfg, solve_equilibrium(standin_game))
     child = np.random.SeedSequence(77).spawn(1)[0]
     record = run_trajectory(cfg, child)
     np.testing.assert_array_equal(stats.f_mean, record.potentials)
@@ -109,7 +109,7 @@ def test_monte_carlo_reproducible(standin_game, standin_dynamics):
 def test_monte_carlo_respects_theory_bound(standin_game, standin_dynamics):
     geometries, schedules = standin_dynamics
     cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 50, 5, 21)
-    stats = monte_carlo(cfg)
+    stats = monte_carlo(cfg, solve_equilibrium(standin_game))
     result = check_suboptimality_bound(cfg, stats)
     assert result["ok"]
     assert result["realized"] <= result["bound"]
@@ -254,7 +254,7 @@ def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin
     simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
     engine = calls[:]
     consts = privacy.SensitivityConstants.from_game(standin_game, schedules)
-    privacy.privacy_curve(consts, 1e-6, 0.1, [cfg.horizon])
+    privacy.privacy_curve(consts, 1e-6, 0.1, [cfg.horizon], 2.0, 1e-3)
     accountant = calls[len(engine):]
     assert all(isinstance(t, np.ndarray) for _, t, _ in calls)
     assert len(engine) == len(accountant) == len(schedules)
