@@ -128,7 +128,7 @@ def cmd_accountant(args) -> int:
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
     _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
-    # float(), so the manifest records an integer "a": 2 as 2.0, as the reports do.
+    # float(), so the manifest and the reports record an integer "a": 2 as 2.0.
     clip = float(privacy_cfg.get("a", privacy.DEFAULT_CLIP))
     delta_budget = float(privacy_cfg.get("delta_budget", privacy.DEFAULT_DELTA_BUDGET))
     constants = privacy.SensitivityConstants.from_game(inst, schedules)
@@ -142,10 +142,35 @@ def cmd_accountant(args) -> int:
         [c, sigma, *row]
         for (c, sigma), curve in zip(pairs, curves)
         for row in zip(*(col.tolist() for col in
-                         (curve.horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
+                         (horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
+    # Each report states its inputs next to what privacy_curve computed at the largest horizon.
+    loss_dual_bound = constants.clipped_loss_bound(clip)
+    instance = {k: v for k, v in vars(constants).items() if k != "schedules"}
+    diagnostics = []
     for (c, sigma), curve in zip(pairs, curves):
-        sim.write_manifest(outdir / _report_name(c, sigma), curve.report.to_dict())
+        report = curve.report
+        sim.write_manifest(outdir / _report_name(c, sigma), {
+            "sigma": sigma, "clip": clip, "horizon": int(horizons[-1]),
+            "delta_budget": delta_budget, "loss_dual_bound": loss_dual_bound,
+            "constants": {"adjacency_radius": c} | instance,
+            # The per-release arrays, summarised in constant size.
+            "per_step": {
+                "sensitivity": {"max": float(report.sensitivities.max()),
+                                "min": float(report.sensitivities.min())},
+                "epsilon": {"max": float(report.epsilons.max()),
+                            "min": float(report.epsilons.min())},
+                "delta": float(report.deltas[0]),  # the uniform split: every release has it
+                "valid_releases": int(report.valid_steps.sum()),
+            },
+            "tail_delta": report.tail_delta, "epsilon": report.epsilon, "delta": report.delta,
+            "trivial": report.trivial, "valid": report.valid,
+        })
+        # The first horizon with an invalid release and the first with delta >= 1, or None.
+        firsts = {"first_invalid_release_T": ~curve.releases_valid,
+                  "first_trivial_T": curve.delta >= 1.0}
+        diagnostics.append({"c": c, "sigma": sigma} | {
+            k: int(horizons[m.argmax()]) if m.any() else None for k, m in firsts.items()})
     manifest = _manifest(
         "accountant", cfg,
         effective={
@@ -154,8 +179,7 @@ def cmd_accountant(args) -> int:
             "a": clip,
             "delta_budget": delta_budget,
         },
-        diagnostics=[{"c": c, "sigma": sigma, **curve.diagnostics()}
-                     for (c, sigma), curve in zip(pairs, curves)],
+        diagnostics=diagnostics,
     )
     sim.write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")
@@ -188,11 +212,9 @@ def cmd_constants(args) -> int:
         ("loss sup bound M", "loss_sup", "costliest path with the total mass on every edge"),
     ]:
         print(f"{label} = {values[key]!r}  ({derivation})")
-    for k, modulus in enumerate(values["moduli"]):
-        print(
-            f"population {k}: strong-convexity modulus = {modulus!r}"
-            f"  (1 per simplex, / {len(inst.block_sizes)} OD blocks for the summed norm)"
-        )
+    for k, geometry in enumerate(geometries):
+        print(f"population {k}: strong-convexity modulus = {geometry.strong_convexity!r}"
+              f"  ({geometry.modulus_derivation})")
     return 0
 
 

@@ -125,6 +125,11 @@ class BregmanGeometry:
     def strong_convexity(self) -> float:
         return 1.0 / self.num_blocks
 
+    @property
+    def modulus_derivation(self) -> str:
+        """How ``strong_convexity`` follows, in one line."""
+        return f"1 per simplex, / {self.num_blocks} OD blocks for the summed norm"
+
     def divergence_bound(self) -> float:
         """Upper bound on the divergence from the uniform initial point."""
         if self.kind == "entropic":

@@ -19,7 +19,7 @@ The delta budget is split uniformly over the releases, and the per-release
 (epsilon, delta) pairs are combined by repeated adaptive composition, plus
 the tail mass spent on keeping the noisy losses bounded.
 ``privacy_curve`` computes every composed pair, over many horizons in one
-pass; ``privacy_report`` is its full report at a single horizon.
+pass; ``privacy_report`` is its per-release report at a single horizon.
 """
 
 from __future__ import annotations
@@ -252,15 +252,8 @@ def compose_adaptive(
 
 @dataclass(frozen=True, eq=False)
 class PrivacyReport:
-    """Full accounting output for a horizon of noisy loss releases."""
+    """Per-release and composed accounting of a horizon of noisy loss releases."""
 
-    constants: SensitivityConstants
-    adjacency_radius: float
-    sigma: float
-    clip: float
-    horizon: int
-    delta_budget: float
-    loss_dual_bound: float
     sensitivities: np.ndarray
     epsilons: np.ndarray
     deltas: np.ndarray
@@ -278,30 +271,6 @@ class PrivacyReport:
     def valid(self) -> bool:
         """Every per-release epsilon lies in (0, 1) and delta is below one."""
         return bool(np.all(self.valid_steps)) and not self.trivial
-
-    def to_dict(self) -> dict:
-        """JSON-ready report; ``per_step`` summarises the per-release arrays in constant size."""
-        return {
-            "sigma": self.sigma,
-            "clip": self.clip,
-            "horizon": self.horizon,
-            "delta_budget": self.delta_budget,
-            "loss_dual_bound": self.loss_dual_bound,
-            "constants": {"adjacency_radius": self.adjacency_radius}
-            | {k: v for k, v in vars(self.constants).items() if k != "schedules"},
-            "per_step": {
-                "sensitivity": {"max": float(self.sensitivities.max()),
-                                "min": float(self.sensitivities.min())},
-                "epsilon": {"max": float(self.epsilons.max()), "min": float(self.epsilons.min())},
-                "delta": float(self.deltas[0]),  # the uniform split: every release has it
-                "valid_releases": int(self.valid_steps.sum()),
-            },
-            "tail_delta": self.tail_delta,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "trivial": self.trivial,
-            "valid": self.valid,
-        }
 
 
 def privacy_report(
@@ -327,21 +296,14 @@ def privacy_report(
 class PrivacyCurve:
     """Composed (epsilon, delta) of the uniform-split report at each horizon."""
 
-    horizons: np.ndarray
     epsilon: np.ndarray
     delta: np.ndarray
     releases_valid: np.ndarray  # every per-release epsilon lies in (0, 1)
-    report: PrivacyReport  # the full report at the largest horizon
+    report: PrivacyReport  # the per-release report at the largest horizon
 
     @property
     def valid(self) -> np.ndarray:
         return self.releases_valid & (self.delta < 1.0)
-
-    def diagnostics(self) -> dict:
-        """First horizon with an invalid release and first with delta >= 1, or None."""
-        masks = {"first_invalid_release_T": ~self.releases_valid,
-                 "first_trivial_T": self.delta >= 1.0}
-        return {k: int(self.horizons[m.argmax()]) if m.any() else None for k, m in masks.items()}
 
 
 def privacy_curve(
@@ -394,11 +356,11 @@ def privacy_curve(
         # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
         prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
                            sens[0] + later, np.ones(t_max)])
-        (lowest, highest, epsilon, scale), _ = _epsilons(prefix[:, horizons - 1], sigma, steps)
+        (_, _, epsilon, scale), flags = _epsilons(prefix[:, horizons - 1], sigma, steps)
     # Every sensitivity and per-release epsilon is finite when every composed epsilon is.
     if not np.isfinite(epsilon).all():
         raise ValueError(f"epsilon overflows at c = {c!r}, sigma = {sigma!r}")
-    releases_valid = (lowest > 0.0) & (highest < 1.0)
+    releases_valid = flags[0] & flags[1]  # the smallest and the largest epsilon lie in (0, 1)
     sums = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
     tails = [tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()]
     with np.errstate(over="ignore"):
@@ -406,10 +368,8 @@ def privacy_curve(
     last = int(horizons.argmax())
     epsilons, valid_steps = _epsilons(sens, sigma, steps[last])
     report = PrivacyReport(
-        constants=consts, adjacency_radius=float(c), sigma=float(sigma), clip=float(clip),
-        horizon=t_max, delta_budget=float(delta_budget),
-        loss_dual_bound=float(loss_dual_bound), sensitivities=sens, epsilons=epsilons,
-        deltas=np.full(t_max, steps[last]), valid_steps=valid_steps,
-        tail_delta=float(tails[last]), epsilon=float(epsilon[last]), delta=float(delta[last]),
+        sensitivities=sens, epsilons=epsilons, deltas=np.full(t_max, steps[last]),
+        valid_steps=valid_steps, tail_delta=float(tails[last]),
+        epsilon=float(epsilon[last]), delta=float(delta[last]),
     )
-    return PrivacyCurve(horizons, epsilon, delta, releases_valid, report)
+    return PrivacyCurve(epsilon, delta, releases_valid, report)

@@ -602,6 +602,37 @@ def test_accountant_writes_full_report_json(tmp_path):
     assert long_path.stat().st_size < 2048
 
 
+@pytest.mark.parametrize("config", [TWO_OD, PIGOU], ids=["two_od", "pigou"])
+def test_accountant_files_agree(tmp_path, config):
+    # The step does not divide the range, so the last horizon is 21, not the stop.
+    code = main(["accountant", "--config", str(config), "--T-range", "1:23:5",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    effective = json.loads((tmp_path / "accountant_manifest.json").read_text())["effective"]
+    cfg = load_config(config)
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules)
+    instance = {k: v for k, v in vars(consts).items() if k != "schedules"}
+
+    reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("report_*.json"))]
+    pairs = sorted([r["constants"]["adjacency_radius"], r["sigma"]] for r in reports)
+    assert pairs == sorted(effective["pairs"])
+    for report in reports:
+        c, sigma = report["constants"]["adjacency_radius"], report["sigma"]
+        last = [r for r in rows if (float(r["c"]), float(r["sigma"])) == (c, sigma)][-1]
+        assert (report["clip"], report["delta_budget"]) == (effective["a"],
+                                                            effective["delta_budget"])
+        assert report["horizon"] == int(last["T"]) == 21
+        assert report["epsilon"] == float(last["epsilon"])
+        assert report["delta"] == float(last["delta"])
+        assert report["valid"] == (last["valid"] == "1")
+        assert report["constants"] == instance | {"adjacency_radius": c}
+        assert report["loss_dual_bound"] == consts.clipped_loss_bound(effective["a"])
+
+
 def with_radius(tmp_path, config, c):
     """A copy of ``config`` whose privacy block has the one adjacency radius ``c``."""
     cfg = json.loads(config.read_text())
@@ -889,6 +920,16 @@ def test_accountant_modulus_follows_the_geometry(tmp_path, capsys, monkeypatch):
     assert SensitivityConstants.from_game(game, schedules).modulus_min == 0.0625
     assert main(["constants", "--config", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["moduli"] == [0.1875, 0.0625]
+
+
+def test_constants_prints_the_geometry_derivation(capsys, monkeypatch):
+    # The derivation printed beside each modulus is its geometry's own text.
+    monkeypatch.setattr(BregmanGeometry, "modulus_derivation",
+                        property(lambda self: f"{self.kind} on {self.num_blocks} blocks"))
+    assert main(["constants", "--config", str(TWO_OD)]) == 0
+    out = capsys.readouterr().out
+    assert "population 0: strong-convexity modulus = 0.5  (entropic on 2 blocks)\n" in out
+    assert "OD blocks for the summed norm" not in out
 
 
 def test_constants_two_od(capsys):

@@ -459,9 +459,9 @@ def test_report_per_step_matches_scalar_ops(horizon, c, standin_game, standin_dy
         standin_game, schedules, sigma=0.1, horizon=horizon, clip=2.0,
         delta_budget=1e-3, adjacency_radius=c,
     )
-    consts = report.constants
+    consts = SensitivityConstants.from_game(standin_game, schedules)
     for release in range(1, horizon + 1):
-        expected = release_sensitivity(consts, c, release, report.loss_dual_bound)
+        expected = release_sensitivity(consts, c, release, consts.clipped_loss_bound(2.0))
         assert report.sensitivities[release - 1] == pytest.approx(expected, rel=1e-12)
         eps, valid = release_epsilon(expected, 0.1, 1e-3 / horizon)
         assert report.epsilons[release - 1] == pytest.approx(eps, rel=1e-12)
@@ -535,7 +535,6 @@ def test_curve_matches_per_horizon_reports(name, c):
     settings = dict(clip=2.0, delta_budget=1e-3)
     for sigma in (0.1, 0.3):
         curve = privacy_curve(consts, c, sigma, horizons, **settings)
-        assert curve.horizons.tolist() == horizons
         for i, horizon in enumerate(horizons):
             report = privacy_report(
                 game, schedules, sigma, horizon, adjacency_radius=c, **settings
