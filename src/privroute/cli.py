@@ -15,12 +15,17 @@ import numpy as np
 from . import __version__, config, game, network
 
 
+# Adding 0.0 turns -0.0 into 0.0 and keeps every other value, so the zeros name one file.
 def _sigma_token(sigma: float) -> str:
-    return f"{sigma:g}".replace(".", "p").replace("-", "m")
+    return f"{sigma + 0.0:g}".replace(".", "p").replace("-", "m")
+
+
+def _ensemble_name(sigma: float) -> str:
+    return f"ensemble_sigma_{_sigma_token(sigma)}.csv"
 
 
 def _report_name(c: float, sigma: float) -> str:
-    return f"report_c_{c:g}_sigma_{_sigma_token(sigma)}.json"
+    return f"report_c_{c + 0.0:g}_sigma_{_sigma_token(sigma)}.json"
 
 
 def _check_distinct_names(values, name_of, what: str) -> None:
@@ -55,11 +60,10 @@ def cmd_simulate(args) -> int:
     flags = {"sigma": args.sigma, "T": args.T, "runs": args.runs, "seed": args.seed}
     block = cfg["simulation"] | {k: v for k, v in flags.items() if v is not None}
     config.check_config(cfg | {"simulation": block})
+    sigmas = np.atleast_1d(block["sigma"]).tolist()
+    _check_distinct_names(sigmas, _ensemble_name, "sigma")
     inst = config.build_game_from_config(cfg)
     geometries, schedules = config.build_dynamics_from_config(cfg, inst.paths)
-
-    sigmas = np.atleast_1d(block["sigma"]).tolist()
-    _check_distinct_names(sigmas, lambda s: f"ensemble_sigma_{_sigma_token(s)}.csv", "sigma")
 
     equilibrium = game.solve_equilibrium(inst)
     # int() because the schema also accepts integral floats such as 20.0.
@@ -80,7 +84,7 @@ def cmd_simulate(args) -> int:
             run_dir.mkdir(parents=True, exist_ok=True)
             for i, record in enumerate(ensemble.records):
                 sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv")
-        sim.write_ensemble_csv(stats, outdir / f"ensemble_sigma_{token}.csv")
+        sim.write_ensemble_csv(stats, outdir / _ensemble_name(run.sigma))
         manifest = _manifest(
             "simulate", cfg,
             effective={"sigma": run.sigma, "T": run.horizon, "runs": run.runs, "seed": run.seed},
@@ -121,12 +125,12 @@ def cmd_accountant(args) -> int:
         # The flag replaces the config's range and meets the same schema.
         privacy_cfg = privacy_cfg | {"T_range": _parse_t_range(args.t_range)}
         config.check_config(cfg | {"privacy": privacy_cfg})
+    _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
     # int() because the schema also accepts integral floats such as 1.0.
     start, stop, step = [*map(int, privacy_cfg.get("T_range", [1, 200])), 1][:3]
     horizons = np.arange(start, stop + 1, step)
     inst = config.build_game_from_config(cfg)
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
-    _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
 
     # float(), so the manifest and the reports record an integer "a": 2 as 2.0.
     clip = float(privacy_cfg.get("a", privacy.DEFAULT_CLIP))

@@ -64,7 +64,7 @@ _POPULATION_SCHEMA = {
         "theta": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
         "geometry": {"enum": ["entropic", "euclidean"]},
         "c_k": {"type": "number", "exclusiveMinimum": 0},
-        "alpha_k": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        "alpha_k": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     },
 }
 
@@ -72,12 +72,12 @@ _POPULATION_SCHEMA = {
 # exact, so 20.0 means 20; and no array of that many steps can be allocated.
 _MAX_COUNT = 2**53
 
-_NUMBER_OR_LIST = {
-    "oneOf": [
-        {"type": "number", "minimum": 0},
-        {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-    ]
-}
+
+def _number_or_list(bound: str) -> dict:
+    """A number, or a nonempty list of numbers, each meeting ``bound`` against 0."""
+    number = {"type": "number", bound: 0}
+    return {"oneOf": [number, {"type": "array", "items": number, "minItems": 1}]}
+
 
 _SIMULATION_SCHEMA = {
     "type": "object",
@@ -86,7 +86,7 @@ _SIMULATION_SCHEMA = {
     "properties": {
         "T": {"type": "integer", "minimum": 2, "maximum": _MAX_COUNT},  # two for the slope fit
         "runs": {"type": "integer", "minimum": 1, "maximum": _MAX_COUNT},
-        "sigma": _NUMBER_OR_LIST,
+        "sigma": _number_or_list("minimum"),  # sigma 0 runs the deterministic dynamics
         "seed": {"type": "integer", "minimum": 0},
     },
 }
@@ -96,8 +96,8 @@ _PRIVACY_SCHEMA = {
     "additionalProperties": False,
     "required": ["c_adj", "sigma"],
     "properties": {
-        "c_adj": _NUMBER_OR_LIST,
-        "sigma": _NUMBER_OR_LIST,
+        "c_adj": _number_or_list("minimum"),
+        "sigma": _number_or_list("exclusiveMinimum"),  # the Gaussian mechanism's domain
         "a": {"type": "number", "exclusiveMinimum": 0},
         "delta_budget": {"type": "number", "exclusiveMinimum": 0},
         "T_range": {

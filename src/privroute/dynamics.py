@@ -70,8 +70,8 @@ class LearningSchedule:
     """Polynomially decaying step sizes ``rate(t) = scale * (t + 1)**-decay``.
 
     The loop counter ``t`` starts at 0, so the first step uses ``scale``
-    itself.  ``decay = 0`` gives a constant rate; the theoretical decay
-    bound additionally requires ``decay`` strictly inside (0, 1).
+    itself.  ``decay`` lies strictly inside (0, 1), the domain of
+    :func:`suboptimality_bound`.
     """
 
     scale: float
@@ -80,8 +80,8 @@ class LearningSchedule:
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"schedule scale must be positive, got {self.scale}")
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError(f"schedule decay must lie in [0, 1), got {self.decay}")
+        if not 0.0 < self.decay < 1.0:
+            raise ValueError(f"schedule decay must lie in (0, 1), got {self.decay}")
 
     def rate(self, t):  # t: a loop index or an array of them
         if np.min(t) < 0:
@@ -186,7 +186,7 @@ def suboptimality_bound(
     + c_k L / (2 m_k (1-a_k) t^(a_k)) ]``
     with ``H_t`` the harmonic number, ``D_k`` the divergence bound, ``c_k``
     and ``a_k`` the schedule parameters, and ``m_k`` the strong-convexity
-    modulus.  Decays are required to be strictly inside (0, 1).
+    modulus.  Each ``LearningSchedule`` holds its decay strictly inside (0, 1).
     """
     if len(geometries) != len(schedules):
         raise ValueError("one schedule per geometry is required")
@@ -198,8 +198,6 @@ def suboptimality_bound(
     total = 0.0
     for geom, sched in zip(geometries, schedules):
         alpha = sched.decay
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay must lie in (0, 1) for the bound, got {alpha}")
         total += geom.divergence_bound() / (sched.scale * t ** (1.0 - alpha))
         total += sched.scale * noise_bound / (2.0 * geom.strong_convexity * (1.0 - alpha) * t**alpha)
     return harmonic * total

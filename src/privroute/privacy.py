@@ -67,20 +67,18 @@ def spectral_norm(matrix) -> float:
     return float(np.linalg.norm(m, 2)) * (1.0 + 1e-12)
 
 
-def allocation_shift_bound(
-    eta: float, loss_dual_norm: float, modulus: float, mass_shift: float
-) -> float:
+def allocation_shift_bound(eta, loss_dual_norm: float, modulus: float, mass_shift: float):
     """Bound on how far one prox update moves when the mass vector shifts.
 
     For a fixed observed loss, the update operated with masses ``theta``
     versus ``theta'`` lands at points whose reference-norm distance is at
-    most ``eta * loss_dual_norm * ||theta - theta'||_inf / modulus``.
+    most ``eta * loss_dual_norm * ||theta - theta'||_inf / modulus``, for each ``eta`` of an array.
     """
-    if min(eta, loss_dual_norm, modulus, mass_shift) < 0:
+    if min(np.min(eta), loss_dual_norm, modulus, mass_shift) < 0:
         raise ValueError("allocation_shift_bound arguments must be nonnegative")
     if modulus == 0:
         raise ValueError("strong-convexity modulus must be positive")
-    return eta * loss_dual_norm * mass_shift / modulus
+    return mass_shift * eta * loss_dual_norm / modulus
 
 
 @dataclass(frozen=True)
@@ -160,10 +158,9 @@ def _sensitivities(consts: SensitivityConstants, c: float, releases, loss_dual_b
         raise ValueError(f"adjacency radius must be finite and nonnegative, got {c}")
     t = np.maximum(np.asarray(releases) - 2, 0)
     eta_max = np.max([s.rate(t) for s in consts.schedules], axis=0)
-    propagated = consts.mass_bound * eta_max * loss_dual_bound / consts.modulus_min
-    return c * consts.loss_lipschitz * consts.incidence_gain * (
-        consts.allocation_norm_bound + propagated
-    )
+    shift = allocation_shift_bound(eta_max, loss_dual_bound, consts.modulus_min, consts.mass_bound)
+    return (c * consts.loss_lipschitz * consts.incidence_gain
+            * (consts.allocation_norm_bound + shift))
 
 
 def _epsilons(sensitivities, sigma: float, delta_steps):

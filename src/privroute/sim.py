@@ -168,8 +168,9 @@ def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     return simulate_sweep(cfg, [cfg.sigma], [seed], keep_runs=True)[0].records[0]
 
 
-def fit_loglog_slope(iterations: np.ndarray, values: np.ndarray, window: tuple[int, int]) -> float:
-    """Least-squares slope of log(values) against log(iterations) in a window."""
+def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:
+    """Least-squares slope of log(values[t - 1]) against log(t), for t = 1.. in a window."""
+    iterations = np.arange(1, len(values) + 1)
     lo, hi = window
     mask = (iterations >= lo) & (iterations <= hi)
     if mask.sum() < 2:
@@ -207,10 +208,9 @@ def monte_carlo(
     if len(f_runs) != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {len(f_runs)}")
 
-    iterations = np.arange(1, cfg.horizon + 1)
     window = (max(1, cfg.horizon // 4), cfg.horizon)  # the last three quarters
     f_mean = f_runs.mean(axis=0)
-    slope = fit_loglog_slope(iterations, f_mean - equilibrium.potential, window)
+    slope = fit_loglog_slope(f_mean - equilibrium.potential, window)
     return EnsembleStats(
         f_mean=f_mean,
         f_std=f_runs.std(axis=0),

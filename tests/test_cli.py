@@ -488,6 +488,75 @@ def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, bl
     assert not out.exists()
 
 
+def forbid_work(monkeypatch):
+    """Make every command's first costly step fail the test if it is reached."""
+    from privroute import privacy, sim
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a command worked on a config it should have refused")
+
+    monkeypatch.setattr(cli.game, "solve_equilibrium", unreachable)
+    monkeypatch.setattr(sim, "simulate_sweep", unreachable)
+    monkeypatch.setattr(privacy.SensitivityConstants, "from_game", unreachable)
+    monkeypatch.setattr(privacy, "privacy_curve", unreachable)
+
+
+@pytest.mark.parametrize("command", ["accountant", "simulate", "constants", "equilibrium"])
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("populations", 0, "alpha_k"), 0,
+         "populations/0/alpha_k: 0 is less than or equal to the minimum of 0"),
+        (("privacy", "sigma"), 0, "privacy/sigma: 0 is not valid under any of the given schemas"),
+    ],
+    ids=["alpha_k-0", "privacy-sigma-0"],
+)
+def test_values_outside_the_guarantees_domains_fail_before_any_work(
+        tmp_path, capsys, monkeypatch, command, path, value, message):
+    # The rate bound needs 0 < alpha_k < 1 and the Gaussian mechanism sigma > 0; the
+    # schema says so, so every command refuses these when it loads the config.
+    forbid_work(monkeypatch)
+    cfg = json.loads(PIGOU.read_text())
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    config_path = tmp_path / "outside.json"
+    config_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command in ("accountant", "simulate") else []
+    assert main([command, "--config", str(config_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config invalid at {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, block, key, message",
+    [
+        ("simulate", "simulation", "sigma",
+         "sigma 0.0 and -0.0 would both write ensemble_sigma_0.csv"),
+        ("accountant", "privacy", "c_adj",
+         "(c, sigma) (0.0, 0.1) and (-0.0, 0.1) would both write report_c_0_sigma_0p1.json"),
+    ],
+    ids=["simulate", "accountant"],
+)
+def test_signed_zeros_name_one_file(tmp_path, capsys, monkeypatch, command, block, key,
+                                    message):
+    # -0.0 equals 0.0, so the two are a repeated value and name the same files.
+    forbid_work(monkeypatch)
+    cfg = json.loads(PIGOU.read_text())
+    cfg[block][key] = [0.0, -0.0]
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("paper_variant", False), ("delta_split", "uniform")])
 def test_accountant_rejects_removed_privacy_keys(tmp_path, capsys, key, value):
     cfg = json.loads(TWO_OD.read_text())

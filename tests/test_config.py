@@ -79,6 +79,11 @@ MUTATIONS = [
     ("two_od", ("privacy", "a"), 0.0),
     ("two_od", ("privacy", "delta_budget"), NAN),
     ("two_od", ("privacy", "delta_budget"), INF),
+    ("two_od", ("populations", 1, "alpha_k"), 1e-300),
+    ("two_od", ("populations", 1, "alpha_k"), -0.0),
+    ("two_od", ("privacy", "sigma"), 0),
+    ("pigou", ("privacy", "sigma"), [0.1, -0.0]),
+    ("pigou", ("privacy", "sigma"), 1e-300),
     # exclusiveMaximum
     ("two_od", ("populations", 1, "alpha_k"), 1),
     ("two_od", ("populations", 1, "alpha_k"), 0.9999),
@@ -103,6 +108,8 @@ MUTATIONS = [
     ("pigou", ("privacy", "c_adj"), [1e-3, 1e-4]),
     ("pigou", ("privacy", "c_adj"), {"value": 1e-3}),
     ("pigou", ("privacy", "sigma"), -INF),
+    ("two_od", ("simulation", "sigma"), [0.0, -0.0]),
+    ("pigou", ("privacy", "c_adj"), [0.0, -0.0]),
     # required
     ("two_od", ("network",), DELETE),
     ("two_od", ("network", "od_pairs"), DELETE),

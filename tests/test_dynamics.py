@@ -317,9 +317,10 @@ def test_bound_decay_rate():
 
 
 def test_bound_rejects_bad_decay():
-    geom = BregmanGeometry("entropic", (2,))
-    with pytest.raises(ValueError, match="decay"):
-        suboptimality_bound([geom], [LearningSchedule(1.0, 0.0)], 1.0, 10)
+    # The bound needs a decay strictly inside (0, 1); a schedule outside it is never built.
+    for decay in (0.0, -0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="decay"):
+            LearningSchedule(1.0, decay)
 
 
 def test_schedule_values_and_validation():

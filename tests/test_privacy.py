@@ -25,7 +25,12 @@ from privroute.privacy import (
     tail_delta,
 )
 
-from privroute.config import build_dynamics_from_config, build_game_from_config, load_config
+from privroute.config import (
+    build_dynamics_from_config,
+    build_game_from_config,
+    load_config,
+    privacy_pairs,
+)
 from privroute.network import block_slices, build_network
 
 from conftest import CONFIG_DIR, random_allocation, random_game
@@ -313,6 +318,28 @@ def test_step_sensitivity_monotone_with_floor():
     assert all(v > 0 for v in values)
     floor = c * consts.loss_lipschitz * consts.incidence_gain * 2.0
     assert release_sensitivity(consts, c, 10**12 + 2, 8.0) == pytest.approx(floor, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", ["two_od", "pigou"])
+def test_step_sensitivity_uses_the_tested_shift_bound(name):
+    # The accountant's step-size term is allocation_shift_bound, the bound the prox
+    # displacement trials check, at the largest rate and the largest mass shift.
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules)
+    loss_dual_bound = consts.clipped_loss_bound(privacy.DEFAULT_CLIP)
+    releases = np.arange(1, 201)
+    t = np.maximum(releases - 2, 0)
+    eta_max = np.max([s.rate(t) for s in schedules], axis=0).tolist()
+    for c in {c for c, _ in privacy_pairs(cfg)}:
+        sensitivities = privacy._sensitivities(consts, c, releases, loss_dual_bound).tolist()
+        for release, eta, value in zip(releases.tolist(), eta_max, sensitivities):
+            shift = allocation_shift_bound(eta, loss_dual_bound, consts.modulus_min,
+                                           consts.mass_bound)
+            expected = c * consts.loss_lipschitz * consts.incidence_gain * (
+                consts.allocation_norm_bound + shift)
+            assert value == expected, (c, release)
 
 
 # ------------------------------------------------------- gaussian mechanism
