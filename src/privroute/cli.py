@@ -71,7 +71,12 @@ def cmd_simulate(args) -> int:
     run_cfgs = [sim.SimulationConfig(inst, geometries, schedules, float(sigma), horizon, runs, seed)
                 for sigma in sigmas]
     # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
-    ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs), args.per_run)
+    try:
+        ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs),
+                                       args.per_run)
+    except MemoryError as exc:  # main prints it in one line; the size goes at its end
+        size = f"(simulate: T={horizon}, runs={runs}, sigmas={len(sigmas)})"
+        raise MemoryError(" ".join(filter(None, [str(exc), size]))) from exc
     results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
     bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,12 @@ class GameInstance:
     costs: np.ndarray
     masses: np.ndarray
     mass_bound: float
+    _weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        weights = np.repeat(self.masses, self.block_sizes, axis=1)
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def num_populations(self) -> int:
@@ -68,8 +74,8 @@ class GameInstance:
         return float(self.masses.sum())
 
     def path_weights(self) -> np.ndarray:
-        """Per-population masses expanded over the concatenated path axis."""
-        return np.repeat(self.masses, self.block_sizes, axis=1)
+        """Per-population masses expanded over the concatenated path axis (read-only)."""
+        return self._weights
 
     @property
     def max_slope(self) -> float:
@@ -123,6 +129,12 @@ def build_game(network: Network, costs, masses, mass_bound: float | None = None)
     )
 
 
+def uniform_allocation(game: GameInstance) -> np.ndarray:
+    """Every population splits each OD's unit uniformly over its paths."""
+    row = np.concatenate([np.full(n, 1.0 / n) for n in game.block_sizes])
+    return np.tile(row, (game.num_populations, 1))
+
+
 # Batch axes trail: allocations are ``(K, P, ...)``, edge flows ``(E, ...)`` and path
 # losses ``(P, ...)``, so every sum runs over a leading axis across the contiguous
 # batch, each batch column alone.
@@ -138,10 +150,39 @@ def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (matrix @ v.reshape(len(v), -1)).reshape(matrix.shape[:1] + v.shape[1:])
 
 
-def uniform_allocation(game: GameInstance) -> np.ndarray:
-    """Every population splits each OD's unit uniformly over its paths."""
-    row = np.concatenate([np.full(n, 1.0 / n) for n in game.block_sizes])
-    return np.tile(row, (game.num_populations, 1))
+# The kernels: each formula once, on arrays already shaped as above (coefficient
+# columns such as ``(E, 1, ...)`` broadcast over the batch).  They check and reshape
+# nothing; the public helpers below check their input and call them, and
+# ``sim.simulate_sweep`` calls them with its shapes built once, before its step loop.
+def _edge_flows(incidence: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """Edge flows ``(E, ...)`` of mass-weighted allocations ``weighted = w * x`` ``(K, P, ...)``."""
+    total = weighted[0]
+    for row in weighted[1:]:  # a running sum in population order
+        total = total + row
+    return _contract(incidence, total)
+
+
+def _path_losses(incidence_t: np.ndarray, slope, intercept, phi: np.ndarray) -> np.ndarray:
+    """Path losses ``(P, ...)`` at edge flows ``phi``: each path sums its edges' costs."""
+    return _contract(incidence_t, slope * phi + intercept)
+
+
+def _potential(half_slope, intercept, phi: np.ndarray):
+    """Congestion potential at edge flows ``phi`` ``(E, ...)``, as a ``(...)`` array."""
+    total = half_slope * phi  # half_slope * phi * phi + intercept * phi, in place
+    total *= phi
+    total += intercept * phi
+    return total.sum(axis=0)
+
+
+def _gap(weighted: np.ndarray, losses: np.ndarray, blocks, masses) -> np.ndarray:
+    """Nash gap ``(...)`` of ``weighted = w * x`` at ``losses``; ``masses`` is ``(K, OD, ...)``."""
+    current = (weighted * losses).sum(axis=(0, 1))
+    block_min = np.empty((len(blocks),) + losses.shape[1:])
+    for i, s in enumerate(blocks):
+        losses[s].min(axis=0, keepdims=True, out=block_min[i:i + 1])
+    best = (masses * block_min).sum(axis=(0, 1))
+    return np.maximum(current - best, 0.0)
 
 
 def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
@@ -152,8 +193,7 @@ def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
             f"allocation shape {x.shape} does not match "
             f"({game.num_populations}, {game.total_paths}, ...)"
         )
-    weighted = (_lead(game.path_weights(), x.ndim) * x).sum(axis=0)
-    return _contract(game.paths.incidence, weighted)
+    return _edge_flows(game.paths.incidence, _lead(game.path_weights(), x.ndim) * x)
 
 
 def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
@@ -162,7 +202,7 @@ def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
     if phi.ndim < 1 or phi.shape[0] != game.network.num_edges:
         raise ValueError("flow vector length does not match the edge count")
     slope, intercept = _lead(game.costs.T, phi.ndim + 1)
-    return _contract(game.paths.incidence.T, slope * phi + intercept)
+    return _path_losses(game.paths.incidence.T, slope, intercept, phi)
 
 
 def loss_sup_bound(game: GameInstance) -> float:
@@ -179,7 +219,7 @@ def potential_from_flows(game: GameInstance, phi: np.ndarray):
     """Congestion potential at edge flows ``(E, ...)``: float or ``(...)`` array."""
     phi = np.asarray(phi, float)
     slope, intercept = _lead(game.costs.T, phi.ndim + 1)
-    total = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
+    total = _potential(0.5 * slope, intercept, phi)
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -191,12 +231,9 @@ def potential_gradient(game: GameInstance, x: np.ndarray) -> np.ndarray:
 
 def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):
     """Nash gap of allocations ``(K, P, ...)`` at losses ``(P, ...)``: float or ``(...)`` array."""
-    x = np.asarray(x, float)
-    starts = [s.start for s in block_slices(game.block_sizes)]
-    block_min = np.minimum.reduceat(losses, starts, axis=0)
-    current = (_lead(game.path_weights(), x.ndim) * x * losses).sum(axis=(0, 1))
-    best = (_lead(game.masses, x.ndim) * block_min).sum(axis=(0, 1))
-    gap = np.maximum(current - best, 0.0)
+    x, losses = np.asarray(x, float), np.asarray(losses, float)
+    weighted = _lead(game.path_weights(), x.ndim) * x
+    gap = _gap(weighted, losses, block_slices(game.block_sizes), _lead(game.masses, x.ndim))
     return float(gap) if gap.ndim == 0 else gap
 
 

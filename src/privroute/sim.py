@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -12,6 +12,7 @@ from . import game as game_ops
 from .dynamics import BregmanGeometry, LearningSchedule, block_projection, block_softmax
 from .dynamics import suboptimality_bound
 from .game import Equilibrium, GameInstance, loss_sup_bound
+from .network import block_slices
 
 __all__ = [
     "EnsembleRuns",
@@ -97,12 +98,39 @@ class EnsembleStats:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleRuns:
-    """The runs of one noise level, as :func:`simulate_sweep` returns them."""
+    """The runs of one noise level, reduced over runs, as :func:`simulate_sweep` returns them.
 
-    potentials: np.ndarray  # (runs, T)
-    gaps: np.ndarray  # (runs, T)
-    flow_sum: np.ndarray  # (T, populations, paths): allocations summed over runs in order
+    Every reduction adds the runs one by one, in run order, as a sum over the
+    records does.
+    """
+
+    f_mean: np.ndarray  # (T,)
+    f_std: np.ndarray  # (T,)
+    gap_mean: np.ndarray  # (T,)
+    flow_mean: np.ndarray  # (T, populations, paths): the allocations' mean over runs
+    runs: int
     records: list[RunRecord] | None  # every run's trajectory, only when kept
+
+
+_STEP_CHUNK = 50  # steps whose noise is drawn, and whose runs are reduced, together
+
+
+def _step_chunks(horizon: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` spans of ``_STEP_CHUNK`` steps; a one-step remainder joins the last.
+
+    numpy reduces a ``(runs, steps)`` array over runs one run after another in
+    each column only when there are at least two columns; over ``(runs, 1)`` it
+    sums pairwise, which gives other bytes.
+    """
+    starts = list(range(0, horizon, _STEP_CHUNK))
+    if len(starts) > 1 and horizon - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [horizon]))
+
+
+def _run_moments(potentials: np.ndarray, gaps: np.ndarray):
+    """Mean and std of the potentials and mean of the gaps over the runs of ``(runs, steps)``."""
+    return potentials.mean(axis=0), potentials.std(axis=0), gaps.mean(axis=0)
 
 
 def simulate_sweep(
@@ -110,57 +138,90 @@ def simulate_sweep(
 ) -> list[EnsembleRuns]:
     """Advance one run per (sigma, seed) pair, all together; one EnsembleRuns per sigma.
 
-    ``sigmas`` replaces ``cfg.sigma``.  Run ``r`` draws its noise once, as
-    ``default_rng(seeds[r]).standard_normal((T, paths))`` (the same numbers as
-    ``T`` successive draws of one vector), and every sigma scales those draws.
-    Entropic populations are held as logits and euclidean ones as iterates,
-    as ``(populations, paths, sigmas, runs)`` arrays.  Each (sigma, run)
-    column is computed alone, so it gets the same bytes in any sweep.
+    ``sigmas`` replaces ``cfg.sigma``.  Run ``r`` draws its noise from
+    ``default_rng(seeds[r])``, one ``(steps, paths)`` block per chunk of steps
+    (the same numbers as ``T`` successive draws of one vector), and every sigma
+    scales those draws.  Entropic populations are held as logits and euclidean
+    ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  Each
+    (sigma, run) column is computed alone, so it gets the same bytes in any
+    sweep.  Potentials and gaps are reduced over runs chunk by chunk, so
+    without ``keep_runs`` the state does not grow with ``T`` beyond the
+    per-step outputs.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
     sigmas = _check_sigmas(sigmas)
     S, K, sizes = len(sigmas), game.num_populations, game.block_sizes
-    weights = game.path_weights()[:, :, None, None]
     kinds = np.array([g.kind for g in cfg.geometries])
     entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
     # One array call per schedule, as the accountant makes, so both see the same rounding.
     rates = np.stack([s.rate(np.arange(T)) for s in cfg.schedules], 1)[..., None, None, None]
-    noise = np.empty((T, P, 1, R))
-    for r, seed in enumerate(seeds):
-        noise[:, :, 0, r] = np.random.default_rng(seed).standard_normal((T, P))
+    # The kernels' coefficients, spread once over the (sigmas, runs) batch: numpy
+    # multiplies two arrays of one shape faster than an array and a broadcast column.
+    def spread(a: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(a[..., None, None], a.shape + (S, R)).copy()
+
+    weights, masses = spread(game.path_weights()), spread(game.masses)
+    slope, intercept = spread(game.costs.T)
+    half_slope, scale = 0.5 * slope, sigmas[:, None]
+    incidence, blocks = game.paths.incidence, block_slices(sizes)
+    incidence_t = incidence.T
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    chunks = _step_chunks(T)
+    width = max(stop - start for start, stop in chunks)
+    noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
+    if keep_runs:
+        width = T
+        allocations, observed = np.empty((S, R, T, K, P)), np.empty((S, R, T, P))
+    potentials, gaps = np.empty((S, R, width)), np.empty((S, R, width))
+    f_mean, f_std, gap_mean = np.empty((S, T)), np.empty((S, T)), np.empty((S, T))
+    flow_mean = np.empty((S, T, K, P))
+    # Runs first, so a sum over rows adds the runs in run order; the spare column
+    # keeps that order when populations x paths x sigmas is 1.
+    runs_first = np.zeros((R, K * P * S + 1))
     x = np.tile(game_ops.uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
     logits = np.log(x[entropic])
-    potentials, gaps, flow_sum = np.empty((S, R, T)), np.empty((S, R, T)), np.empty((S, T, K, P))
-    allocations = np.empty((S, R, T, K, P)) if keep_runs else None
-    observed = np.empty((S, R, T, P)) if keep_runs else None
 
-    losses = game_ops.path_losses(game, game_ops.edge_flows(game, x))
-    for t in range(T):
-        loss_hat = losses + sigmas[:, None] * noise[t]
-        scaled = weights * loss_hat
-        if not np.all(np.isfinite(scaled)):
-            raise ValueError("non-finite loss entries")
-        step = rates[t] * scaled
-        if entropic.size:
-            logits -= step[entropic]
-            x[entropic] = block_softmax(logits, sizes, axis=1)
-        if euclidean.size:
-            x[euclidean] = block_projection(x[euclidean] - step[euclidean], sizes, axis=1)
-        phi = game_ops.edge_flows(game, x)
-        losses = game_ops.path_losses(game, phi)
-        potentials[:, :, t] = game_ops.potential_from_flows(game, phi)
-        gaps[:, :, t] = game_ops.gap_from_losses(game, x, losses)
-        # A cumulative sum adds the runs one by one, in run order, as a sum of the records does.
-        flow_sum[:, t] = np.cumsum(x, axis=-1)[..., -1].transpose(2, 0, 1)
-        if keep_runs:
-            allocations[:, :, t] = x.transpose(2, 3, 0, 1)
-            observed[:, :, t] = loss_hat.transpose(1, 2, 0)
+    losses = game_ops._path_losses(incidence_t, slope, intercept,
+                                   game_ops._edge_flows(incidence, weights * x))
+    for start, stop in chunks:
+        for rng, block in zip(rngs, noise):
+            rng.standard_normal((stop - start, P), out=block[:stop - start])
+        scaled_noise = scale * noise[:, :stop - start].transpose(1, 2, 0)[:, :, None]
+        first = 0 if keep_runs else start  # the step in column 0 of potentials and gaps
+        for t in range(start, stop):
+            loss_hat = losses + scaled_noise[t - start]
+            scaled = weights * loss_hat
+            if not np.isfinite(scaled).all():
+                raise ValueError("non-finite loss entries")
+            step = rates[t] * scaled
+            if entropic.size:
+                logits -= step[entropic]
+                x[entropic] = block_softmax(logits, sizes, axis=1)
+            if euclidean.size:
+                x[euclidean] = block_projection(x[euclidean] - step[euclidean], sizes, axis=1)
+            weighted = weights * x
+            phi = game_ops._edge_flows(incidence, weighted)
+            losses = game_ops._path_losses(incidence_t, slope, intercept, phi)
+            potentials[:, :, t - first] = game_ops._potential(half_slope, intercept, phi)
+            gaps[:, :, t - first] = game_ops._gap(weighted, losses, blocks, masses)
+            runs_first[:, :-1] = x.reshape(-1, R).T
+            flow_mean[:, t] = runs_first.sum(axis=0)[:-1].reshape(K, P, S).transpose(2, 0, 1)
+            if keep_runs:
+                allocations[:, :, t] = x.transpose(2, 3, 0, 1)
+                observed[:, :, t] = loss_hat.transpose(1, 2, 0)
+        cols = slice(start - first, stop - first)
+        for i in range(S):
+            f_mean[i, start:stop], f_std[i, start:stop], gap_mean[i, start:stop] = (
+                _run_moments(potentials[i, :, cols], gaps[i, :, cols]))
+    flow_mean /= R
     records = [
         [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r])
          for r in range(R)] if keep_runs else None
         for i in range(S)
     ]
-    return [EnsembleRuns(potentials[i], gaps[i], flow_sum[i], records[i]) for i in range(S)]
+    return [EnsembleRuns(f_mean[i], f_std[i], gap_mean[i], flow_mean[i], R, records[i])
+            for i in range(S)]
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
@@ -201,23 +262,21 @@ def monte_carlo(
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
-        records = EnsembleRuns(np.stack([r.potentials for r in records]),
-                               np.stack([r.gaps for r in records]),
-                               sum(r.allocations for r in records), records)
-    f_runs = records.potentials
-    if len(f_runs) != cfg.runs:
-        raise ValueError(f"expected {cfg.runs} run records, got {len(f_runs)}")
+        moments = _run_moments(np.stack([r.potentials for r in records]),
+                               np.stack([r.gaps for r in records]))
+        flow_mean = sum(r.allocations for r in records) / len(records)
+        records = EnsembleRuns(*moments, flow_mean, len(records), records)
+    if records.runs != cfg.runs:
+        raise ValueError(f"expected {cfg.runs} run records, got {records.runs}")
 
     window = (max(1, cfg.horizon // 4), cfg.horizon)  # the last three quarters
-    f_mean = f_runs.mean(axis=0)
-    slope = fit_loglog_slope(f_mean - equilibrium.potential, window)
     return EnsembleStats(
-        f_mean=f_mean,
-        f_std=f_runs.std(axis=0),
-        gap_mean=records.gaps.mean(axis=0),
-        flow_mean=records.flow_sum / cfg.runs,
+        f_mean=records.f_mean,
+        f_std=records.f_std,
+        gap_mean=records.gap_mean,
+        flow_mean=records.flow_mean,
         equilibrium=equilibrium,
-        slope=slope,
+        slope=fit_loglog_slope(records.f_mean - equilibrium.potential, window),
         slope_window=window,
     )
 
@@ -241,6 +300,17 @@ def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> di
     }
 
 
+_CSV_BLOCK = 256  # rows stacked and made into Python floats at a time
+
+
+def _numbered_rows(columns: list):
+    """``[t, *row]`` for t = 1.. over ``columns`` (1-D or 2-D) side by side, a block at a time."""
+    for first in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([c[first:first + _CSV_BLOCK] for c in columns])
+        for t, row in enumerate(block.tolist(), first + 1):
+            yield [t, *row]
+
+
 def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     """Write per-iteration ensemble statistics as RFC-4180 CSV.
 
@@ -251,9 +321,8 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
     header = ["t", "f_mean", "f_std", "gap_mean"] + [
         f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)
     ]
-    values = np.column_stack([stats.f_mean, stats.f_std, stats.gap_mean,
-                              stats.flow_mean.reshape(horizon, -1)])
-    write_csv(path, header, ([t, *row] for t, row in enumerate(values.tolist(), 1)))
+    write_csv(path, header, _numbered_rows([stats.f_mean, stats.f_std, stats.gap_mean,
+                                            stats.flow_mean.reshape(horizon, -1)]))
 
 
 def write_run_csv(record: RunRecord, path) -> None:
@@ -268,21 +337,22 @@ def write_run_csv(record: RunRecord, path) -> None:
         + [f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)]
         + [f"loss_hat[{p}]" for p in range(n_paths)]
     )
-    values = np.column_stack([record.potentials, record.gaps,
-                              record.allocations.reshape(horizon, -1), record.observed_losses])
-    write_csv(path, header, ([t, *row] for t, row in enumerate(values.tolist(), 1)))
+    write_csv(path, header, _numbered_rows([record.potentials, record.gaps,
+                                            record.allocations.reshape(horizon, -1),
+                                            record.observed_losses]))
 
 
 def write_csv(path, header: list, rows) -> None:
-    """Write ``header`` and then ``rows`` as RFC-4180 CSV.
+    """Write ``header`` and then ``rows`` as RFC-4180 CSV: comma-separated, CRLF-ended lines.
 
-    ``csv.writer`` writes a Python float (what ``tolist`` gives) as its
-    ``repr``: the shortest string that reads back as the same float.
+    Each field is written as its ``str``, which for a Python float (what
+    ``tolist`` gives) is its ``repr``: the shortest string that reads back as
+    the same float.  Fields are numbers and column names, none with a comma,
+    a quote or a line break, so none is quoted.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            handle.write(",".join(map(str, row)) + "\r\n")
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -402,14 +402,36 @@ def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, error):
 
 
 def test_out_of_memory_without_text_has_no_dangling_colon(tmp_path, capsys, monkeypatch):
-    from privroute import sim
+    # The accountant adds nothing to the line, so main's own format shows.
+    from privroute import privacy
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(sim, "simulate_sweep", exhausted)
-    assert main(["simulate", "--config", str(TWO_OD), "--out", str(tmp_path / "out")]) == 1
+    monkeypatch.setattr(privacy, "privacy_curve", exhausted)
+    assert main(["accountant", "--config", str(TWO_OD), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError("Unable to allocate 8.94 GiB"),
+      "error: out of memory: Unable to allocate 8.94 GiB (simulate: T=8000000, runs=150, "
+      "sigmas=3)"),
+     (MemoryError(), "error: out of memory: (simulate: T=8000000, runs=150, sigmas=3)")],
+    ids=["text", "no-text"],
+)
+def test_out_of_memory_in_simulate_names_the_size(tmp_path, capsys, monkeypatch, error, line):
+    from privroute import sim
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sim, "simulate_sweep", exhausted)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(TWO_OD), "--T", "8000000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 def test_unallocatable_t_range_names_the_shape(tmp_path):

@@ -13,6 +13,7 @@ from privroute.game import (
     EquilibriumError,
     build_game,
     edge_flows,
+    gap_from_losses,
     nash_gap,
     path_losses,
     potential_from_flows,
@@ -379,3 +380,44 @@ def test_equilibrium_beats_every_vertex(standin_game):
 
 def test_gradient_smoothness_pigou(pigou_game):
     assert gradient_smoothness(pigou_game) == pytest.approx(1.0)
+
+
+def test_path_weights_is_one_read_only_array(standin_game):
+    weights = standin_game.path_weights()
+    assert weights is standin_game.path_weights() and not weights.flags.writeable
+    expected = np.repeat(standin_game.masses, standin_game.block_sizes, axis=1)
+    assert weights.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("populations", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(3, 150), (1, 1), (7,), ()], ids=str)
+def test_kernels_equal_the_generic_reductions(populations, batch):
+    # The forms the kernels replaced: a sum over populations, a reduceat block
+    # minimum.  Each must give the same bytes at the engine's shapes and unbatched.
+    rng = np.random.default_rng(len(batch) + populations)
+    net = build_network({
+        "nodes": ["s", "a", "b", "t"],
+        "edges": [["s", "a"], ["a", "t"], ["s", "b"], ["b", "t"], ["s", "t"]],
+        "od_pairs": [["s", "t"], ["a", "t"]],
+    })
+    game = build_game(net, rng.uniform(0.0, 1.0, (5, 2)), rng.uniform(0.0, 1.5, (populations, 2)))
+    lead = (slice(None),) * 2 + (None,) * len(batch)
+    weights, masses = game.path_weights()[lead], game.masses[lead]
+    slope, intercept = game.costs.T[lead]
+    blocks = block_slices(game.block_sizes)
+    x = np.concatenate([rng.dirichlet(np.ones(n), (populations,) + batch)
+                        for n in game.block_sizes], axis=-1)
+    x = np.moveaxis(x, -1, 1)
+    for w, m in ((weights, masses), tuple(np.broadcast_to(a, a.shape[:2] + batch).copy()
+                                          for a in (weights, masses))):
+        summed = (w * x).sum(axis=0)
+        phi = game.paths.incidence @ summed.reshape(len(summed), -1)
+        assert game_module._edge_flows(game.paths.incidence, w * x).tobytes() == phi.tobytes()
+        phi = phi.reshape((-1,) + batch)
+        losses = game_module._path_losses(game.paths.incidence.T, slope, intercept, phi)
+        block_min = np.minimum.reduceat(losses, [s.start for s in blocks], axis=0)
+        current = (w * x * losses).sum(axis=(0, 1))
+        gap = np.maximum(current - (m * block_min).sum(axis=(0, 1)), 0.0)
+        assert game_module._gap(w * x, losses, blocks, m).tobytes() == gap.tobytes()
+    assert edge_flows(game, x).tobytes() == phi.tobytes()
+    assert np.asarray(gap_from_losses(game, x, losses)).tobytes() == gap.tobytes()

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from privroute.dynamics import BregmanGeometry, LearningSchedule
+from privroute import sim
+from privroute.dynamics import BregmanGeometry, LearningSchedule, block_projection, block_softmax
 from privroute.game import (
     build_game,
     edge_flows,
@@ -13,7 +14,7 @@ from privroute.game import (
     solve_equilibrium,
     uniform_allocation,
 )
-from privroute.network import build_network
+from privroute.network import block_slices, build_network
 from privroute.sim import (
     SimulationConfig,
     check_suboptimality_bound,
@@ -187,11 +188,16 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
         np.testing.assert_allclose(record.allocations, allocations, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.observed_losses, observed, rtol=0, atol=1e-12)
     summed = sum(record.allocations for record in runs.records)
-    assert runs.flow_sum.tobytes() == summed.tobytes()
+    assert runs.flow_mean.tobytes() == (summed / cfg.runs).tobytes()
+    potentials = np.stack([record.potentials for record in runs.records])
+    gaps = np.stack([record.gaps for record in runs.records])
+    assert runs.f_mean.tobytes() == potentials.mean(axis=0).tobytes()
+    assert runs.f_std.tobytes() == potentials.std(axis=0).tobytes()
+    assert runs.gap_mean.tobytes() == gaps.mean(axis=0).tobytes()
     streamed = simulate_sweep(cfg, [cfg.sigma], seeds)[0]
     assert streamed.records is None
-    assert streamed.potentials.tobytes() == runs.potentials.tobytes()
-    assert streamed.flow_sum.tobytes() == runs.flow_sum.tobytes()
+    for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
+        assert getattr(streamed, field).tobytes() == getattr(runs, field).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -209,9 +215,8 @@ def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
     for sigma, swept, swept_streamed in zip(sigmas, kept, streamed):
         alone = simulate_sweep(cfg, [sigma], seeds, keep_runs=True)[0]
         for runs in (swept, swept_streamed):
-            assert runs.potentials.tobytes() == alone.potentials.tobytes()
-            assert runs.gaps.tobytes() == alone.gaps.tobytes()
-            assert runs.flow_sum.tobytes() == alone.flow_sum.tobytes()
+            for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
+                assert getattr(runs, field).tobytes() == getattr(alone, field).tobytes()
         assert swept_streamed.records is None
         for a, b in zip(swept.records, alone.records, strict=True):
             for field in ("potentials", "gaps", "allocations", "observed_losses"):
@@ -297,3 +302,134 @@ def test_engine_rejects_non_finite_losses(pigou_game):
     cfg = small_config(pigou_game, sigma=1e308, horizon=50, runs=2)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite loss entries"):
         monte_carlo(cfg, solve_equilibrium(pigou_game))
+
+
+# ------------------------------------------ the engine's reductions, byte for byte
+
+
+def generic_reductions_oracle(cfg, sigmas, seeds):
+    """The engine with numpy's generic reductions over the whole horizon at once.
+
+    Populations are summed by ``(w * x).sum(axis=0)``, block minima taken by
+    ``np.minimum.reduceat``, allocations summed over runs by a cumulative sum,
+    and each run draws its ``(T, paths)`` noise in one block.  Potentials and
+    gaps are kept for every run and step, then averaged over runs.
+    """
+    game, T, R = cfg.game, cfg.horizon, len(seeds)
+    sigmas, sizes = np.asarray(sigmas, float), game.block_sizes
+    S, K, P = len(sigmas), game.num_populations, game.total_paths
+    weights, masses = game.path_weights()[:, :, None, None], game.masses[:, :, None, None]
+    slope, intercept = game.costs.T[:, :, None, None]
+    starts = [s.start for s in block_slices(sizes)]
+    kinds = np.array([g.kind for g in cfg.geometries])
+    entropic, euclidean = kinds == "entropic", kinds == "euclidean"
+    rates = np.stack([s.rate(np.arange(T)) for s in cfg.schedules], 1)[..., None, None, None]
+    noise = np.stack([np.random.default_rng(seed).standard_normal((T, P)) for seed in seeds], -1)
+
+    def contract(matrix, v):
+        return (matrix @ v.reshape(len(v), -1)).reshape((-1, S, R))
+
+    def losses_at(phi):
+        return contract(game.paths.incidence.T, slope * phi + intercept)
+
+    x = np.tile(uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
+    logits = np.log(x[entropic])
+    potentials, gaps = np.empty((S, R, T)), np.empty((S, R, T))
+    flow_sum = np.empty((S, T, K, P))
+    losses = losses_at(contract(game.paths.incidence, (weights * x).sum(axis=0)))
+    for t in range(T):
+        step = rates[t] * (weights * (losses + sigmas[:, None] * noise[t][:, None]))
+        if entropic.any():
+            logits -= step[entropic]
+            x[entropic] = block_softmax(logits, sizes, axis=1)
+        if euclidean.any():
+            x[euclidean] = block_projection(x[euclidean] - step[euclidean], sizes, axis=1)
+        phi = contract(game.paths.incidence, (weights * x).sum(axis=0))
+        losses = losses_at(phi)
+        potentials[:, :, t] = (0.5 * slope * phi * phi + intercept * phi).sum(axis=0)
+        best = (masses * np.minimum.reduceat(losses, starts, axis=0)).sum(axis=(0, 1))
+        gaps[:, :, t] = np.maximum((weights * x * losses).sum(axis=(0, 1)) - best, 0.0)
+        flow_sum[:, t] = np.cumsum(x, axis=-1)[..., -1].transpose(2, 0, 1)
+    return [(potentials[i].mean(axis=0), potentials[i].std(axis=0), gaps[i].mean(axis=0),
+             flow_sum[i] / R) for i in range(S)]
+
+
+def one_path_config(geometry):
+    net = build_network({"nodes": ["s", "t"], "edges": [["s", "t"]], "od_pairs": [["s", "t"]]})
+    game = build_game(net, [[0.7, 0.2]], [[1.3]])
+    return SimulationConfig(game, (BregmanGeometry(geometry, (1,)),),
+                            (LearningSchedule(1.0, 0.5),), 0.4, 60, 9, 4)
+
+
+@pytest.mark.parametrize(
+    "case, sigmas, runs",
+    [
+        ("two_od", [0.01, 0.1, 0.4], 150),
+        ("two_od", [0.4], 1),
+        ("one_path_euclidean", [0.4], 9),
+        ("one_path_entropic", [0.4], 9),
+        ("mixed_geometries", [0.01, 0.1, 0.4], 30),
+        ("all_euclidean", [0.01, 0.1, 0.4], 30),
+    ],
+)
+def test_engine_equals_the_generic_reductions(case, sigmas, runs, standin_game, standin_dynamics):
+    # The one-path cases have populations x paths x sigmas = 1, where a sum over
+    # runs laid out as (runs, 1) would go pairwise instead of in run order.
+    if case.startswith("one_path"):
+        cfg = one_path_config(case.rsplit("_", 1)[1])
+    elif case == "two_od":
+        geometries, schedules = standin_dynamics
+        cfg = SimulationConfig(standin_game, geometries, schedules, sigmas[0], 120, runs, 6)
+    else:
+        cfg = engine_case(case, standin_game, standin_dynamics)
+    seeds = run_seeds(cfg.seed, runs)
+    expected = generic_reductions_oracle(cfg, sigmas, seeds)
+    for kept in (False, True):
+        for runs_of_sigma, fields in zip(simulate_sweep(cfg, sigmas, seeds, kept), expected):
+            got = (runs_of_sigma.f_mean, runs_of_sigma.f_std, runs_of_sigma.gap_mean,
+                   runs_of_sigma.flow_mean)
+            for name, a, b in zip(("f_mean", "f_std", "gap_mean", "flow_mean"), got, fields):
+                assert a.tobytes() == b.tobytes(), (name, kept)
+
+
+def test_step_chunks_cover_the_horizon_with_no_one_step_chunk(monkeypatch):
+    for chunk in (2, 3, 7, 50):
+        monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
+        for horizon in range(1, 3 * chunk + 3):
+            spans = sim._step_chunks(horizon)
+            assert [a for a, _ in spans[1:]] == [b for _, b in spans[:-1]]
+            assert spans[0][0] == 0 and spans[-1][1] == horizon
+            widths = [b - a for a, b in spans]
+            assert max(widths) <= chunk + 1
+            assert horizon == 1 or min(widths) >= 2
+
+
+@pytest.mark.parametrize("case", ["two_od", "mixed_geometries", "all_euclidean"])
+def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics, monkeypatch):
+    # T = 201 leaves one step over for chunks of 2 and 50; those join the chunk before.
+    geometries, schedules = standin_dynamics
+    if case == "two_od":
+        cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 201, 150, 20260810)
+    else:
+        base = engine_case(case, standin_game, standin_dynamics)
+        cfg = SimulationConfig(standin_game, base.geometries, base.schedules, 0.4, 201, 6, 3)
+    sigmas, seeds = [0.01, 0.1, 0.4], run_seeds(cfg.seed, cfg.runs)
+    eq = solve_equilibrium(standin_game)
+    stats_bytes, record_bytes = [], []
+    for chunk in (2, 7, 50, 201, 1000):
+        monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
+        for kept in (False, True):
+            sweep = simulate_sweep(cfg, sigmas, seeds, kept)
+            stats = [monte_carlo(cfg, eq, records=runs) for runs in sweep]
+            stats_bytes.append([
+                [getattr(s, f).tobytes() for f in ("f_mean", "f_std", "gap_mean", "flow_mean")]
+                + [s.slope] for s in stats
+            ])
+            if kept:
+                record_bytes.append([
+                    [getattr(r, f).tobytes() for r in runs.records
+                     for f in ("potentials", "gaps", "allocations", "observed_losses")]
+                    for runs in sweep
+                ])
+    assert all(b == stats_bytes[0] for b in stats_bytes[1:])
+    assert all(b == record_bytes[0] for b in record_bytes[1:])
