@@ -135,12 +135,12 @@ def uniform_allocation(game: GameInstance) -> np.ndarray:
     return np.tile(row, (game.num_populations, 1))
 
 
-# Batch axes trail: allocations are ``(K, P, ...)``, edge flows ``(E, ...)`` and path
-# losses ``(P, ...)``, so every sum runs over a leading axis across the contiguous
-# batch, each batch column alone.
-def _lead(a: np.ndarray, ndim: int) -> np.ndarray:
-    """``a`` with trailing singleton axes up to ``ndim``, to broadcast over a batch."""
-    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+def _shaped(values, shape: tuple, name: str) -> np.ndarray:
+    """``values`` as a float array of exactly ``shape``; any other is one error naming it."""
+    a = np.asarray(values, float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
 
 
 def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,10 +150,13 @@ def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (matrix @ v.reshape(len(v), -1)).reshape(matrix.shape[:1] + v.shape[1:])
 
 
-# The kernels: each formula once, on arrays already shaped as above (coefficient
-# columns such as ``(E, 1, ...)`` broadcast over the batch).  They check and reshape
-# nothing; the public helpers below check their input and call them, and
-# ``sim.simulate_sweep`` calls them with its shapes built once, before its step loop.
+# The kernels: each formula once, with batch axes that trail: allocations are
+# ``(K, P, ...)``, edge flows ``(E, ...)`` and path losses ``(P, ...)``, so every sum
+# runs over a leading axis across the contiguous batch, each batch column alone, and
+# coefficient columns such as ``(E, 1, ...)`` broadcast over it.  They check and
+# reshape nothing.  ``sim.simulate_sweep`` calls them with its ``(..., sigmas, runs)``
+# shapes built once, before its step loop; the public helpers below take one
+# allocation, check its shape and call them.
 def _edge_flows(incidence: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """Edge flows ``(E, ...)`` of mass-weighted allocations ``weighted = w * x`` ``(K, P, ...)``."""
     total = weighted[0]
@@ -186,22 +189,15 @@ def _gap(weighted: np.ndarray, losses: np.ndarray, blocks, masses) -> np.ndarray
 
 
 def edge_flows(game: GameInstance, x: np.ndarray) -> np.ndarray:
-    """Mass-weighted aggregation of allocations ``(K, P, ...)`` into edge flows ``(E, ...)``."""
-    x = np.asarray(x, float)
-    if x.shape[:2] != (game.num_populations, game.total_paths):
-        raise ValueError(
-            f"allocation shape {x.shape} does not match "
-            f"({game.num_populations}, {game.total_paths}, ...)"
-        )
-    return _edge_flows(game.paths.incidence, _lead(game.path_weights(), x.ndim) * x)
+    """Mass-weighted aggregation of an allocation ``(K, P)`` into edge flows ``(E,)``."""
+    x = _shaped(x, (game.num_populations, game.total_paths), "allocation")
+    return _edge_flows(game.paths.incidence, game.path_weights() * x)
 
 
 def path_losses(game: GameInstance, phi: np.ndarray) -> np.ndarray:
-    """Per-path travel costs ``(P, ...)``: each path sums its edges' costs at flow ``phi``."""
-    phi = np.asarray(phi, float)
-    if phi.ndim < 1 or phi.shape[0] != game.network.num_edges:
-        raise ValueError("flow vector length does not match the edge count")
-    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
+    """Per-path travel costs ``(P,)``: each path sums its edges' costs at flows ``phi`` ``(E,)``."""
+    phi = _shaped(phi, (game.network.num_edges,), "edge flows")
+    slope, intercept = game.costs.T
     return _path_losses(game.paths.incidence.T, slope, intercept, phi)
 
 
@@ -215,12 +211,11 @@ def loss_sup_bound(game: GameInstance) -> float:
     return float(np.max(path_losses(game, np.full(game.network.num_edges, game.total_mass))))
 
 
-def potential_from_flows(game: GameInstance, phi: np.ndarray):
-    """Congestion potential at edge flows ``(E, ...)``: float or ``(...)`` array."""
-    phi = np.asarray(phi, float)
-    slope, intercept = _lead(game.costs.T, phi.ndim + 1)
-    total = _potential(0.5 * slope, intercept, phi)
-    return float(total) if np.ndim(total) == 0 else total
+def potential_from_flows(game: GameInstance, phi: np.ndarray) -> float:
+    """Congestion potential at edge flows ``(E,)``."""
+    phi = _shaped(phi, (game.network.num_edges,), "edge flows")
+    slope, intercept = game.costs.T
+    return float(_potential(0.5 * slope, intercept, phi))
 
 
 def potential_gradient(game: GameInstance, x: np.ndarray) -> np.ndarray:
@@ -229,12 +224,12 @@ def potential_gradient(game: GameInstance, x: np.ndarray) -> np.ndarray:
     return game.path_weights() * losses[None, :]
 
 
-def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray):
-    """Nash gap of allocations ``(K, P, ...)`` at losses ``(P, ...)``: float or ``(...)`` array."""
-    x, losses = np.asarray(x, float), np.asarray(losses, float)
-    weighted = _lead(game.path_weights(), x.ndim) * x
-    gap = _gap(weighted, losses, block_slices(game.block_sizes), _lead(game.masses, x.ndim))
-    return float(gap) if gap.ndim == 0 else gap
+def gap_from_losses(game: GameInstance, x: np.ndarray, losses: np.ndarray) -> float:
+    """Nash gap of an allocation ``(K, P)`` at path losses ``(P,)``."""
+    x = _shaped(x, (game.num_populations, game.total_paths), "allocation")
+    losses = _shaped(losses, (game.total_paths,), "path losses")
+    weighted = game.path_weights() * x
+    return float(_gap(weighted, losses, block_slices(game.block_sizes), game.masses))
 
 
 def nash_gap(game: GameInstance, x: np.ndarray) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,7 @@ def _run_moments(potentials: np.ndarray, gaps: np.ndarray):
 
 
 def simulate_sweep(
-    cfg: SimulationConfig, sigmas, seeds: list, keep_runs: bool = False
+    cfg: SimulationConfig, sigmas, seeds: Sequence, keep_runs: bool = False
 ) -> list[EnsembleRuns]:
     """Advance one run per (sigma, seed) pair, all together; one EnsembleRuns per sigma.
 
@@ -240,9 +241,26 @@ def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:
     return float(np.polyfit(np.log(iterations[mask]), np.log(safe), 1)[0])
 
 
-def run_seeds(seed: int, runs: int) -> list[np.random.SeedSequence]:
-    """Per-run seed substreams: ``SeedSequence(seed).spawn(runs)``."""
-    return np.random.SeedSequence(seed).spawn(runs)
+class _RunSeeds(Sequence):
+    """Child ``i`` of ``SeedSequence(seed).spawn(runs)``, made only when it is read."""
+
+    def __init__(self, seed: int, runs: int) -> None:
+        self._seed, self._keys = seed, range(runs)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self._seed, spawn_key=(self._keys[i],))
+
+
+def run_seeds(seed: int, runs: int) -> Sequence[np.random.SeedSequence]:
+    """Per-run seed substreams, the children of ``SeedSequence(seed).spawn(runs)``.
+
+    Each is made when it is read, so a run count that no array can hold fails
+    at the sweep's first allocation, not after spawning every child.
+    """
+    return _RunSeeds(seed, runs)
 
 
 def monte_carlo(

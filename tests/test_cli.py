@@ -268,6 +268,33 @@ def test_config_failure_is_one_line_error(tmp_path, capsys, command, edit, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, path, text, flag, message",
+    [
+        ("simulate", ("simulation", "T"), "1", ["--T", "200"],
+         "simulation/T: 1 is less than the minimum of 2"),
+        ("simulate", ("simulation", "sigma"), "NaN", ["--sigma", "0.1"],
+         "simulation/sigma: nan is not a finite number"),
+        ("accountant", ("privacy", "T_range"), "[5, 2]", ["--T-range", "1:10"],
+         "privacy/T_range: [5, 2] stops before it starts"),
+    ],
+    ids=["T", "sigma-nan", "T_range"],
+)
+def test_bad_file_value_is_refused_when_a_flag_replaces_it(tmp_path, capsys, command, path,
+                                                            text, flag, message):
+    # The file is checked alone before its flags merge in: the merged document
+    # would hide the file's value, and a NaN would reach the manifest's config
+    # echo, which json.dump writes as NaN, not JSON.
+    cfg = json.loads(TWO_OD.read_text())
+    cfg[path[0]][path[1]] = "@"
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(cfg).replace('"@"', text))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config invalid at {message}\n"
+    assert not out.exists()
+
+
 def test_config_that_is_not_json_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "truncated.json"
     path.write_text(PIGOU.read_text()[:40])
@@ -450,6 +477,28 @@ def test_unallocatable_t_range_names_the_shape(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: out of memory: Unable to allocate")
     assert "shape (9999999999999,)" in result.stderr and result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", [100000000, 2**53], ids=["1e8", "2**53"])
+def test_unallocatable_run_count_fails_at_once(tmp_path, runs):
+    # The seeds are made as they are read, so the sweep's first array, whose
+    # shape holds len(run_seeds(...)), fails before any child exists.  Capped
+    # at 3 GiB of address space, as above.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    args = ["simulate", "--config", str(TWO_OD), "--runs", str(runs), "--out", str(out)]
+    result = subprocess.run([sys.executable, "-m", "privroute.cli", *args], env=env,
+                            preexec_fn=cap, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 1 and result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: out of memory:")
+    assert f"shape (2, 5, 3, {runs})" in result.stderr
+    assert result.stderr.endswith(f"(simulate: T=200, runs={runs}, sigmas=3)\n")
     assert not out.exists()
 
 

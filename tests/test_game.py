@@ -389,6 +389,40 @@ def test_path_weights_is_one_read_only_array(standin_game):
     assert weights.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g, x, phi, losses: potential_from_flows(g, [1.0]),
+         "edge flows must have shape (8,), got (1,)"),
+        (lambda g, x, phi, losses: gap_from_losses(g, x[:1], losses),
+         "allocation must have shape (2, 5), got (1, 5)"),
+        (lambda g, x, phi, losses: gap_from_losses(g, x, np.append(losses, 1.0)),
+         "path losses must have shape (5,), got (6,)"),
+        (lambda g, x, phi, losses: edge_flows(g, np.stack([x] * 3, axis=-1)),
+         "allocation must have shape (2, 5), got (2, 5, 3)"),
+        (lambda g, x, phi, losses: path_losses(g, np.stack([phi] * 2, axis=-1)),
+         "edge flows must have shape (8,), got (8, 2)"),
+    ],
+    ids=["potential-one-flow", "gap-one-population", "gap-extra-loss", "flows-3d-allocation",
+         "losses-batched-flows"],
+)
+def test_public_helpers_refuse_any_other_shape(standin_game, call, message):
+    # two_od: 8 edges, 2 populations, 5 paths.  Only the kernels take batch axes.
+    x = uniform_allocation(standin_game)
+    phi = edge_flows(standin_game, x)
+    losses = path_losses(standin_game, phi)
+    with pytest.raises(ValueError) as info:
+        call(standin_game, x, phi, losses)
+    assert str(info.value) == message
+
+
+def test_potential_and_gap_are_floats(standin_game):
+    x = uniform_allocation(standin_game)
+    phi = edge_flows(standin_game, x)
+    assert type(potential_from_flows(standin_game, phi)) is float
+    assert type(gap_from_losses(standin_game, x, path_losses(standin_game, phi))) is float
+
+
 @pytest.mark.parametrize("populations", [1, 2, 3])
 @pytest.mark.parametrize("batch", [(3, 150), (1, 1), (7,), ()], ids=str)
 def test_kernels_equal_the_generic_reductions(populations, batch):
@@ -419,5 +453,6 @@ def test_kernels_equal_the_generic_reductions(populations, batch):
         current = (w * x * losses).sum(axis=(0, 1))
         gap = np.maximum(current - (m * block_min).sum(axis=(0, 1)), 0.0)
         assert game_module._gap(w * x, losses, blocks, m).tobytes() == gap.tobytes()
-    assert edge_flows(game, x).tobytes() == phi.tobytes()
-    assert np.asarray(gap_from_losses(game, x, losses)).tobytes() == gap.tobytes()
+    if batch == ():  # the public helpers take one allocation
+        assert edge_flows(game, x).tobytes() == phi.tobytes()
+        assert np.asarray(gap_from_losses(game, x, losses)).tobytes() == gap.tobytes()

@@ -298,6 +298,17 @@ def test_engine_noise_is_successive_draws_from_each_child():
         assert record.observed_losses.tobytes() == draws.tobytes()
 
 
+@pytest.mark.parametrize("seed, n", [(0, 1), (8, 5), (2**64 + 3, 4)])
+def test_run_seeds_are_the_spawned_children(seed, n):
+    seeds = run_seeds(seed, n)
+    spawned = [c.generate_state(4).tobytes() for c in np.random.SeedSequence(seed).spawn(n)]
+    assert len(seeds) == n
+    assert [c.generate_state(4).tobytes() for c in seeds] == spawned
+    assert [seeds[i].generate_state(4).tobytes() for i in range(-n, n)] == spawned * 2
+    with pytest.raises(IndexError):
+        seeds[n]
+
+
 def test_engine_rejects_non_finite_losses(pigou_game):
     cfg = small_config(pigou_game, sigma=1e308, horizon=50, runs=2)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite loss entries"):
