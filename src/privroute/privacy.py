@@ -351,9 +351,10 @@ def privacy_curve(
         sens = _sensitivities(consts, c, np.arange(1, t_max + 1), loss_dual_bound)
         later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
         # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
-        prefix = np.stack([np.minimum.accumulate(sens), np.maximum.accumulate(sens),
-                           sens[0] + later, np.ones(t_max)])
-        (_, _, epsilon, scale), flags = _epsilons(prefix[:, horizons - 1], sigma, steps)
+        ends = horizons - 1  # each horizon's last release
+        prefix = np.stack([np.minimum.accumulate(sens)[ends], np.maximum.accumulate(sens)[ends],
+                           sens[0] + later[ends], np.ones(len(horizons))])
+        (_, _, epsilon, scale), flags = _epsilons(prefix, sigma, steps)
     # Every sensitivity and per-release epsilon is finite when every composed epsilon is.
     if not np.isfinite(epsilon).all():
         raise ValueError(f"epsilon overflows at c = {c!r}, sigma = {sigma!r}")
@@ -361,7 +362,7 @@ def privacy_curve(
     sums = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
     tails = [tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()]
     with np.errstate(over="ignore"):
-        delta = tails + np.exp(np.log(steps) + scale * later[horizons - 1] + np.log(sums))
+        delta = tails + np.exp(np.log(steps) + scale * later[ends] + np.log(sums))
     last = int(horizons.argmax())
     epsilons, valid_steps = _epsilons(sens, sigma, steps[last])
     report = PrivacyReport(

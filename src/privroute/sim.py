@@ -188,10 +188,12 @@ def simulate_sweep(
     for start, stop in chunks:
         for rng, block in zip(rngs, noise):
             rng.standard_normal((stop - start, P), out=block[:stop - start])
-        scaled_noise = scale * noise[:, :stop - start].transpose(1, 2, 0)[:, :, None]
+        # A (steps, paths, 1, runs) view of the draw; each step scales its own slice,
+        # so no sigmas-fold copy of the chunk's noise is ever held.
+        drawn = noise[:, :stop - start, :, None].transpose(1, 2, 3, 0)
         first = 0 if keep_runs else start  # the step in column 0 of potentials and gaps
         for t in range(start, stop):
-            loss_hat = losses + scaled_noise[t - start]
+            loss_hat = losses + scale * drawn[t - start]
             scaled = weights * loss_hat
             if not np.isfinite(scaled).all():
                 raise ValueError("non-finite loss entries")
@@ -237,8 +239,12 @@ def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:
     mask = (iterations >= lo) & (iterations <= hi)
     if mask.sum() < 2:
         raise ValueError(f"slope window {window} selects fewer than two iterations")
-    safe = np.clip(values[mask], 1e-300, None)
-    return float(np.polyfit(np.log(iterations[mask]), np.log(safe), 1)[0])
+    x = np.log(iterations[mask])
+    y = np.log(np.clip(values[mask], 1e-300, None))
+    if not np.isfinite(y).all():
+        raise ValueError(f"the values to fit in slope window {window} are not all finite")
+    x, y = x - x.mean(), y - y.mean()
+    return float((x * y).sum() / (x * x).sum())
 
 
 class _RunSeeds(Sequence):

@@ -351,6 +351,25 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_fitted_values_are_one_line_error(tmp_path, capsys):
+    # Two equal paths keep every run at the uniform allocation, whose potential
+    # (about 0.7e308) is finite while three runs' sum overflows, so the ensemble
+    # mean is inf.  The slope fit refuses it before a manifest records a NaN slope.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["edge_costs"] = [{"affine": [1e-100, 0.0]}] * 2
+    cfg["populations"][0].update(theta=[1.673e204], c_k=1e-10)
+    cfg["simulation"]["sigma"] = 0.0
+    del cfg["mass_bound"]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--T", "20", "--runs", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: the values to fit in slope window (5, 20) are not all finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,28 @@ def test_slope_fit_recovers_power_law():
     assert fit_loglog_slope(values, (50, 200)) == pytest.approx(-0.7, abs=1e-9)
     with pytest.raises(ValueError, match="window"):
         fit_loglog_slope(values, (500, 600))
+
+
+@pytest.mark.parametrize("window", [(1, 200), (50, 200), (10, 11), (150, 200), (1, 5000)])
+def test_slope_fit_equals_polyfit(window):
+    # The closed-form slope of the centred logs is polyfit's least-squares line.
+    t = np.arange(1, window[1] + 1)
+    rng, lo = np.random.default_rng(window), window[0] - 1
+    for exponent, noise in itertools.product([-2.5, -0.7, -0.1, 0.3], [0.0, 0.1, 1.0]):
+        values = 3.0 * t ** exponent * np.exp(noise * rng.standard_normal(t.size))
+        reference = np.polyfit(np.log(t[lo:]), np.log(values[lo:]), 1)[0]
+        assert fit_loglog_slope(values, window) == pytest.approx(reference, rel=1e-12, abs=0.0), (
+            exponent, noise)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_slope_fit_refuses_non_finite_values(bad):
+    values = 3.0 * np.arange(1, 201) ** -0.7
+    values[120] = bad
+    with pytest.raises(ValueError, match=r"slope window \(50, 200\) are not all finite"):
+        fit_loglog_slope(values, (50, 200))
+    # A value outside the window is not fitted.
+    assert np.isfinite(fit_loglog_slope(values, (1, 100)))
 
 
 def test_simulation_config_validation(standin_game, standin_dynamics):
@@ -444,3 +469,27 @@ def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics
                 ])
     assert all(b == stats_bytes[0] for b in stats_bytes[1:])
     assert all(b == record_bytes[0] for b in record_bytes[1:])
+
+
+def _traced_peak(cfg, sigmas) -> int:
+    """Bytes that one streamed sweep holds at its peak, over what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        simulate_sweep(cfg, sigmas, run_seeds(cfg.seed, cfg.runs))
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_sigma_costs_less_than_two_noise_chunks(standin_game, standin_dynamics):
+    # Every sigma scales the runs' one noise draw step by step, so a sigma adds
+    # its (populations, paths, runs) state and its potentials and gaps, not a
+    # copy of the chunk's draw.
+    geometries, schedules = standin_dynamics
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, 150, 20260810)
+    simulate_sweep(cfg, [0.1], run_seeds(0, 2))  # warm up, so the first sweep loads nothing
+    peaks = {n: _traced_peak(cfg, np.linspace(0.01, 0.4, n)) for n in (1, 3, 6)}
+    chunk = cfg.runs * sim._STEP_CHUNK * standin_game.total_paths * 8
+    per_sigma = [(peaks[3] - peaks[1]) / 2, (peaks[6] - peaks[3]) / 3]
+    assert max(per_sigma) < 2 * chunk, (peaks, per_sigma, chunk)
