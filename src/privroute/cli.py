@@ -82,12 +82,12 @@ def cmd_simulate(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for run, ensemble, stats, bound in zip(run_cfgs, ensembles, results, bounds):
+    for run, stats, bound in zip(run_cfgs, results, bounds):
         token = _sigma_token(run.sigma)
         if args.per_run:
             run_dir = outdir / f"runs_sigma_{token}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            for i, record in enumerate(ensemble.records):
+            for i, record in enumerate(stats.records):
                 sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv")
         sim.write_ensemble_csv(stats, outdir / _ensemble_name(run.sigma))
         manifest = _manifest(

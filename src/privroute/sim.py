@@ -85,19 +85,6 @@ class RunRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleStats:
-    """Per-iteration statistics across independent runs."""
-
-    f_mean: np.ndarray
-    f_std: np.ndarray
-    gap_mean: np.ndarray
-    flow_mean: np.ndarray
-    equilibrium: Equilibrium
-    slope: float
-    slope_window: tuple[int, int]
-
-
-@dataclass(frozen=True, eq=False)
 class EnsembleRuns:
     """The runs of one noise level, reduced over runs, as :func:`simulate_sweep` returns them.
 
@@ -113,25 +100,27 @@ class EnsembleRuns:
     records: list[RunRecord] | None  # every run's trajectory, only when kept
 
 
+@dataclass(frozen=True, eq=False)
+class EnsembleStats(EnsembleRuns):
+    """One noise level's :class:`EnsembleRuns` and the fit of its mean potential's decay."""
+
+    equilibrium: Equilibrium
+    slope: float
+    slope_window: tuple[int, int]
+
+
 _STEP_CHUNK = 50  # steps whose noise is drawn, and whose runs are reduced, together
 
 
-def _step_chunks(horizon: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` spans of ``_STEP_CHUNK`` steps; a one-step remainder joins the last.
+def _run_moments(pairs: np.ndarray):
+    """Mean and std of the potentials and mean of the gaps over ``(runs, steps, 2)`` pairs.
 
-    numpy reduces a ``(runs, steps)`` array over runs one run after another in
-    each column only when there are at least two columns; over ``(runs, 1)`` it
-    sums pairwise, which gives other bytes.
+    numpy adds the runs one after another in each column only when a row holds
+    two or more values; a ``(runs, 1)`` column it sums pairwise, which gives
+    other bytes.  Potentials and gaps side by side keep every row two wide.
     """
-    starts = list(range(0, horizon, _STEP_CHUNK))
-    if len(starts) > 1 and horizon - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [horizon]))
-
-
-def _run_moments(potentials: np.ndarray, gaps: np.ndarray):
-    """Mean and std of the potentials and mean of the gaps over the runs of ``(runs, steps)``."""
-    return potentials.mean(axis=0), potentials.std(axis=0), gaps.mean(axis=0)
+    mean, std = pairs.mean(axis=0), pairs.std(axis=0)
+    return mean[:, 0], std[:, 0], mean[:, 1]
 
 
 def simulate_sweep(
@@ -145,9 +134,11 @@ def simulate_sweep(
     scales those draws.  Entropic populations are held as logits and euclidean
     ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  Each
     (sigma, run) column is computed alone, so it gets the same bytes in any
-    sweep.  Potentials and gaps are reduced over runs chunk by chunk, so
-    without ``keep_runs`` the state does not grow with ``T`` beyond the
-    per-step outputs.
+    sweep.  Each step's potentials and gaps go side by side into one
+    chunk-wide buffer, reduced over runs by :func:`_run_moments` when the
+    chunk ends, so without ``keep_runs`` the state does not grow with ``T``
+    beyond the per-step outputs; ``keep_runs`` also copies each finished
+    chunk into the runs' records.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
     sigmas = _check_sigmas(sigmas)
@@ -168,13 +159,12 @@ def simulate_sweep(
     incidence_t = incidence.T
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    chunks = _step_chunks(T)
-    width = max(stop - start for start, stop in chunks)
+    width = min(_STEP_CHUNK, T)
     noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
+    pairs = np.empty((S, R, width, 2))  # each step's potential and gap, side by side
     if keep_runs:
-        width = T
+        potentials, gaps = np.empty((S, R, T)), np.empty((S, R, T))
         allocations, observed = np.empty((S, R, T, K, P)), np.empty((S, R, T, P))
-    potentials, gaps = np.empty((S, R, width)), np.empty((S, R, width))
     f_mean, f_std, gap_mean = np.empty((S, T)), np.empty((S, T)), np.empty((S, T))
     flow_mean = np.empty((S, T, K, P))
     # Runs first, so a sum over rows adds the runs in run order; the spare column
@@ -185,13 +175,13 @@ def simulate_sweep(
 
     losses = game_ops._path_losses(incidence_t, slope, intercept,
                                    game_ops._edge_flows(incidence, weights * x))
-    for start, stop in chunks:
+    for start in range(0, T, width):
+        stop = min(start + width, T)
         for rng, block in zip(rngs, noise):
             rng.standard_normal((stop - start, P), out=block[:stop - start])
         # A (steps, paths, 1, runs) view of the draw; each step scales its own slice,
         # so no sigmas-fold copy of the chunk's noise is ever held.
         drawn = noise[:, :stop - start, :, None].transpose(1, 2, 3, 0)
-        first = 0 if keep_runs else start  # the step in column 0 of potentials and gaps
         for t in range(start, stop):
             loss_hat = losses + scale * drawn[t - start]
             scaled = weights * loss_hat
@@ -206,17 +196,19 @@ def simulate_sweep(
             weighted = weights * x
             phi = game_ops._edge_flows(incidence, weighted)
             losses = game_ops._path_losses(incidence_t, slope, intercept, phi)
-            potentials[:, :, t - first] = game_ops._potential(half_slope, intercept, phi)
-            gaps[:, :, t - first] = game_ops._gap(weighted, losses, blocks, masses)
+            pairs[:, :, t - start, 0] = game_ops._potential(half_slope, intercept, phi)
+            pairs[:, :, t - start, 1] = game_ops._gap(weighted, losses, blocks, masses)
             runs_first[:, :-1] = x.reshape(-1, R).T
             flow_mean[:, t] = runs_first.sum(axis=0)[:-1].reshape(K, P, S).transpose(2, 0, 1)
             if keep_runs:
                 allocations[:, :, t] = x.transpose(2, 3, 0, 1)
                 observed[:, :, t] = loss_hat.transpose(1, 2, 0)
-        cols = slice(start - first, stop - first)
+        done = pairs[:, :, :stop - start]
         for i in range(S):
             f_mean[i, start:stop], f_std[i, start:stop], gap_mean[i, start:stop] = (
-                _run_moments(potentials[i, :, cols], gaps[i, :, cols]))
+                _run_moments(done[i]))
+        if keep_runs:
+            potentials[:, :, start:stop], gaps[:, :, start:stop] = done[..., 0], done[..., 1]
     flow_mean /= R
     records = [
         [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r])
@@ -280,29 +272,23 @@ def monte_carlo(
     :func:`run_seeds`, so runs are independent yet the whole ensemble is
     reproducible.  The potential reference value is ``equilibrium``'s, one
     gap-certified solve shared across noise levels.  Precomputed runs (one
-    noise level of a :func:`simulate_sweep`, or a list of run records) skip
-    the simulation pass.
+    noise level of a :func:`simulate_sweep`, or a list of run records, which
+    :func:`_run_moments` reduces as the sweep does) skip the simulation pass.
+    The result is those runs, records included, plus the slope fit.
     """
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
-        moments = _run_moments(np.stack([r.potentials for r in records]),
-                               np.stack([r.gaps for r in records]))
+        moments = _run_moments(np.stack([np.stack([r.potentials, r.gaps], -1) for r in records]))
         flow_mean = sum(r.allocations for r in records) / len(records)
         records = EnsembleRuns(*moments, flow_mean, len(records), records)
     if records.runs != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {records.runs}")
 
     window = (max(1, cfg.horizon // 4), cfg.horizon)  # the last three quarters
-    return EnsembleStats(
-        f_mean=records.f_mean,
-        f_std=records.f_std,
-        gap_mean=records.gap_mean,
-        flow_mean=records.flow_mean,
-        equilibrium=equilibrium,
-        slope=fit_loglog_slope(records.f_mean - equilibrium.potential, window),
-        slope_window=window,
-    )
+    fit = {"equilibrium": equilibrium, "slope_window": window,
+           "slope": fit_loglog_slope(records.f_mean - equilibrium.potential, window)}
+    return EnsembleStats(**vars(records) | fit)
 
 
 def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> dict:
@@ -313,7 +299,7 @@ def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> di
     and the dual norm is dominated by the full euclidean norm.
     """
     loss_sup = loss_sup_bound(cfg.game)
-    noise_bound = cfg.game.total_paths * (loss_sup**2 + cfg.sigma * cfg.sigma)
+    noise_bound = cfg.game.total_paths * (loss_sup * loss_sup + cfg.sigma * cfg.sigma)
     bound = suboptimality_bound(cfg.geometries, cfg.schedules, noise_bound, cfg.horizon)
     realized = float(stats.f_mean[-1] - stats.equilibrium.potential)
     return {

@@ -328,18 +328,31 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "edge 1" in capsys.readouterr().err
 
 
-def test_simulate_huge_sigma_gives_infinite_bound(tmp_path):
-    # A schema-valid sigma whose square overflows a Python float.
+# Schema-valid pigou configs whose noise bound overflows a Python float: a loud
+# sigma, or a loss bound whose square overflows (costly edges, or a mass of
+# 1.5e154 with no mass_bound to cap it).
+LOUD_PIGOU = {
+    "sigma": lambda cfg: cfg["simulation"].update(sigma=1e200),
+    "edge_costs": lambda cfg: cfg.update(edge_costs=[{"affine": [1e300, 1e300]}] * 2),
+    "theta": lambda cfg: (cfg["populations"][0].update(theta=[1.5e154]), cfg.pop("mass_bound")),
+}
+
+
+@pytest.mark.parametrize("loud", LOUD_PIGOU)
+def test_simulate_huge_sigma_gives_infinite_bound(tmp_path, loud):
     cfg = json.loads(PIGOU.read_text())
-    cfg["simulation"]["sigma"] = 1e200
+    LOUD_PIGOU[loud](cfg)
     path = tmp_path / "loud.json"
     path.write_text(json.dumps(cfg))
-    code = main(["simulate", "--config", str(path), "--T", "20", "--runs", "2", "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--T", "20", "--runs", "2", "--out", str(out)])
     assert code == 0
-    manifest = json.loads((tmp_path / "manifest_sigma_1e+200.json").read_text())
-    bound = manifest["checks"]["suboptimality_bound"]
-    assert math.isinf(bound["noise_bound"]) and math.isinf(bound["bound"])
-    assert bound["ok"] is True
+    manifests = sorted(out.glob("manifest_sigma_*.json"))
+    assert manifests
+    for manifest in manifests:
+        bound = json.loads(manifest.read_text())["checks"]["suboptimality_bound"]
+        assert math.isinf(bound["noise_bound"]) and math.isinf(bound["bound"])
+        assert bound["ok"] is True
 
 
 def test_failing_simulate_writes_nothing(tmp_path, capsys):

@@ -406,16 +406,19 @@ def one_path_config(geometry):
         ("one_path_entropic", [0.4], 9),
         ("mixed_geometries", [0.01, 0.1, 0.4], 30),
         ("all_euclidean", [0.01, 0.1, 0.4], 30),
+        ("two_od_T51", [0.4], 150),
     ],
 )
 def test_engine_equals_the_generic_reductions(case, sigmas, runs, standin_game, standin_dynamics):
     # The one-path cases have populations x paths x sigmas = 1, where a sum over
-    # runs laid out as (runs, 1) would go pairwise instead of in run order.
+    # runs laid out as (runs, 1) would go pairwise instead of in run order; so
+    # would one sigma's potentials over a one-step chunk, as T = 51 ends in.
     if case.startswith("one_path"):
         cfg = one_path_config(case.rsplit("_", 1)[1])
-    elif case == "two_od":
+    elif case.startswith("two_od"):
         geometries, schedules = standin_dynamics
-        cfg = SimulationConfig(standin_game, geometries, schedules, sigmas[0], 120, runs, 6)
+        horizon = 51 if case == "two_od_T51" else 120
+        cfg = SimulationConfig(standin_game, geometries, schedules, sigmas[0], horizon, runs, 6)
     else:
         cfg = engine_case(case, standin_game, standin_dynamics)
     seeds = run_seeds(cfg.seed, runs)
@@ -428,21 +431,9 @@ def test_engine_equals_the_generic_reductions(case, sigmas, runs, standin_game, 
                 assert a.tobytes() == b.tobytes(), (name, kept)
 
 
-def test_step_chunks_cover_the_horizon_with_no_one_step_chunk(monkeypatch):
-    for chunk in (2, 3, 7, 50):
-        monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
-        for horizon in range(1, 3 * chunk + 3):
-            spans = sim._step_chunks(horizon)
-            assert [a for a, _ in spans[1:]] == [b for _, b in spans[:-1]]
-            assert spans[0][0] == 0 and spans[-1][1] == horizon
-            widths = [b - a for a, b in spans]
-            assert max(widths) <= chunk + 1
-            assert horizon == 1 or min(widths) >= 2
-
-
 @pytest.mark.parametrize("case", ["two_od", "mixed_geometries", "all_euclidean"])
 def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics, monkeypatch):
-    # T = 201 leaves one step over for chunks of 2 and 50; those join the chunk before.
+    # T = 201 leaves a one-step last chunk for chunks of 2 and 50.
     geometries, schedules = standin_dynamics
     if case == "two_od":
         cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 201, 150, 20260810)
