@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-# main catches these modules' errors; sim and privacy are imported by the commands
+# main catches these modules' errors; sim, privacy and output are imported by the commands
 # that run them, so each command loads only the modules it uses.
 from . import __version__, config, game, network
 
@@ -51,7 +52,7 @@ def _manifest(command: str, cfg: dict, **fields) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    from . import sim
+    from . import output, sim
 
     cfg = config.load_config(args.config)
     if "simulation" not in cfg:
@@ -103,7 +104,7 @@ def cmd_simulate(args) -> int:
                      "terminal_gap_mean": float(stats.gap_mean[-1])},
             checks={"suboptimality_bound": bound},
         )
-        sim.write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
+        output.write_manifest(outdir / f"manifest_sigma_{token}.json", manifest)
         print(
             f"sigma={run.sigma:g}: slope={stats.slope:.4f} "
             f"terminal_f_mean={stats.f_mean[-1]:.6f} f_star={stats.equilibrium.potential:.6f} "
@@ -121,7 +122,7 @@ def _parse_t_range(text: str) -> list[int]:
 
 
 def cmd_accountant(args) -> int:
-    from . import privacy, sim
+    from . import output, privacy
 
     cfg = config.load_config(args.config)
     pairs = config.privacy_pairs(cfg)  # raises when the config has no privacy block
@@ -147,9 +148,10 @@ def cmd_accountant(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "accountant.csv"
-    sim.write_csv(out_path, ["c", "sigma", "T", "epsilon", "delta", "valid"], (
-        [c, sigma, *row]
-        for (c, sigma), curve in zip(pairs, curves)
+    # Each pair's c and sigma are formatted once, as one field that holds both.
+    output.write_csv(out_path, ["c", "sigma", "T", "epsilon", "delta", "valid"], (
+        [pair, *row]
+        for pair, curve in zip((f"{c},{sigma}" for c, sigma in pairs), curves)
         for row in zip(*(col.tolist() for col in
                          (horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
@@ -159,7 +161,7 @@ def cmd_accountant(args) -> int:
     diagnostics = []
     for (c, sigma), curve in zip(pairs, curves):
         report = curve.report
-        sim.write_manifest(outdir / _report_name(c, sigma), {
+        output.write_manifest(outdir / _report_name(c, sigma), {
             "sigma": sigma, "clip": clip, "horizon": int(horizons[-1]),
             "delta_budget": delta_budget, "loss_dual_bound": loss_dual_bound,
             "constants": {"adjacency_radius": c} | instance,
@@ -190,7 +192,7 @@ def cmd_accountant(args) -> int:
         },
         diagnostics=diagnostics,
     )
-    sim.write_manifest(outdir / "accountant_manifest.json", manifest)
+    output.write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")
     return 0
 
@@ -294,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is not kept, so its cyclic objects are freed while the command runs.
+    args = build_parser().parse_args(argv)
     try:
         # Overflow reaches the output as inf or NaN, which the commands' own
         # finiteness checks turn into the one-line error below.
@@ -312,5 +314,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: ``main``, then the end of the process without interpreter teardown.
+
+    Teardown only frees memory that the operating system takes back anyway, and
+    its cyclic collection walks every object alive, most of them numpy's.  Every
+    file a command writes is closed when ``main`` returns, so only standard output
+    and standard error are flushed here.  A flush that fails is left to the
+    interpreter's own exit, which reports it.  ``main`` is the entry for callers
+    that keep running.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

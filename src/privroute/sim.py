@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -14,6 +12,7 @@ from .dynamics import BregmanGeometry, LearningSchedule, block_projection, block
 from .dynamics import suboptimality_bound
 from .game import Equilibrium, GameInstance, loss_sup_bound
 from .network import block_slices
+from .output import write_csv, write_manifest  # write_manifest: re-exported for library callers
 
 __all__ = [
     "EnsembleRuns",
@@ -26,7 +25,6 @@ __all__ = [
     "run_seeds",
     "run_trajectory",
     "simulate_sweep",
-    "write_csv",
     "write_ensemble_csv",
     "write_manifest",
     "write_run_csv",
@@ -350,23 +348,3 @@ def write_run_csv(record: RunRecord, path) -> None:
     write_csv(path, header, _numbered_rows([record.potentials, record.gaps,
                                             record.allocations.reshape(horizon, -1),
                                             record.observed_losses]))
-
-
-def write_csv(path, header: list, rows) -> None:
-    """Write ``header`` and then ``rows`` as RFC-4180 CSV: comma-separated, CRLF-ended lines.
-
-    Each field is written as its ``str``, which for a Python float (what
-    ``tolist`` gives) is its ``repr``: the shortest string that reads back as
-    the same float.  Fields are numbers and column names, none with a comma,
-    a quote or a line break, so none is quoted.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for row in itertools.chain([header], rows):
-            handle.write(",".join(map(str, row)) + "\r\n")
-
-
-def write_manifest(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-

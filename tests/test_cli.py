@@ -1256,8 +1256,8 @@ def loaded_modules(probe: str, *args: str) -> set[str]:
 @pytest.mark.parametrize(
     "command, args, modules",
     [
-        ("simulate", ["--T", "5", "--runs", "1"], {"sim"}),
-        ("accountant", ["--T-range", "1:5"], {"privacy", "sim"}),
+        ("simulate", ["--T", "5", "--runs", "1"], {"sim", "output"}),
+        ("accountant", ["--T-range", "1:5"], {"privacy", "output"}),
         ("constants", [], {"privacy"}),
         ("equilibrium", [], set()),
     ],
@@ -1274,3 +1274,77 @@ def test_each_command_loads_only_its_modules(tmp_path, command, args, modules):
 
 def test_importing_sim_does_not_load_privacy():
     assert "privroute.privacy" not in loaded_modules("import privroute.sim")
+
+
+# ---------------------------------------------------------------- process entry
+
+
+def _entry_env() -> dict:
+    """The environment of a child that runs the process entry, with buffered output."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # so that the entry itself must flush what was printed
+    return env
+
+
+@pytest.mark.parametrize("broken, code", [(False, 0), (True, 2)], ids=["pigou", "unparsable"])
+def test_process_entry_ends_the_process_without_teardown(tmp_path, capsys, broken, code):
+    # In a child process, which run() ends; an atexit handler shows whether teardown ran.
+    path = PIGOU
+    if broken:
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+    probe = "import atexit\nfrom privroute import cli\natexit.register(print, 'teardown')\ncli.run()"
+    result = subprocess.run([sys.executable, "-c", probe, "equilibrium", "--config", str(path)],
+                            env=_entry_env(), capture_output=True, text=True)
+    assert main(["equilibrium", "--config", str(path)]) == code
+    assert (result.returncode, result.stdout, result.stderr) == (code, *capsys.readouterr())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_process_entry_reports_output_it_cannot_flush():
+    # /dev/full refuses every write, so the entry's flush fails and the
+    # interpreter's exit reports the lost output, as it does for any script.
+    def to_full(*args):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, *args], env=_entry_env(), stdout=full,
+                                    stderr=subprocess.PIPE, text=True)
+        return result.returncode, result.stderr
+
+    script = to_full("-c", "print('f_star')")
+    assert script[0] != 0 and "No space left on device" in script[1]
+    assert to_full("-m", "privroute.cli", "equilibrium", "--config", str(PIGOU)) == script
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_is_the_process_entry():
+    import tomllib
+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"privroute": "privroute.cli:run"}
+
+
+@pytest.mark.parametrize(
+    "command, config, args",
+    [
+        ("accountant", TWO_OD, ["--T-range", "1:2001:100"]),
+        ("simulate", PIGOU, ["--T", "20", "--runs", "2", "--per-run"]),
+    ],
+    ids=["accountant", "simulate"],
+)
+def test_process_entry_writes_what_main_writes(tmp_path, command, config, args):
+    argv = [command, "--config", str(config), *args]
+    subprocess.run([sys.executable, "-m", "privroute.cli", *argv, "--out", str(tmp_path / "entry")],
+                   env=_entry_env(), capture_output=True, check=True)
+    assert main([*argv, "--out", str(tmp_path / "main")]) == 0
+
+    def files(name):
+        """Each file's lines, less the one that says when a manifest was written."""
+        root = tmp_path / name
+        return {str(p.relative_to(root)): [line for line in p.read_bytes().splitlines(True)
+                                           if b'"created_at"' not in line]
+                for p in root.rglob("*") if p.is_file()}
+
+    entry = files("entry")
+    assert any(name.endswith(".csv") for name in entry)
+    assert entry == files("main")

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-MODULES = ["network", "game", "dynamics", "sim", "privacy", "config"]
+MODULES = ["network", "game", "dynamics", "sim", "privacy", "config", "output"]
 
 
 @pytest.mark.parametrize("name", MODULES)
