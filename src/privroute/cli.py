@@ -213,16 +213,8 @@ def cmd_constants(args) -> int:
         print()
         return 0
     print(f"paths per OD pair: {values['paths_per_od']} (total {values['total_paths']})")
-    for label, key, derivation in [
-        ("incidence gain A_x", "incidence_gain", "largest per-OD incidence spectral norm"),
-        ("allocation norm bound A_Delta", "allocation_norm_bound",
-         "sum over OD pairs of the per-simplex vertex norm, 1 each"),
-        ("mass bound A_theta", "mass_bound", "largest declared OD mass"),
-        ("loss Lipschitz A_ell", "loss_lipschitz",
-         "sum of incidence spectral norms times the worst cost slope"),
-        ("loss sup bound M", "loss_sup", "costliest path with the total mass on every edge"),
-    ]:
-        print(f"{label} = {values[key]!r}  ({derivation})")
+    for _, value, label, derivation in consts.bounds():
+        print(f"{label} = {value!r}  ({derivation})")
     for k, geometry in enumerate(geometries):
         print(f"population {k}: strong-convexity modulus = {geometry.strong_convexity!r}"
               f"  ({geometry.modulus_derivation})")

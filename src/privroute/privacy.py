@@ -25,7 +25,7 @@ pass; ``privacy_report`` is its per-release report at a single horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -81,28 +81,34 @@ def allocation_shift_bound(eta, loss_dual_norm: float, modulus: float, mass_shif
     return mass_shift * eta * loss_dual_norm / modulus
 
 
+def _bound(label: str, derivation: str):
+    """A bound of the guarantee: refused unless finite and nonnegative, printed by ``constants``."""
+    return field(metadata={"label": label, "derivation": derivation})
+
+
 @dataclass(frozen=True)
 class SensitivityConstants:
     """Instance constants feeding the per-release sensitivity formula."""
 
-    mass_bound: float
-    allocation_norm_bound: float
-    incidence_gain: float
-    loss_lipschitz: float
-    loss_sup: float
+    incidence_gain: float = _bound("incidence gain A_x", "largest per-OD incidence spectral norm")
+    allocation_norm_bound: float = _bound(
+        "allocation norm bound A_Delta", "sum over OD pairs of the per-simplex vertex norm, 1 each")
+    mass_bound: float = _bound(
+        "mass bound A_theta", "declared mass_bound, else the largest OD mass")
+    loss_lipschitz: float = _bound(
+        "loss Lipschitz A_ell", "sum of incidence spectral norms times the worst cost slope")
+    loss_sup: float = _bound("loss sup bound M", "costliest path with the total mass on every edge")
     modulus_min: float
     total_paths: int
     schedules: tuple[LearningSchedule, ...]
 
+    def bounds(self) -> list[tuple[str, float, str, str]]:
+        """``(name, value, label, derivation)`` of each bound, in declaration order."""
+        return [(f.name, getattr(self, f.name), f.metadata["label"], f.metadata["derivation"])
+                for f in fields(self) if "derivation" in f.metadata]
+
     def __post_init__(self) -> None:
-        for name in (
-            "mass_bound",
-            "allocation_norm_bound",
-            "incidence_gain",
-            "loss_lipschitz",
-            "loss_sup",
-        ):
-            value = getattr(self, name)
+        for name, value, *_ in self.bounds():
             if not (value >= 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not self.modulus_min > 0:
@@ -141,9 +147,9 @@ class SensitivityConstants:
         modulus_min = min(BregmanGeometry(kind, game.block_sizes).strong_convexity
                           for kind in GEOMETRY_KINDS)
         return cls(
-            mass_bound=game.mass_bound,
-            allocation_norm_bound=float(len(block_norms)),
             incidence_gain=max(block_norms),
+            allocation_norm_bound=float(len(block_norms)),
+            mass_bound=game.mass_bound,
             loss_lipschitz=float(sum(block_norms)) * game.max_slope,
             loss_sup=loss_sup_bound(game),
             modulus_min=modulus_min,

@@ -130,13 +130,13 @@ def simulate_sweep(
     ``default_rng(seeds[r])``, one ``(steps, paths)`` block per chunk of steps
     (the same numbers as ``T`` successive draws of one vector), and every sigma
     scales those draws.  Entropic populations are held as logits and euclidean
-    ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  Each
-    (sigma, run) column is computed alone, so it gets the same bytes in any
-    sweep.  Each step's potentials and gaps go side by side into one
-    chunk-wide buffer, reduced over runs by :func:`_run_moments` when the
-    chunk ends, so without ``keep_runs`` the state does not grow with ``T``
-    beyond the per-step outputs; ``keep_runs`` also copies each finished
-    chunk into the runs' records.
+    ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  On one
+    BLAS kernel, a batch of two or more (sigma, run) columns gives each column
+    the same bytes; a one-column batch, or another kernel, can differ in the
+    last bits.  Each step's potentials and gaps go side by side into one
+    chunk-wide buffer, reduced over runs by :func:`_run_moments` when the chunk
+    ends, so without ``keep_runs`` the state does not grow with ``T`` beyond the
+    per-step outputs; ``keep_runs`` also copies each finished chunk into the records.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
     sigmas = _check_sigmas(sigmas)
@@ -202,6 +202,7 @@ def simulate_sweep(
                 allocations[:, :, t] = x.transpose(2, 3, 0, 1)
                 observed[:, :, t] = loss_hat.transpose(1, 2, 0)
         done = pairs[:, :, :stop - start]
+        # One sigma per call: over the whole chunk, std's temporaries would span every sigma.
         for i in range(S):
             f_mean[i, start:stop], f_std[i, start:stop], gap_mean[i, start:stop] = (
                 _run_moments(done[i]))

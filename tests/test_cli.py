@@ -1106,9 +1106,27 @@ def test_constants_prints_the_geometry_derivation(capsys, monkeypatch):
 
 def test_constants_two_od(capsys):
     assert main(["constants", "--config", str(TWO_OD)]) == 0
-    out = capsys.readouterr().out
-    assert "A_Delta = 2.0" in out
-    assert "A_theta = 1.2" in out
+    lines = capsys.readouterr().out.splitlines()
+    # Every bound line, in print order, so reordering the declaration cannot shuffle it.
+    assert lines[1:6] == [
+        "incidence gain A_x = 2.668150422210142  (largest per-OD incidence spectral norm)",
+        "allocation norm bound A_Delta = 2.0"
+        "  (sum over OD pairs of the per-simplex vertex norm, 1 each)",
+        "mass bound A_theta = 1.2  (declared mass_bound, else the largest OD mass)",
+        "loss Lipschitz A_ell = 1.1670376055530354"
+        "  (sum of incidence spectral norms times the worst cost slope)",
+        "loss sup bound M = 1.948  (costliest path with the total mass on every edge)",
+    ]
+
+
+def test_constants_derive_a_declared_mass_bound(tmp_path, capsys):
+    # pigou's largest OD mass is 1.0; a declared bound of 5.0 is printed as declared.
+    cfg = json.loads(PIGOU.read_text()) | {"mass_bound": 5.0}
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["constants", "--config", str(path)]) == 0
+    assert ("mass bound A_theta = 5.0  (declared mass_bound, else the largest OD mass)\n"
+            in capsys.readouterr().out)
 
 
 # Exact values, compared by repr: an ulp of drift in A_x or A_ell fails.

@@ -298,6 +298,15 @@ def release_sensitivity(consts, c, release, loss_dual_bound) -> float:
     return float(privacy._sensitivities(consts, c, release, loss_dual_bound))
 
 
+# Listed here, not read from the declaration, so a bound dropped from it fails.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "name", ["incidence_gain", "allocation_norm_bound", "mass_bound", "loss_lipschitz", "loss_sup"])
+def test_constants_refuse_each_bound_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got {value}$"):
+        demo_constants(**{name: value})
+
+
 def test_step_sensitivity_formula_value():
     consts = demo_constants()
     # Release 2 follows the update at t = 0: eta(0) = 1, dual bound sqrt(4) * (2 + 2) = 8.
