@@ -71,25 +71,29 @@ def cmd_simulate(args) -> int:
     horizon, runs, seed = (int(block[key]) for key in ("T", "runs", "seed"))
     run_cfgs = [sim.SimulationConfig(inst, geometries, schedules, float(sigma), horizon, runs, seed)
                 for sigma in sigmas]
-    # One pass advances every (sigma, run) pair; all sigmas share the runs' noise draws.
+    outdir = Path(args.out)
+
+    def write_rows(start, records):  # each run's rows of one chunk, appended to its file
+        for run, runs_of_sigma in zip(run_cfgs, records):
+            run_dir = outdir / f"runs_sigma_{_sigma_token(run.sigma)}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            for i, record in enumerate(runs_of_sigma):
+                sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv", start)
+
+    # Every result first; then --per-run replays the sweep, writing each chunk as it ends.
     try:
-        ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs),
-                                       args.per_run)
+        ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs))
+        results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
+        bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
+        if args.per_run:
+            sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs), write_rows)
     except MemoryError as exc:  # main prints it in one line; the size goes at its end
         size = f"(simulate: T={horizon}, runs={runs}, sigmas={len(sigmas)})"
         raise MemoryError(" ".join(filter(None, [str(exc), size]))) from exc
-    results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
-    bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
 
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for run, stats, bound in zip(run_cfgs, results, bounds):
         token = _sigma_token(run.sigma)
-        if args.per_run:
-            run_dir = outdir / f"runs_sigma_{token}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            for i, record in enumerate(stats.records):
-                sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv")
         sim.write_ensemble_csv(stats, outdir / _ensemble_name(run.sigma))
         manifest = _manifest(
             "simulate", cfg,

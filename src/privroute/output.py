@@ -8,16 +8,17 @@ import json
 __all__ = ["write_csv", "write_manifest"]
 
 
-def write_csv(path, header: list, rows) -> None:
+def write_csv(path, header: list | None, rows) -> None:
     """Write ``header`` and then ``rows`` as RFC-4180 CSV: comma-separated, CRLF-ended lines.
 
-    Each field is written as its ``str``, which for a Python float (what
-    ``tolist`` gives) is its ``repr``: the shortest string that reads back as
-    the same float.  Fields are numbers and column names, none with a comma,
-    a quote or a line break, so none is quoted.
+    With no ``header``, ``rows`` are appended to ``path``.  Each field is written
+    as its ``str``, which for a Python float (what ``tolist`` gives) is its
+    ``repr``: the shortest string that reads back as the same float.  Fields are
+    numbers and column names, none with a comma, a quote or a line break, so
+    none is quoted.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for row in itertools.chain([header], rows):
+    with open(path, "a" if header is None else "w", newline="", encoding="utf-8") as handle:
+        for row in rows if header is None else itertools.chain([header], rows):
             handle.write(",".join(map(str, row)) + "\r\n")
 
 

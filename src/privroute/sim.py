@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -69,11 +69,11 @@ def _check_sigmas(sigmas) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """One trajectory: post-update states and the observations that drove them.
+    """A run's steps: post-update states and the observations that drove them.
 
-    Row ``t`` (0-based) holds the potential, gap, and allocation after
-    ``t + 1`` updates, plus the noisy loss vector observed at the state
-    preceding that update.
+    Row ``t`` holds the potential, gap, and allocation after ``start + t + 1``
+    updates, ``start`` being the first step held (0 for a whole run), plus the
+    noisy loss vector observed at the state preceding that update.
     """
 
     potentials: np.ndarray
@@ -86,8 +86,7 @@ class RunRecord:
 class EnsembleRuns:
     """The runs of one noise level, reduced over runs, as :func:`simulate_sweep` returns them.
 
-    Every reduction adds the runs one by one, in run order, as a sum over the
-    records does.
+    Every reduction adds the runs one by one, in run order.
     """
 
     f_mean: np.ndarray  # (T,)
@@ -95,7 +94,6 @@ class EnsembleRuns:
     gap_mean: np.ndarray  # (T,)
     flow_mean: np.ndarray  # (T, populations, paths): the allocations' mean over runs
     runs: int
-    records: list[RunRecord] | None  # every run's trajectory, only when kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +120,7 @@ def _run_moments(pairs: np.ndarray):
 
 
 def simulate_sweep(
-    cfg: SimulationConfig, sigmas, seeds: Sequence, keep_runs: bool = False
+    cfg: SimulationConfig, sigmas, seeds: Sequence, on_chunk: Callable | None = None
 ) -> list[EnsembleRuns]:
     """Advance one run per (sigma, seed) pair, all together; one EnsembleRuns per sigma.
 
@@ -135,8 +133,10 @@ def simulate_sweep(
     the same bytes; a one-column batch, or another kernel, can differ in the
     last bits.  Each step's potentials and gaps go side by side into one
     chunk-wide buffer, reduced over runs by :func:`_run_moments` when the chunk
-    ends, so without ``keep_runs`` the state does not grow with ``T`` beyond the
-    per-step outputs; ``keep_runs`` also copies each finished chunk into the records.
+    ends, so the state does not grow with ``T`` beyond the per-step outputs.
+    ``on_chunk(start, records)`` is called as each chunk ends, ``records[i][r]``
+    being sigma ``i``'s run ``r`` over steps ``start + 1..``: a :class:`RunRecord`
+    of views of chunk-wide buffers that the next chunk reuses, so copy what is kept.
     """
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
     sigmas = _check_sigmas(sigmas)
@@ -160,9 +160,8 @@ def simulate_sweep(
     width = min(_STEP_CHUNK, T)
     noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
     pairs = np.empty((S, R, width, 2))  # each step's potential and gap, side by side
-    if keep_runs:
-        potentials, gaps = np.empty((S, R, T)), np.empty((S, R, T))
-        allocations, observed = np.empty((S, R, T, K, P)), np.empty((S, R, T, P))
+    if on_chunk:
+        allocations, observed = np.empty((S, R, width, K, P)), np.empty((S, R, width, P))
     f_mean, f_std, gap_mean = np.empty((S, T)), np.empty((S, T)), np.empty((S, T))
     flow_mean = np.empty((S, T, K, P))
     # Runs first, so a sum over rows adds the runs in run order; the spare column
@@ -198,29 +197,28 @@ def simulate_sweep(
             pairs[:, :, t - start, 1] = game_ops._gap(weighted, losses, blocks, masses)
             runs_first[:, :-1] = x.reshape(-1, R).T
             flow_mean[:, t] = runs_first.sum(axis=0)[:-1].reshape(K, P, S).transpose(2, 0, 1)
-            if keep_runs:
-                allocations[:, :, t] = x.transpose(2, 3, 0, 1)
-                observed[:, :, t] = loss_hat.transpose(1, 2, 0)
+            if on_chunk:
+                allocations[:, :, t - start] = x.transpose(2, 3, 0, 1)
+                observed[:, :, t - start] = loss_hat.transpose(1, 2, 0)
         done = pairs[:, :, :stop - start]
         # One sigma per call: over the whole chunk, std's temporaries would span every sigma.
         for i in range(S):
             f_mean[i, start:stop], f_std[i, start:stop], gap_mean[i, start:stop] = (
                 _run_moments(done[i]))
-        if keep_runs:
-            potentials[:, :, start:stop], gaps[:, :, start:stop] = done[..., 0], done[..., 1]
+        if on_chunk:
+            n = stop - start
+            on_chunk(start, [[RunRecord(done[i, r, :, 0], done[i, r, :, 1],
+                                        allocations[i, r, :n], observed[i, r, :n])
+                              for r in range(R)] for i in range(S)])
     flow_mean /= R
-    records = [
-        [RunRecord(potentials[i, r], gaps[i, r], allocations[i, r], observed[i, r])
-         for r in range(R)] if keep_runs else None
-        for i in range(S)
-    ]
-    return [EnsembleRuns(f_mean[i], f_std[i], gap_mean[i], flow_mean[i], R, records[i])
-            for i in range(S)]
+    return [EnsembleRuns(f_mean[i], f_std[i], gap_mean[i], flow_mean[i], R) for i in range(S)]
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     """Simulate one run; fully determined by the config and the seed."""
-    return simulate_sweep(cfg, [cfg.sigma], [seed], keep_runs=True)[0].records[0]
+    chunks = []  # astuple copies each chunk's views before the sweep reuses their buffers
+    simulate_sweep(cfg, [cfg.sigma], [seed], lambda _, runs: chunks.append(astuple(runs[0][0])))
+    return RunRecord(*map(np.concatenate, zip(*chunks)))
 
 
 def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:
@@ -273,14 +271,14 @@ def monte_carlo(
     gap-certified solve shared across noise levels.  Precomputed runs (one
     noise level of a :func:`simulate_sweep`, or a list of run records, which
     :func:`_run_moments` reduces as the sweep does) skip the simulation pass.
-    The result is those runs, records included, plus the slope fit.
+    The result is those runs' reductions plus the slope fit.
     """
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
         moments = _run_moments(np.stack([np.stack([r.potentials, r.gaps], -1) for r in records]))
         flow_mean = sum(r.allocations for r in records) / len(records)
-        records = EnsembleRuns(*moments, flow_mean, len(records), records)
+        records = EnsembleRuns(*moments, flow_mean, len(records))
     if records.runs != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {records.runs}")
 
@@ -312,11 +310,11 @@ def check_suboptimality_bound(cfg: SimulationConfig, stats: EnsembleStats) -> di
 _CSV_BLOCK = 256  # rows stacked and made into Python floats at a time
 
 
-def _numbered_rows(columns: list):
-    """``[t, *row]`` for t = 1.. over ``columns`` (1-D or 2-D) side by side, a block at a time."""
+def _numbered_rows(columns: list, start: int = 0):
+    """``[t, *row]`` for t = start + 1.. over ``columns`` (1-D or 2-D) side by side, in blocks."""
     for first in range(0, len(columns[0]), _CSV_BLOCK):
         block = np.column_stack([c[first:first + _CSV_BLOCK] for c in columns])
-        for t, row in enumerate(block.tolist(), first + 1):
+        for t, row in enumerate(block.tolist(), start + first + 1):
             yield [t, *row]
 
 
@@ -334,18 +332,18 @@ def write_ensemble_csv(stats: EnsembleStats, path) -> None:
                                             stats.flow_mean.reshape(horizon, -1)]))
 
 
-def write_run_csv(record: RunRecord, path) -> None:
-    """Write one trajectory as RFC-4180 CSV.
+def write_run_csv(record: RunRecord, path, start: int = 0) -> None:
+    """Write one trajectory, or its steps ``start + 1..``, as RFC-4180 CSV.
 
     Columns: ``t, f, gap`` then ``flow[k][p]`` and the released noisy
-    losses ``loss_hat[p]``.
+    losses ``loss_hat[p]``.  A ``start`` above 0 appends the rows, with no header.
     """
-    horizon, n_pops, n_paths = record.allocations.shape
+    steps, n_pops, n_paths = record.allocations.shape
     header = (
         ["t", "f", "gap"]
         + [f"flow[{k}][{p}]" for k in range(n_pops) for p in range(n_paths)]
         + [f"loss_hat[{p}]" for p in range(n_paths)]
-    )
+    ) if start == 0 else None
     write_csv(path, header, _numbered_rows([record.potentials, record.gaps,
-                                            record.allocations.reshape(horizon, -1),
-                                            record.observed_losses]))
+                                            record.allocations.reshape(steps, -1),
+                                            record.observed_losses], start))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from privroute.game import (
     uniform_allocation,
 )
 from privroute.network import block_slices, build_network
+from privroute.sim import RunRecord, simulate_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -81,6 +83,26 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
         sums = x[:, s].sum(axis=1)
         if np.any(np.abs(sums - 1.0) > max(tol, 1e-9)):
             raise ValueError(f"allocation block {s} does not sum to one: {sums}")
+
+
+def sweep_with_records(cfg, sigmas, seeds):
+    """``simulate_sweep``'s result and ``records[i][r]``, sigma ``i``'s run ``r`` in full.
+
+    The records are collected through the sweep's chunk hook: each chunk's
+    views are copied (``astuple`` copies arrays) before the next chunk reuses
+    their buffers, and each chunk must start where the one before it stopped.
+    """
+    chunks = []
+
+    def collect(start, records):
+        held = sum(len(chunk[0][0][0]) for chunk in chunks)  # sigma 0, run 0, potentials
+        assert start == held, (start, held)
+        chunks.append([[astuple(record) for record in runs] for runs in records])
+
+    ensembles = simulate_sweep(cfg, sigmas, seeds, collect)
+    records = [[RunRecord(*map(np.concatenate, zip(*(chunk[i][r] for chunk in chunks))))
+                for r in range(len(seeds))] for i in range(len(ensembles))]
+    return ensembles, records
 
 
 def gradient_smoothness(game: GameInstance) -> float:

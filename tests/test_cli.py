@@ -170,6 +170,27 @@ def test_simulate_per_run_files_average_to_ensemble(tmp_path):
     np.testing.assert_allclose(ensemble[:, 4:], mean[:, 3:13], rtol=1e-12)  # flows
 
 
+def test_per_run_files_reduce_bit_for_bit_to_the_ensembles(tmp_path):
+    # The per-run files come from a second pass of the sweep, made after every
+    # result is in hand; parsed back, they give each ensemble column bit for bit.
+    args = ["simulate", "--config", str(TWO_OD), "--runs", "150", "--T", "201", "--per-run"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    ensembles = sorted(tmp_path.glob("ensemble_sigma_*.csv"))
+    assert len(ensembles) == 3
+    for path in ensembles:
+        run_dir = tmp_path / path.stem.replace("ensemble_sigma_", "runs_sigma_")
+        runs = np.stack([np.loadtxt(run, delimiter=",", skiprows=1)
+                         for run in sorted(run_dir.glob("run_*.csv"))])
+        ensemble = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert runs.shape == (150, 201, 3 + 2 * 5 + 5)
+        assert ensemble[:, 0].tolist() == list(range(1, 202))
+        pairs = runs[:, :, 1:3]  # each run's f and gap, side by side
+        mean, std = pairs.mean(axis=0), pairs.std(axis=0)
+        for column, expected in [(1, mean[:, 0]), (2, std[:, 0]), (3, mean[:, 1])]:
+            assert ensemble[:, column].tobytes() == expected.tobytes(), (path.name, column)
+        assert ensemble[:, 4:].tobytes() == (runs[:, :, 3:13].sum(axis=0) / 150).tobytes()
+
+
 def test_simulate_survives_large_entropic_step(tmp_path):
     # c_k = 5000 drives the losing paths' weights below the smallest float;
     # the simulator keeps entropic iterates as logits, so none becomes zero.
@@ -364,10 +385,13 @@ def test_failing_simulate_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_non_finite_fitted_values_are_one_line_error(tmp_path, capsys):
-    # Two equal paths keep every run at the uniform allocation, whose potential
-    # (about 0.7e308) is finite while three runs' sum overflows, so the ensemble
-    # mean is inf.  The slope fit refuses it before a manifest records a NaN slope.
+def overflowing_mean_config(tmp_path):
+    """Pigou at sigma 0, where each run's potential is finite but three runs' sum is not.
+
+    Two equal paths keep every run at the uniform allocation, whose potential
+    (about 0.7e308) is finite while three runs' sum overflows, so the ensemble
+    mean is inf.
+    """
     cfg = json.loads(PIGOU.read_text())
     cfg["edge_costs"] = [{"affine": [1e-100, 0.0]}] * 2
     cfg["populations"][0].update(theta=[1.673e204], c_k=1e-10)
@@ -375,12 +399,33 @@ def test_non_finite_fitted_values_are_one_line_error(tmp_path, capsys):
     del cfg["mass_bound"]
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_non_finite_fitted_values_are_one_line_error(tmp_path, capsys):
+    # The slope fit refuses an infinite ensemble mean before a manifest records a NaN slope.
+    path = overflowing_mean_config(tmp_path)
     out = tmp_path / "out"
     argv = ["simulate", "--config", str(path), "--T", "20", "--runs", "3", "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: the values to fit in slope window (5, 20) are not all finite\n")
     assert not out.exists()
+
+
+def test_failing_per_run_simulate_leaves_earlier_output_as_it_was(tmp_path, capsys):
+    # The failing config writes the same file names as the run before it, and fails
+    # after its sweep, at the slope fit; rows written during the sweep would overwrite.
+    out = tmp_path / "out"
+    args = ["--T", "120", "--runs", "3", "--per-run", "--out", str(out)]
+    assert main(["simulate", "--config", str(PIGOU), "--sigma", "0", *args]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(before) == 2 + 3
+    assert main(["simulate", "--config", str(overflowing_mean_config(tmp_path)), *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: the values to fit in slope window (30, 120) are not all finite\n")
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
 @pytest.mark.parametrize(
@@ -457,6 +502,26 @@ def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, error):
     assert main(["simulate", "--config", str(TWO_OD), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_in_the_per_run_pass_writes_nothing(tmp_path, capsys, monkeypatch):
+    # --per-run sweeps a second time, with chunk buffers for the rows it writes.
+    from privroute import sim
+
+    sweep = sim.simulate_sweep
+
+    def exhausted_when_hooked(cfg, sigmas, seeds, on_chunk=None):
+        if on_chunk is not None:
+            raise MemoryError("Unable to allocate")
+        return sweep(cfg, sigmas, seeds)
+
+    monkeypatch.setattr(sim, "simulate_sweep", exhausted_when_hooked)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(PIGOU), "--T", "20", "--runs", "2", "--per-run"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate (simulate: T=20, runs=2, sigmas=2)\n")
     assert not out.exists()
 
 

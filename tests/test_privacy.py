@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from privroute.dynamics import (
     dual_norm,
     reference_norm,
 )
-from privroute.game import build_game, edge_flows, loss_sup_bound
+from privroute.game import build_game, edge_flows, loss_sup_bound, path_losses
 from privroute.privacy import (
     SensitivityConstants,
     allocation_shift_bound,
@@ -199,6 +200,40 @@ def test_loss_sup_dominates_realized_losses(standin_game):
         assert np.max(losses) <= bound + 1e-12
 
 
+def simplex_vertices(game):
+    """Every allocation that puts each population's mass of each OD pair on one path."""
+    starts = [s.start for s in block_slices(game.block_sizes)]
+    picks = [range(n) for _ in range(game.num_populations) for n in game.block_sizes]
+    for pick in itertools.product(*picks):
+        x = np.zeros((game.num_populations, game.total_paths))
+        for i, path in enumerate(pick):
+            k, block = divmod(i, len(starts))
+            x[k, starts[block] + path] = 1.0
+        yield x
+
+
+@pytest.mark.parametrize("name", ["pigou", "two_od"])
+@pytest.mark.parametrize("clip", [None, 0.1, 1.0, 10.0])
+def test_observed_losses_stay_within_the_clipped_loss_bound(name, clip):
+    # Every released loss l(x) + n whose noise coordinates stay within a has a
+    # dual norm of at most clipped_loss_bound(a).  On pigou the vertices with
+    # noise +a everywhere reach the bound to the last bit, so a halved a fails.
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    consts = SensitivityConstants.from_game(game, schedules)
+    clip = float(cfg["privacy"]["a"]) if clip is None else clip  # None: the config's a
+    bound = consts.clipped_loss_bound(clip)
+    rng = np.random.default_rng(18)
+    allocations = [*simplex_vertices(game), *(random_allocation(rng, game) for _ in range(40))]
+    corners = np.array(list(itertools.product([-clip, clip], repeat=game.total_paths)))
+    for x in allocations:
+        losses = path_losses(game, edge_flows(game, x))
+        for noise in corners:
+            observed = dual_norm(losses + noise, game.block_sizes)
+            assert observed <= bound, (x.tolist(), noise.tolist(), observed, bound)
+
+
 # ------------------------------------------------- prox displacement bound
 
 
@@ -377,6 +412,10 @@ def test_gaussian_epsilon_edge_cases():
     assert eps == 0.0 and not valid
     eps, valid = release_epsilon(10.0, 0.1, 1e-5)
     assert eps > 1.0 and not valid
+    # An epsilon of exactly 1 is outside (0, 1), where the calibration is not known to hold.
+    delta = 1e-5
+    eps, valid = release_epsilon(1.0, math.sqrt(2.0 * math.log(1.25 / delta)), delta)
+    assert (eps, valid) == (1.0, False)
 
 
 def test_single_step_dp_holds_on_interval_grid():

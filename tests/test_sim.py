@@ -28,7 +28,7 @@ from privroute.sim import (
     simulate_sweep,
 )
 
-from conftest import validate_allocation
+from conftest import sweep_with_records, validate_allocation
 
 
 def small_config(game, sigma=0.1, horizon=40, runs=3, seed=11, scale=1.0, decay=0.5):
@@ -205,22 +205,22 @@ def engine_case(name, standin_game, standin_dynamics):
 def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    runs = simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs=True)[0]
-    for seed, record in zip(seeds, runs.records):
+    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+    for seed, record in zip(seeds, records):
         potentials, gaps, allocations, observed = loop_oracle(cfg, seed)
         np.testing.assert_allclose(record.potentials, potentials, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.gaps, gaps, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.allocations, allocations, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.observed_losses, observed, rtol=0, atol=1e-12)
-    summed = sum(record.allocations for record in runs.records)
+    summed = sum(record.allocations for record in records)
     assert runs.flow_mean.tobytes() == (summed / cfg.runs).tobytes()
-    potentials = np.stack([record.potentials for record in runs.records])
-    gaps = np.stack([record.gaps for record in runs.records])
+    potentials = np.stack([record.potentials for record in records])
+    gaps = np.stack([record.gaps for record in records])
     assert runs.f_mean.tobytes() == potentials.mean(axis=0).tobytes()
     assert runs.f_std.tobytes() == potentials.std(axis=0).tobytes()
     assert runs.gap_mean.tobytes() == gaps.mean(axis=0).tobytes()
     streamed = simulate_sweep(cfg, [cfg.sigma], seeds)[0]
-    assert streamed.records is None
+    assert not hasattr(streamed, "records")
     for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
         assert getattr(streamed, field).tobytes() == getattr(runs, field).tobytes()
 
@@ -234,16 +234,16 @@ def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
     seeds = run_seeds(cfg.seed, cfg.runs)
     sigmas = [0.25, 0.0, 0.4, cfg.sigma]
-    kept = simulate_sweep(cfg, sigmas, seeds, keep_runs=True)
+    kept, kept_records = sweep_with_records(cfg, sigmas, seeds)
     streamed = simulate_sweep(cfg, sigmas, seeds)
-    assert len(kept) == len(streamed) == len(sigmas)
-    for sigma, swept, swept_streamed in zip(sigmas, kept, streamed):
-        alone = simulate_sweep(cfg, [sigma], seeds, keep_runs=True)[0]
+    assert len(kept) == len(streamed) == len(kept_records) == len(sigmas)
+    for sigma, swept, swept_streamed, swept_records in zip(sigmas, kept, streamed, kept_records):
+        (alone,), (alone_records,) = sweep_with_records(cfg, [sigma], seeds)
         for runs in (swept, swept_streamed):
             for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
                 assert getattr(runs, field).tobytes() == getattr(alone, field).tobytes()
-        assert swept_streamed.records is None
-        for a, b in zip(swept.records, alone.records, strict=True):
+        assert not hasattr(swept_streamed, "records")
+        for a, b in zip(swept_records, alone_records, strict=True):
             for field in ("potentials", "gaps", "allocations", "observed_losses"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
@@ -298,9 +298,9 @@ def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin
 def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
     cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
     eq = solve_equilibrium(standin_game)
-    runs = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs), keep_runs=True)[0]
+    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
     direct = monte_carlo(cfg, eq)
-    for given in (runs, runs.records):
+    for given in (runs, records):
         stats = monte_carlo(cfg, eq, records=given)
         assert stats.f_mean.tobytes() == direct.f_mean.tobytes()
         assert stats.gap_mean.tobytes() == direct.gap_mean.tobytes()
@@ -316,8 +316,8 @@ def test_engine_noise_is_successive_draws_from_each_child():
     game = build_game(net, [[0.0, 0.0]] * 3, [[1.0]])
     cfg = small_config(game, sigma=1.0, horizon=25, runs=4, seed=8)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    runs = simulate_sweep(cfg, [cfg.sigma], seeds, keep_runs=True)[0]
-    for seed, record in zip(seeds, runs.records):
+    _, (records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+    for seed, record in zip(seeds, records):
         rng = np.random.default_rng(seed)
         draws = np.array([rng.standard_normal(3) for _ in range(cfg.horizon)])
         assert record.observed_losses.tobytes() == draws.tobytes()
@@ -424,7 +424,9 @@ def test_engine_equals_the_generic_reductions(case, sigmas, runs, standin_game, 
     seeds = run_seeds(cfg.seed, runs)
     expected = generic_reductions_oracle(cfg, sigmas, seeds)
     for kept in (False, True):
-        for runs_of_sigma, fields in zip(simulate_sweep(cfg, sigmas, seeds, kept), expected):
+        sweep = (sweep_with_records(cfg, sigmas, seeds)[0] if kept
+                 else simulate_sweep(cfg, sigmas, seeds))
+        for runs_of_sigma, fields in zip(sweep, expected):
             got = (runs_of_sigma.f_mean, runs_of_sigma.f_std, runs_of_sigma.gap_mean,
                    runs_of_sigma.flow_mean)
             for name, a, b in zip(("f_mean", "f_std", "gap_mean", "flow_mean"), got, fields):
@@ -446,7 +448,10 @@ def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics
     for chunk in (2, 7, 50, 201, 1000):
         monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
         for kept in (False, True):
-            sweep = simulate_sweep(cfg, sigmas, seeds, kept)
+            if kept:
+                sweep, records = sweep_with_records(cfg, sigmas, seeds)
+            else:
+                sweep = simulate_sweep(cfg, sigmas, seeds)
             stats = [monte_carlo(cfg, eq, records=runs) for runs in sweep]
             stats_bytes.append([
                 [getattr(s, f).tobytes() for f in ("f_mean", "f_std", "gap_mean", "flow_mean")]
@@ -454,20 +459,20 @@ def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics
             ])
             if kept:
                 record_bytes.append([
-                    [getattr(r, f).tobytes() for r in runs.records
+                    [getattr(r, f).tobytes() for r in runs_of_sigma
                      for f in ("potentials", "gaps", "allocations", "observed_losses")]
-                    for runs in sweep
+                    for runs_of_sigma in records
                 ])
     assert all(b == stats_bytes[0] for b in stats_bytes[1:])
     assert all(b == record_bytes[0] for b in record_bytes[1:])
 
 
-def _traced_peak(cfg, sigmas) -> int:
+def _traced_peak(cfg, sigmas, on_chunk=None) -> int:
     """Bytes that one streamed sweep holds at its peak, over what was held before it."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        simulate_sweep(cfg, sigmas, run_seeds(cfg.seed, cfg.runs))
+        simulate_sweep(cfg, sigmas, run_seeds(cfg.seed, cfg.runs), on_chunk)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -484,3 +489,21 @@ def test_each_sigma_costs_less_than_two_noise_chunks(standin_game, standin_dynam
     chunk = cfg.runs * sim._STEP_CHUNK * standin_game.total_paths * 8
     per_sigma = [(peaks[3] - peaks[1]) / 2, (peaks[6] - peaks[3]) / 3]
     assert max(per_sigma) < 2 * chunk, (peaks, per_sigma, chunk)
+
+
+def test_a_hooked_sweep_holds_one_chunk_of_runs(standin_game, standin_dynamics):
+    # The hook sees views of chunk-wide buffers, so a sweep whose hook keeps
+    # nothing grows with T only by its per-step outputs, not by its runs' rows.
+    geometries, schedules = standin_dynamics
+    sigmas, K, P = [0.01, 0.1, 0.4], standin_game.num_populations, standin_game.total_paths
+
+    def config(horizon, runs):
+        return SimulationConfig(standin_game, geometries, schedules, 0.1, horizon, runs, 20260810)
+
+    def discard(start, records):
+        pass
+
+    simulate_sweep(config(2, 2), [0.1], run_seeds(0, 2), discard)  # warm up
+    peaks = {T: _traced_peak(config(T, 150), sigmas, discard) for T in (100, 1000)}
+    chunk = len(sigmas) * 150 * sim._STEP_CHUNK * (K * P + P + 2) * 8  # the hooked buffers
+    assert peaks[1000] - peaks[100] < chunk, (peaks, chunk)
