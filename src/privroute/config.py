@@ -246,9 +246,11 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
+        return check_config(cfg)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return check_config(cfg)
+    except RecursionError:  # from json's parser or from the checks' walk, both recursive
+        raise ConfigError(f"{path} is nested too deeply to read as a config") from None
 
 
 def check_config(cfg: dict) -> dict:

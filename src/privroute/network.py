@@ -133,33 +133,43 @@ def enumerate_paths(network: Network) -> PathSet:
         prefix: list[int] = []
         visited = {origin}
 
-        def walk(node: str) -> None:
-            if node == dest:
-                found.append(tuple(prefix))
-                if len(found) > DEFAULT_PATH_CAP:
-                    raise NetworkError(
-                        f"OD pair ({origin}, {dest}) has more than "
-                        f"{DEFAULT_PATH_CAP} simple paths"
-                    )
-                return
-            # Step only into nodes that still reach ``dest`` around the nodes on
-            # the path, so every step ends in at least one path: no dead ends.
+        def steps(node: str):
+            """The edges out of ``node`` in index order, into nodes that can still reach ``dest``.
+
+            A head counts only if it reaches ``dest`` around the nodes on the path,
+            so every step ends in at least one path: no dead ends.
+            """
             live, stack = {dest}, [dest]
             while stack:
                 for tail in into[stack.pop()]:
                     if tail not in live and tail not in visited:
                         live.add(tail)
                         stack.append(tail)
-            for j, head in out[node]:
-                if head not in live:
-                    continue
-                visited.add(head)
-                prefix.append(j)
-                walk(head)
-                prefix.pop()
-                visited.remove(head)
+            return iter([(j, head) for j, head in out[node] if head in live])
 
-        walk(origin)
+        # Depth first with an explicit stack, so a path's length is not bounded by
+        # Python's recursion limit: one iterator per node on the path.
+        frames = [steps(origin)]
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:  # every step from the path's last node is tried: back up one
+                frames.pop()
+                if prefix:
+                    visited.remove(network.edges[prefix.pop()][1])
+                continue
+            j, head = step
+            if head == dest:
+                found.append((*prefix, j))
+                if len(found) > DEFAULT_PATH_CAP:
+                    raise NetworkError(
+                        f"OD pair ({origin}, {dest}) has more than "
+                        f"{DEFAULT_PATH_CAP} simple paths"
+                    )
+                continue
+            visited.add(head)
+            prefix.append(j)
+            frames.append(steps(head))
+
         if not found:
             raise NetworkError(f"unreachable OD pair ({origin}, {dest})")
         all_paths.append(tuple(found))

@@ -105,18 +105,38 @@ class EnsembleStats(EnsembleRuns):
     slope_window: tuple[int, int]
 
 
-_STEP_CHUNK = 50  # steps whose noise is drawn, and whose runs are reduced, together
+_STEP_CHUNK = 50  # steps whose noise is drawn together, and that a chunk hook is handed at once
 
 
-def _run_moments(pairs: np.ndarray):
-    """Mean and std of the potentials and mean of the gaps over ``(runs, steps, 2)`` pairs.
+def _run_moments(rows: np.ndarray, split: int):
+    """Mean over runs of each column of runs-first ``rows``; std of the columns from ``split`` on.
 
-    numpy adds the runs one after another in each column only when a row holds
-    two or more values; a ``(runs, 1)`` column it sums pairwise, which gives
-    other bytes.  Potentials and gaps side by side keep every row two wide.
+    Both as ``np.mean`` and ``np.std`` compute them.  numpy adds the runs one
+    after another in each column only when a row holds two or more values; a
+    ``(runs, 1)`` column it sums pairwise, which gives other bytes.  So callers
+    keep every row, and its columns from ``split`` on, two or more wide.
     """
-    mean, std = pairs.mean(axis=0), pairs.std(axis=0)
-    return mean[:, 0], std[:, 0], mean[:, 1]
+    mean = rows.sum(axis=0) / len(rows)
+    deviations = rows[..., split:] - mean[..., split:]
+    deviations *= deviations
+    return mean, np.sqrt(deviations.sum(axis=0) / len(rows))
+
+
+def _sigma_columns(table: np.ndarray, shape: tuple, i: int):
+    """Sigma ``i``'s potentials, gaps and allocations in rows laid out as the sweep's.
+
+    A row holds the allocations as ``(populations, paths, sigmas)``, then every
+    sigma's potential, then every sigma's gap; ``shape`` is that first triple.
+    """
+    split = np.prod(shape)
+    allocations = table[..., :split].reshape(table.shape[:-1] + shape)[..., i]
+    return table[..., split + i], table[..., split + shape[2] + i], allocations
+
+
+def _ensembles(means: np.ndarray, stds: np.ndarray, shape: tuple, runs: int) -> list:
+    """One :class:`EnsembleRuns` per sigma from :func:`_run_moments` of each step's rows."""
+    return [EnsembleRuns(f, stds[..., i], gap, flow, runs) for i, (f, gap, flow)
+            in enumerate(_sigma_columns(means, shape, i) for i in range(shape[2]))]
 
 
 def simulate_sweep(
@@ -131,9 +151,10 @@ def simulate_sweep(
     ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  On one
     BLAS kernel, a batch of two or more (sigma, run) columns gives each column
     the same bytes; a one-column batch, or another kernel, can differ in the
-    last bits.  Each step's potentials and gaps go side by side into one
-    chunk-wide buffer, reduced over runs by :func:`_run_moments` when the chunk
-    ends, so the state does not grow with ``T`` beyond the per-step outputs.
+    last bits.  Each step writes every run's allocations, potentials and gaps
+    into one runs-first row, at least three values wide, which
+    :func:`_run_moments` reduces over runs as the step ends, so the state does
+    not grow with ``T`` beyond the per-step means and deviations.
     ``on_chunk(start, records)`` is called as each chunk ends, ``records[i][r]``
     being sigma ``i``'s run ``r`` over steps ``start + 1..``: a :class:`RunRecord`
     of views of chunk-wide buffers that the next chunk reuses, so copy what is kept.
@@ -157,29 +178,25 @@ def simulate_sweep(
     incidence_t = incidence.T
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    width = min(_STEP_CHUNK, T)
+    width, split = min(_STEP_CHUNK, T), K * P * S
     noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
-    pairs = np.empty((S, R, width, 2))  # each step's potential and gap, side by side
+    rows = np.empty((R, split + 2 * S))  # laid out as _sigma_columns reads it
+    means, stds = np.empty((T, split + 2 * S)), np.empty((T, 2 * S))
     if on_chunk:
-        allocations, observed = np.empty((S, R, width, K, P)), np.empty((S, R, width, P))
-    f_mean, f_std, gap_mean = np.empty((S, T)), np.empty((S, T)), np.empty((S, T))
-    flow_mean = np.empty((S, T, K, P))
-    # Runs first, so a sum over rows adds the runs in run order; the spare column
-    # keeps that order when populations x paths x sigmas is 1.
-    runs_first = np.zeros((R, K * P * S + 1))
+        kept, observed = np.empty((width, R, split + 2 * S)), np.empty((S, R, width, P))
     x = np.tile(game_ops.uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
     logits = np.log(x[entropic])
 
     losses = game_ops._path_losses(incidence_t, slope, intercept,
                                    game_ops._edge_flows(incidence, weights * x))
     for start in range(0, T, width):
-        stop = min(start + width, T)
+        steps = min(width, T - start)
         for rng, block in zip(rngs, noise):
-            rng.standard_normal((stop - start, P), out=block[:stop - start])
+            rng.standard_normal((steps, P), out=block[:steps])
         # A (steps, paths, 1, runs) view of the draw; each step scales its own slice,
         # so no sigmas-fold copy of the chunk's noise is ever held.
-        drawn = noise[:, :stop - start, :, None].transpose(1, 2, 3, 0)
-        for t in range(start, stop):
+        drawn = noise[:, :steps, :, None].transpose(1, 2, 3, 0)
+        for t in range(start, start + steps):
             loss_hat = losses + scale * drawn[t - start]
             scaled = weights * loss_hat
             if not np.isfinite(scaled).all():
@@ -193,25 +210,18 @@ def simulate_sweep(
             weighted = weights * x
             phi = game_ops._edge_flows(incidence, weighted)
             losses = game_ops._path_losses(incidence_t, slope, intercept, phi)
-            pairs[:, :, t - start, 0] = game_ops._potential(half_slope, intercept, phi)
-            pairs[:, :, t - start, 1] = game_ops._gap(weighted, losses, blocks, masses)
-            runs_first[:, :-1] = x.reshape(-1, R).T
-            flow_mean[:, t] = runs_first.sum(axis=0)[:-1].reshape(K, P, S).transpose(2, 0, 1)
+            rows[:, :split] = x.reshape(-1, R).T
+            rows[:, split:split + S] = game_ops._potential(half_slope, intercept, phi).T
+            rows[:, split + S:] = game_ops._gap(weighted, losses, blocks, masses).T
+            means[t], stds[t] = _run_moments(rows, split)
             if on_chunk:
-                allocations[:, :, t - start] = x.transpose(2, 3, 0, 1)
+                kept[t - start] = rows
                 observed[:, :, t - start] = loss_hat.transpose(1, 2, 0)
-        done = pairs[:, :, :stop - start]
-        # One sigma per call: over the whole chunk, std's temporaries would span every sigma.
-        for i in range(S):
-            f_mean[i, start:stop], f_std[i, start:stop], gap_mean[i, start:stop] = (
-                _run_moments(done[i]))
         if on_chunk:
-            n = stop - start
-            on_chunk(start, [[RunRecord(done[i, r, :, 0], done[i, r, :, 1],
-                                        allocations[i, r, :n], observed[i, r, :n])
+            on_chunk(start, [[RunRecord(*_sigma_columns(kept[:steps, r], (K, P, S), i),
+                                        observed[i, r, :steps])
                               for r in range(R)] for i in range(S)])
-    flow_mean /= R
-    return [EnsembleRuns(f_mean[i], f_std[i], gap_mean[i], flow_mean[i], R) for i in range(S)]
+    return _ensembles(means, stds, (K, P, S), R)
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
@@ -276,9 +286,10 @@ def monte_carlo(
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
-        moments = _run_moments(np.stack([np.stack([r.potentials, r.gaps], -1) for r in records]))
-        flow_mean = sum(r.allocations for r in records) / len(records)
-        records = EnsembleRuns(*moments, flow_mean, len(records))
+        rows = np.stack([np.column_stack([r.allocations.reshape(len(r.gaps), -1),
+                                          r.potentials, r.gaps]) for r in records])
+        shape = records[0].allocations.shape[1:] + (1,)
+        records = _ensembles(*_run_moments(rows, rows.shape[-1] - 2), shape, len(records))[0]
     if records.runs != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {records.runs}")
 

@@ -326,6 +326,35 @@ def test_config_that_is_not_json_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"network": ' + "[" * 800 + "]" * 800 + "}",
+    "[" * 100_000,
+], ids=["too_deep_to_check", "too_deep_to_parse"])
+def test_over_deep_config_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} is nested too deeply to read as a config\n"
+    assert not out.exists()
+
+
+def test_a_long_chain_runs(tmp_path, capsys):
+    # One path of 1,499 edges, deeper than Python's default recursion limit.
+    nodes = [f"v{i}" for i in range(1500)]
+    cfg = json.loads(PIGOU.read_text())
+    cfg["network"] = {"nodes": nodes, "edges": [list(e) for e in zip(nodes, nodes[1:])],
+                      "od_pairs": [[nodes[0], nodes[-1]]]}
+    cfg["edge_costs"] = [{"affine": [0.1, 0.0]}] * (len(nodes) - 1)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["equilibrium", "--config", str(path)]) == 0
+    assert "[1.0]" in capsys.readouterr().out
+    assert main(["accountant", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "accountant.csv").exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = [
         "simulate", "--config", str(TWO_OD), "--sigma", "0.4",

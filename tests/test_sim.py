@@ -303,6 +303,7 @@ def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
     for given in (runs, records):
         stats = monte_carlo(cfg, eq, records=given)
         assert stats.f_mean.tobytes() == direct.f_mean.tobytes()
+        assert stats.f_std.tobytes() == direct.f_std.tobytes()
         assert stats.gap_mean.tobytes() == direct.gap_mean.tobytes()
         assert stats.flow_mean.tobytes() == direct.flow_mean.tobytes()
 
@@ -489,6 +490,26 @@ def test_each_sigma_costs_less_than_two_noise_chunks(standin_game, standin_dynam
     chunk = cfg.runs * sim._STEP_CHUNK * standin_game.total_paths * 8
     per_sigma = [(peaks[3] - peaks[1]) / 2, (peaks[6] - peaks[3]) / 3]
     assert max(per_sigma) < 2 * chunk, (peaks, per_sigma, chunk)
+
+
+def test_a_plain_sweep_holds_one_row_of_outputs_per_run(standin_game, standin_dynamics):
+    # Per run, a sweep without a hook holds its noise chunk (chunk x paths floats),
+    # its state and one row of allocations, potentials and gaps.  The state is its
+    # generator (under 1 KB) and the step's arrays, fewer than 16 at a time of
+    # populations x paths x sigmas floats each.  A chunk of every run's potentials
+    # and gaps, reduced when the chunk ends, would add sigmas x chunk x 2 floats more.
+    geometries, schedules = standin_dynamics
+    sigmas, K, P = [0.01, 0.1, 0.4], standin_game.num_populations, standin_game.total_paths
+
+    def config(runs):
+        return SimulationConfig(standin_game, geometries, schedules, 0.1, 200, runs, 20260810)
+
+    simulate_sweep(config(2), [0.1], run_seeds(0, 2))  # warm up
+    peaks = {runs: _traced_peak(config(runs), sigmas) for runs in (150, 600)}
+    per_run = (peaks[600] - peaks[150]) / 450
+    noise, row = sim._STEP_CHUNK * P * 8, (K * P + 2) * len(sigmas) * 8
+    state = 1024 + 16 * K * P * len(sigmas) * 8
+    assert per_run < noise + state + row, (peaks, per_run, noise, state, row)
 
 
 def test_a_hooked_sweep_holds_one_chunk_of_runs(standin_game, standin_dynamics):
