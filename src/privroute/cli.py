@@ -159,27 +159,25 @@ def cmd_accountant(args) -> int:
         for row in zip(*(col.tolist() for col in
                          (horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
-    # Each report states its inputs next to what privacy_curve computed at the largest horizon.
+    # Each report states its inputs next to privacy_curve's values at the last, largest horizon.
     loss_dual_bound = constants.clipped_loss_bound(clip)
     instance = {k: v for k, v in vars(constants).items() if k != "schedules"}
     diagnostics = []
     for (c, sigma), curve in zip(pairs, curves):
-        report = curve.report
         output.write_manifest(outdir / _report_name(c, sigma), {
             "sigma": sigma, "clip": clip, "horizon": int(horizons[-1]),
             "delta_budget": delta_budget, "loss_dual_bound": loss_dual_bound,
             "constants": {"adjacency_radius": c} | instance,
-            # The per-release arrays, summarised in constant size.
+            # The releases, summarised in constant size.
             "per_step": {
-                "sensitivity": {"max": float(report.sensitivities.max()),
-                                "min": float(report.sensitivities.min())},
-                "epsilon": {"max": float(report.epsilons.max()),
-                            "min": float(report.epsilons.min())},
-                "delta": float(report.deltas[0]),  # the uniform split: every release has it
-                "valid_releases": int(report.valid_steps.sum()),
+                "sensitivity": dict(zip(("min", "max"), curve.sensitivity_range[:, -1].tolist())),
+                "epsilon": dict(zip(("min", "max"), curve.epsilon_range[:, -1].tolist())),
+                "delta": float(curve.release_delta[-1]),  # the uniform split: every release has it
+                "valid_releases": curve.valid_releases,
             },
-            "tail_delta": report.tail_delta, "epsilon": report.epsilon, "delta": report.delta,
-            "trivial": report.trivial, "valid": report.valid,
+            "tail_delta": float(curve.tail_delta[-1]), "epsilon": float(curve.epsilon[-1]),
+            "delta": float(curve.delta[-1]), "trivial": bool(curve.delta[-1] >= 1.0),
+            "valid": bool(curve.valid[-1]),
         })
         # The first horizon with an invalid release and the first with delta >= 1, or None.
         firsts = {"first_invalid_release_T": ~curve.releases_valid,

@@ -19,7 +19,7 @@ The delta budget is split uniformly over the releases, and the per-release
 (epsilon, delta) pairs are combined by repeated adaptive composition, plus
 the tail mass spent on keeping the noisy losses bounded.
 ``privacy_curve`` computes every composed pair, over many horizons in one
-pass; ``privacy_report`` is its per-release report at a single horizon.
+pass; ``privacy_report`` adds the per-release arrays at a single horizon.
 """
 
 from __future__ import annotations
@@ -224,6 +224,15 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     return total + np.cumsum(np.where(np.isfinite(error), error, 0.0))
 
 
+def _exp_sums(later: np.ndarray, scales: np.ndarray, horizons: np.ndarray) -> list:
+    """Each ``np.exp(-s * later[:h]).sum()``, less its terms below the smallest normal float: slow
+    to compute, they cannot move the sum, and end the slice as ``later`` is nondecreasing from 0."""
+    with np.errstate(divide="ignore", over="ignore"):  # a zero scale keeps every term
+        kept = np.searchsorted(later, -math.log(np.finfo(float).tiny) / scales, side="right")
+    return [np.exp(-s * later[:k]).sum()
+            for s, k in zip(scales.tolist(), np.minimum(horizons, kept).tolist())]
+
+
 def compose_adaptive(
     epsilons: Sequence[float],
     deltas: Sequence[float],
@@ -288,21 +297,30 @@ def privacy_report(
 ) -> PrivacyReport:
     """Account the full release sequence of ``horizon`` noisy loss vectors.
 
-    This is :func:`privacy_curve` at the single horizon ``horizon`` and
-    radius ``adjacency_radius``, with the constants taken from ``game``.
+    The composed values are :func:`privacy_curve`'s at ``horizon``, with the
+    constants taken from ``game``; the per-release arrays use its formulas.
     """
     consts = SensitivityConstants.from_game(game, schedules)
-    return privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget).report
+    curve = privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget)
+    sens = _sensitivities(consts, adjacency_radius, np.arange(1, horizon + 1),
+                          consts.clipped_loss_bound(clip))
+    epsilons, flags = _epsilons(sens, sigma, curve.release_delta[0])
+    return PrivacyReport(sens, epsilons, np.full(horizon, curve.release_delta[0]), flags,
+                         *(float(v[0]) for v in (curve.tail_delta, curve.epsilon, curve.delta)))
 
 
 @dataclass(frozen=True, eq=False)
 class PrivacyCurve:
-    """Composed (epsilon, delta) of the uniform-split report at each horizon."""
+    """Composed (epsilon, delta) of the uniform-split releases at each horizon, with a summary."""
 
     epsilon: np.ndarray
     delta: np.ndarray
     releases_valid: np.ndarray  # every per-release epsilon lies in (0, 1)
-    report: PrivacyReport  # the per-release report at the largest horizon
+    release_delta: np.ndarray  # each release's share of the delta budget
+    tail_delta: np.ndarray  # the clip event's mass, included in delta
+    sensitivity_range: np.ndarray  # rows: the smallest and the largest per-release sensitivity
+    epsilon_range: np.ndarray  # rows: the smallest and the largest per-release epsilon
+    valid_releases: int  # the count of valid releases at the largest horizon
 
     @property
     def valid(self) -> np.ndarray:
@@ -335,8 +353,8 @@ def privacy_curve(
     largest delta exponent is the first release's, ``s_T Q_T``, and the
     log of the composed delta less the tail mass is ``log(delta_budget /
     T) + s_T Q_T + log sum_{k <= T} exp(-s_T Q_k)``: one exp-sum per
-    horizon.  Only the largest horizon builds per-release arrays, in
-    ``report``.
+    horizon.  Only per-horizon values are returned, and the count of valid
+    releases at the largest horizon; :func:`privacy_report` has the arrays.
     """
     horizons = np.asarray(horizons, dtype=np.int64)
     if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
@@ -356,24 +374,18 @@ def privacy_curve(
     with np.errstate(all="ignore"):
         sens = _sensitivities(consts, c, np.arange(1, t_max + 1), loss_dual_bound)
         later = np.concatenate(([0.0], _running_sum(sens[1:])))  # Q_k, from k = 1
-        # Per horizon: the smallest and the largest epsilon, their sum, and s_T.
+        # Per horizon: the smallest and the largest sensitivity, their sum, and 1, for s_T.
         ends = horizons - 1  # each horizon's last release
         prefix = np.stack([np.minimum.accumulate(sens)[ends], np.maximum.accumulate(sens)[ends],
                            sens[0] + later[ends], np.ones(len(horizons))])
-        (_, _, epsilon, scale), flags = _epsilons(prefix, sigma, steps)
+        (eps_min, eps_max, epsilon, scale), flags = _epsilons(prefix, sigma, steps)
     # Every sensitivity and per-release epsilon is finite when every composed epsilon is.
     if not np.isfinite(epsilon).all():
         raise ValueError(f"epsilon overflows at c = {c!r}, sigma = {sigma!r}")
-    releases_valid = flags[0] & flags[1]  # the smallest and the largest epsilon lie in (0, 1)
-    sums = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
-    tails = [tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()]
+    sums = _exp_sums(later, scale, horizons)
+    tails = np.array([tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()])
     with np.errstate(over="ignore"):
         delta = tails + np.exp(np.log(steps) + scale * later[ends] + np.log(sums))
-    last = int(horizons.argmax())
-    epsilons, valid_steps = _epsilons(sens, sigma, steps[last])
-    report = PrivacyReport(
-        sensitivities=sens, epsilons=epsilons, deltas=np.full(t_max, steps[last]),
-        valid_steps=valid_steps, tail_delta=float(tails[last]),
-        epsilon=float(epsilon[last]), delta=float(delta[last]),
-    )
-    return PrivacyCurve(epsilon, delta, releases_valid, report)
+    last = _epsilons(sens, sigma, steps[horizons.argmax()])[1]  # the largest horizon's flags
+    return PrivacyCurve(epsilon, delta, flags[0] & flags[1], steps, tails, prefix[:2],
+                        np.stack((eps_min, eps_max)), int(np.count_nonzero(last)))

@@ -1076,6 +1076,24 @@ def test_accountant_tiny_per_release_delta_stays_finite(tmp_path, capsys):
     assert all(math.isfinite(float(row[key])) for row in rows for key in ("epsilon", "delta"))
 
 
+def test_accountant_with_a_zero_gaussian_factor_is_quiet(tmp_path, capsys):
+    # Per-release deltas 10 / T of at least 1.25 give ln(1.25 / delta) <= 0, so
+    # the Gaussian factor is 0, every epsilon is 0 and every exp-sum term is 1.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["privacy"] |= {"delta_budget": 10, "T_range": [1, 5]}
+    path = tmp_path / "zero_factor.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["accountant", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["epsilon"]) for row in rows] == [0.0] * 5
+    assert all(float(row["delta"]) == pytest.approx(10.0) for row in rows)
+
+
 @pytest.mark.parametrize("radius", [1e-3, 0], ids=["shipped-radius", "zero-radius"])
 def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, radius):
     # 2 * sigma**2 underflows to 0 at sigma = 1e-200; so does the tail mass.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -656,6 +657,47 @@ def test_curve_matches_scalar_oracle_at_every_horizon(name, c):
             assert bool(curve.releases_valid[i]) == all(valid for _, valid in releases)
         if c == 1e-2:
             assert math.isinf(curve.delta[-1])
+
+
+def two_od_constants() -> SensitivityConstants:
+    cfg = load_config(CONFIG_DIR / "two_od.json")
+    game = build_game_from_config(cfg)
+    _, schedules = build_dynamics_from_config(cfg, game.paths)
+    return SensitivityConstants.from_game(game, schedules)
+
+
+def test_exp_sums_match_the_uncut_sums():
+    # At c = 1e-3 and sigma = 0.3 the last 444 of T = 2000's terms fall below
+    # the smallest normal float, and are left out.
+    consts = two_od_constants()
+    horizons = np.arange(1, 2001)
+    sens = privacy._sensitivities(consts, 1e-3, horizons, consts.clipped_loss_bound(2.0))
+    later = np.concatenate(([0.0], privacy._running_sum(sens[1:])))
+    scale = privacy._epsilons(np.ones(horizons.size), 0.3, 1e-3 / horizons)[0]
+    assert np.count_nonzero(np.exp(-scale[-1] * later) < np.finfo(float).tiny) == 444
+    uncut = [np.exp(-s * later[:h]).sum() for s, h in zip(scale.tolist(), horizons.tolist())]
+    cut = privacy._exp_sums(later, scale, horizons)
+    assert np.array(cut).tobytes() == np.array(uncut).tobytes()
+
+
+def test_curve_holds_no_array_per_release():
+    # Per horizon the curve holds two 4-row float stacks (the sensitivity
+    # rows, and the epsilon rows that epsilon is one of), the 2-row epsilon
+    # range, delta, the per-release delta, the tail mass and a flag: 105 B.
+    # The bound allows 16 floats, 128 B per horizon, or 128 KB at
+    # H = 1,000; one bool per release would be 10^6 B at T = 10^6.
+    consts = two_od_constants()
+    horizons = np.arange(1, 1_000_001, 1000)
+    privacy_curve(consts, 1e-5, 0.1, [5], 2.0, 1e-3)  # warm up, so the traced call loads nothing
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        curve = privacy_curve(consts, 1e-5, 0.1, horizons, 2.0, 1e-3)
+        size = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert size < 16 * 8 * horizons.size, size
+    assert curve.valid_releases == horizons[-1]
 
 
 def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
