@@ -108,35 +108,20 @@ class EnsembleStats(EnsembleRuns):
 _STEP_CHUNK = 50  # steps whose noise is drawn together, and that a chunk hook is handed at once
 
 
-def _run_moments(rows: np.ndarray, split: int):
-    """Mean over runs of each column of runs-first ``rows``; std of the columns from ``split`` on.
+def _reduce_runs(potentials: np.ndarray, gaps: np.ndarray, allocations: np.ndarray) -> tuple:
+    """:class:`EnsembleRuns`' four fields from arrays whose last axis is the runs.
 
-    Both as ``np.mean`` and ``np.std`` compute them.  numpy adds the runs one
-    after another in each column only when a row holds two or more values; a
-    ``(runs, 1)`` column it sums pairwise, which gives other bytes.  So callers
-    keep every row, and its columns from ``split`` on, two or more wide.
+    Each mean is a running sum over the runs divided by their count, and the
+    std is the potentials' as ``np.std`` computes it.  A running sum adds the
+    runs in run order for every shape, where ``np.mean`` would sum a
+    contiguous last axis pairwise and give other bytes.
     """
-    mean = rows.sum(axis=0) / len(rows)
-    deviations = rows[..., split:] - mean[..., split:]
-    deviations *= deviations
-    return mean, np.sqrt(deviations.sum(axis=0) / len(rows))
+    def mean(a: np.ndarray) -> np.ndarray:
+        return np.add.accumulate(a, axis=-1)[..., -1] / a.shape[-1]
 
-
-def _sigma_columns(table: np.ndarray, shape: tuple, i: int):
-    """Sigma ``i``'s potentials, gaps and allocations in rows laid out as the sweep's.
-
-    A row holds the allocations as ``(populations, paths, sigmas)``, then every
-    sigma's potential, then every sigma's gap; ``shape`` is that first triple.
-    """
-    split = np.prod(shape)
-    allocations = table[..., :split].reshape(table.shape[:-1] + shape)[..., i]
-    return table[..., split + i], table[..., split + shape[2] + i], allocations
-
-
-def _ensembles(means: np.ndarray, stds: np.ndarray, shape: tuple, runs: int) -> list:
-    """One :class:`EnsembleRuns` per sigma from :func:`_run_moments` of each step's rows."""
-    return [EnsembleRuns(f, stds[..., i], gap, flow, runs) for i, (f, gap, flow)
-            in enumerate(_sigma_columns(means, shape, i) for i in range(shape[2]))]
+    f_mean = mean(potentials)
+    deviations = potentials - f_mean[..., None]
+    return f_mean, np.sqrt(mean(deviations * deviations)), mean(gaps), mean(allocations)
 
 
 def simulate_sweep(
@@ -151,10 +136,9 @@ def simulate_sweep(
     ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  On one
     BLAS kernel, a batch of two or more (sigma, run) columns gives each column
     the same bytes; a one-column batch, or another kernel, can differ in the
-    last bits.  Each step writes every run's allocations, potentials and gaps
-    into one runs-first row, at least three values wide, which
-    :func:`_run_moments` reduces over runs as the step ends, so the state does
-    not grow with ``T`` beyond the per-step means and deviations.
+    last bits.  Each step's allocations, potentials and gaps are reduced over
+    runs, their last axis, as the step ends, so the state does not grow with
+    ``T`` beyond the per-step means and the potentials' std.
     ``on_chunk(start, records)`` is called as each chunk ends, ``records[i][r]``
     being sigma ``i``'s run ``r`` over steps ``start + 1..``: a :class:`RunRecord`
     of views of chunk-wide buffers that the next chunk reuses, so copy what is kept.
@@ -178,12 +162,12 @@ def simulate_sweep(
     incidence_t = incidence.T
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    width, split = min(_STEP_CHUNK, T), K * P * S
+    width = min(_STEP_CHUNK, T)
     noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
-    rows = np.empty((R, split + 2 * S))  # laid out as _sigma_columns reads it
-    means, stds = np.empty((T, split + 2 * S)), np.empty((T, 2 * S))
+    # Per step, EnsembleRuns' fields for every sigma; with a hook, a chunk of RunRecord's.
+    reduced = [np.empty((T,) + shape) for shape in ((S,), (S,), (S,), (K, P, S))]
     if on_chunk:
-        kept, observed = np.empty((width, R, split + 2 * S)), np.empty((S, R, width, P))
+        hooked = [np.empty((width,) + shape + (S, R)) for shape in ((), (), (K, P), (P,))]
     x = np.tile(game_ops.uniform_allocation(game)[:, :, None, None], (1, 1, S, R))
     logits = np.log(x[entropic])
 
@@ -210,18 +194,17 @@ def simulate_sweep(
             weighted = weights * x
             phi = game_ops._edge_flows(incidence, weighted)
             losses = game_ops._path_losses(incidence_t, slope, intercept, phi)
-            rows[:, :split] = x.reshape(-1, R).T
-            rows[:, split:split + S] = game_ops._potential(half_slope, intercept, phi).T
-            rows[:, split + S:] = game_ops._gap(weighted, losses, blocks, masses).T
-            means[t], stds[t] = _run_moments(rows, split)
+            outputs = (game_ops._potential(half_slope, intercept, phi),
+                       game_ops._gap(weighted, losses, blocks, masses), x)
+            for table, value in zip(reduced, _reduce_runs(*outputs)):
+                table[t] = value
             if on_chunk:
-                kept[t - start] = rows
-                observed[:, :, t - start] = loss_hat.transpose(1, 2, 0)
+                for buffer, value in zip(hooked, outputs + (loss_hat,)):
+                    buffer[t - start] = value
         if on_chunk:
-            on_chunk(start, [[RunRecord(*_sigma_columns(kept[:steps, r], (K, P, S), i),
-                                        observed[i, r, :steps])
+            on_chunk(start, [[RunRecord(*(h[:steps, ..., i, r] for h in hooked))
                               for r in range(R)] for i in range(S)])
-    return _ensembles(means, stds, (K, P, S), R)
+    return [EnsembleRuns(*(table[..., i] for table in reduced), R) for i in range(S)]
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
@@ -279,17 +262,16 @@ def monte_carlo(
     :func:`run_seeds`, so runs are independent yet the whole ensemble is
     reproducible.  The potential reference value is ``equilibrium``'s, one
     gap-certified solve shared across noise levels.  Precomputed runs (one
-    noise level of a :func:`simulate_sweep`, or a list of run records, which
-    :func:`_run_moments` reduces as the sweep does) skip the simulation pass.
+    noise level of a :func:`simulate_sweep`, or a list of run records, reduced
+    as the sweep reduces its runs) skip the simulation pass.
     The result is those runs' reductions plus the slope fit.
     """
     if records is None:
         records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
     elif not isinstance(records, EnsembleRuns):
-        rows = np.stack([np.column_stack([r.allocations.reshape(len(r.gaps), -1),
-                                          r.potentials, r.gaps]) for r in records])
-        shape = records[0].allocations.shape[1:] + (1,)
-        records = _ensembles(*_run_moments(rows, rows.shape[-1] - 2), shape, len(records))[0]
+        stacked = [np.stack([getattr(r, field) for r in records], -1)
+                   for field in ("potentials", "gaps", "allocations")]
+        records = EnsembleRuns(*_reduce_runs(*stacked), len(records))
     if records.runs != cfg.runs:
         raise ValueError(f"expected {cfg.runs} run records, got {records.runs}")
 

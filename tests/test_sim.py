@@ -295,9 +295,15 @@ def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin
         assert eta_acc.tobytes() == eta[t_acc].tobytes()
 
 
-def test_monte_carlo_takes_a_sweep_ensemble(standin_game, standin_dynamics):
-    cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
-    eq = solve_equilibrium(standin_game)
+@pytest.mark.parametrize("case", ["two_od_sigma0.4", "one_path_entropic", "mixed_geometries"])
+def test_monte_carlo_takes_a_sweep_ensemble(case, standin_game, standin_dynamics):
+    # The one-path game has populations x paths x sigmas = 1, so each run's
+    # step reduces to one value, the shape numpy would sum over runs pairwise.
+    if case == "one_path_entropic":
+        cfg = one_path_config("entropic")
+    else:
+        cfg = engine_case(case, standin_game, standin_dynamics)
+    eq = solve_equilibrium(cfg.game)
     (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
     direct = monte_carlo(cfg, eq)
     for given in (runs, records):
@@ -494,7 +500,8 @@ def test_each_sigma_costs_less_than_two_noise_chunks(standin_game, standin_dynam
 
 def test_a_plain_sweep_holds_one_row_of_outputs_per_run(standin_game, standin_dynamics):
     # Per run, a sweep without a hook holds its noise chunk (chunk x paths floats),
-    # its state and one row of allocations, potentials and gaps.  The state is its
+    # its state and the running sums over runs of one step's allocations, potentials
+    # and gaps, (populations x paths + 2) x sigmas floats.  The state is its
     # generator (under 1 KB) and the step's arrays, fewer than 16 at a time of
     # populations x paths x sigmas floats each.  A chunk of every run's potentials
     # and gaps, reduced when the chunk ends, would add sigmas x chunk x 2 floats more.
