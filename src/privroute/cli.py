@@ -25,12 +25,8 @@ def _ensemble_name(sigma: float) -> str:
     return f"ensemble_sigma_{_sigma_token(sigma)}.csv"
 
 
-def _report_name(c: float, sigma: float) -> str:
-    return f"report_c_{c + 0.0:g}_sigma_{_sigma_token(sigma)}.json"
-
-
 def _check_distinct_names(values, name_of, what: str) -> None:
-    """Fail when two values, equal or not, would write the same file (names keep 6 digits)."""
+    """Fail when two values, equal or not, would write the same output (names keep 6 digits)."""
     first = {}
     for value in values:
         name = name_of(value)
@@ -135,14 +131,16 @@ def cmd_accountant(args) -> int:
         # The flag replaces the config's range and meets the same schema.
         privacy_cfg = privacy_cfg | {"T_range": _parse_t_range(args.t_range)}
         config.check_config(cfg | {"privacy": privacy_cfg})
-    _check_distinct_names(pairs, lambda pair: _report_name(*pair), "(c, sigma)")
+    # A pair names its rows of accountant.csv by its key there, with -0.0 read as 0.0.
+    _check_distinct_names(pairs, lambda pair: f"rows {pair[0] + 0.0},{pair[1]} of accountant.csv",
+                          "(c, sigma)")
     # int() because the schema also accepts integral floats such as 1.0.
     start, stop, step = [*map(int, privacy_cfg.get("T_range", [1, 200])), 1][:3]
     horizons = np.arange(start, stop + 1, step)
     inst = config.build_game_from_config(cfg)
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)
 
-    # float(), so the manifest and the reports record an integer "a": 2 as 2.0.
+    # float(), so the manifest records an integer "a": 2 as 2.0.
     clip = float(privacy_cfg.get("a", privacy.DEFAULT_CLIP))
     delta_budget = float(privacy_cfg.get("delta_budget", privacy.DEFAULT_DELTA_BUDGET))
     constants = privacy.SensitivityConstants.from_game(inst, schedules)
@@ -159,15 +157,12 @@ def cmd_accountant(args) -> int:
         for row in zip(*(col.tolist() for col in
                          (horizons, curve.epsilon, curve.delta, curve.valid.astype(int))))
     ))
-    # Each report states its inputs next to privacy_curve's values at the last, largest horizon.
-    loss_dual_bound = constants.clipped_loss_bound(clip)
-    instance = {k: v for k, v in vars(constants).items() if k != "schedules"}
-    diagnostics = []
+    # One entry per pair: privacy_curve's values at the last, largest horizon, and the
+    # first horizon with an invalid release and the first with delta >= 1, or None.
+    entries = []
     for (c, sigma), curve in zip(pairs, curves):
-        output.write_manifest(outdir / _report_name(c, sigma), {
-            "sigma": sigma, "clip": clip, "horizon": int(horizons[-1]),
-            "delta_budget": delta_budget, "loss_dual_bound": loss_dual_bound,
-            "constants": {"adjacency_radius": c} | instance,
+        entries.append({
+            "c": c, "sigma": sigma,
             # The releases, summarised in constant size.
             "per_step": {
                 "sensitivity": dict(zip(("min", "max"), curve.sensitivity_range[:, -1].tolist())),
@@ -178,21 +173,16 @@ def cmd_accountant(args) -> int:
             "tail_delta": float(curve.tail_delta[-1]), "epsilon": float(curve.epsilon[-1]),
             "delta": float(curve.delta[-1]), "trivial": bool(curve.delta[-1] >= 1.0),
             "valid": bool(curve.valid[-1]),
-        })
-        # The first horizon with an invalid release and the first with delta >= 1, or None.
-        firsts = {"first_invalid_release_T": ~curve.releases_valid,
-                  "first_trivial_T": curve.delta >= 1.0}
-        diagnostics.append({"c": c, "sigma": sigma} | {
-            k: int(horizons[m.argmax()]) if m.any() else None for k, m in firsts.items()})
+        } | {k: int(horizons[m.argmax()]) if m.any() else None
+             for k, m in [("first_invalid_release_T", ~curve.releases_valid),
+                          ("first_trivial_T", curve.delta >= 1.0)]})
     manifest = _manifest(
         "accountant", cfg,
-        effective={
-            "pairs": [[c, s] for c, s in pairs],
-            "T_range": [start, stop, step],
-            "a": clip,
-            "delta_budget": delta_budget,
-        },
-        diagnostics=diagnostics,
+        effective={"T_range": [start, stop, step], "a": clip, "delta_budget": delta_budget},
+        horizon=int(horizons[-1]),
+        loss_dual_bound=constants.clipped_loss_bound(clip),
+        constants={k: v for k, v in vars(constants).items() if k != "schedules"},
+        pairs=entries,
     )
     output.write_manifest(outdir / "accountant_manifest.json", manifest)
     print(f"wrote {out_path}")

@@ -659,22 +659,20 @@ def test_overflowing_costs_are_one_line_error(tmp_path, capsys, command, message
 @pytest.mark.parametrize(
     "command, block, key, values, message",
     [
-        ("accountant", "privacy", "c_adj", [1e-3, 1.0000001e-3],
-         "(c, sigma) (0.001, 0.1) and (0.0010000001, 0.1) would both write "
-         "report_c_0.001_sigma_0p1.json"),
         ("simulate", "simulation", "sigma", [0.1, 0.1000001],
          "sigma 0.1 and 0.1000001 would both write ensemble_sigma_0p1.csv"),
         ("accountant", "privacy", "c_adj", [1e-3, 1e-3],
          "(c, sigma) (0.001, 0.1) and (0.001, 0.1) would both write "
-         "report_c_0.001_sigma_0p1.json"),
+         "rows 0.001,0.1 of accountant.csv"),
         ("simulate", "simulation", "sigma", [0.1, 0.1],
          "sigma 0.1 and 0.1 would both write ensemble_sigma_0p1.csv"),
     ],
-    ids=["accountant", "simulate", "accountant_repeated", "simulate_repeated"],
+    ids=["simulate", "accountant_repeated", "simulate_repeated"],
 )
 def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, block, key,
                                                    values, message):
-    # File names keep six significant digits of each value; a repeated value is one name twice.
+    # File names keep six significant digits of each value; a repeated value is one name twice,
+    # and a repeated (c, sigma) pair one key of accountant.csv twice.
     cfg = json.loads(PIGOU.read_text())
     cfg[block][key] = values
     path = tmp_path / "collide.json"
@@ -683,6 +681,24 @@ def test_colliding_output_names_are_one_line_error(tmp_path, capsys, command, bl
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_near_duplicate_pairs_are_two_pairs(tmp_path):
+    # Pairs name rows, keyed by every digit of c, so values one file name would merge stay apart.
+    cfg = json.loads(PIGOU.read_text())
+    cfg["privacy"]["c_adj"] = [1e-3, 1.0000001e-3]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(path), "--T-range", "1:3", "--out", str(out)]) == 0
+    with open(out / "accountant.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["c"], row["T"]) for row in rows] == [
+        (c, t) for c in ("0.001", "0.0010000001") for t in ("1", "2", "3")]
+    entries = json.loads((out / "accountant_manifest.json").read_text())["pairs"]
+    assert [(e["c"], e["sigma"]) for e in entries] == [(1e-3, 0.1), (1.0000001e-3, 0.1)]
+    assert [e["epsilon"] for e in entries] == [float(rows[2]["epsilon"]), float(rows[5]["epsilon"])]
+    assert entries[0]["epsilon"] < entries[1]["epsilon"]
 
 
 def forbid_work(monkeypatch):
@@ -736,13 +752,13 @@ def test_values_outside_the_guarantees_domains_fail_before_any_work(
         ("simulate", "simulation", "sigma",
          "sigma 0.0 and -0.0 would both write ensemble_sigma_0.csv"),
         ("accountant", "privacy", "c_adj",
-         "(c, sigma) (0.0, 0.1) and (-0.0, 0.1) would both write report_c_0_sigma_0p1.json"),
+         "(c, sigma) (0.0, 0.1) and (-0.0, 0.1) would both write rows 0.0,0.1 of accountant.csv"),
     ],
     ids=["simulate", "accountant"],
 )
 def test_signed_zeros_name_one_file(tmp_path, capsys, monkeypatch, command, block, key,
                                     message):
-    # -0.0 equals 0.0, so the two are a repeated value and name the same files.
+    # -0.0 equals 0.0, so the two are a repeated value and name the same output.
     forbid_work(monkeypatch)
     cfg = json.loads(PIGOU.read_text())
     cfg[block][key] = [0.0, -0.0]
@@ -817,10 +833,15 @@ def test_accountant_defaults_stand_in_for_missing_settings(tmp_path):
     assert main(["accountant", "--config", str(path), "--out", str(default)]) == 0
     effective = json.loads((default / "accountant_manifest.json").read_text())["effective"]
     assert (repr(effective["a"]), repr(effective["delta_budget"])) == ("2.0", "0.001")
-    names = sorted(p.name for p in stated.iterdir() if p.name != "accountant_manifest.json")
-    assert names == ["accountant.csv", "report_c_0.001_sigma_0p1.json"]
-    for name in names:
-        assert (default / name).read_bytes() == (stated / name).read_bytes()
+    names = sorted(p.name for p in stated.iterdir())
+    assert names == ["accountant.csv", "accountant_manifest.json"]
+    assert (default / "accountant.csv").read_bytes() == (stated / "accountant.csv").read_bytes()
+    # The manifests differ only in their config echo and timestamp.
+    manifests = [json.loads((out / "accountant_manifest.json").read_text())
+                 for out in (default, stated)]
+    for manifest in manifests:
+        del manifest["config"], manifest["created_at"]
+    assert manifests[0] == manifests[1]
 
 
 def test_accountant_writes_full_report_json(tmp_path):
@@ -834,8 +855,10 @@ def test_accountant_writes_full_report_json(tmp_path):
         ]
     )
     assert code == 0
-    report = json.loads((tmp_path / "report_c_1e-06_sigma_0p1.json").read_text())
-    assert report["horizon"] == 21
+    manifest = json.loads((tmp_path / "accountant_manifest.json").read_text())
+    assert [(e["c"], e["sigma"]) for e in manifest["pairs"]] == [(1e-6, 0.1), (1e-5, 0.3)]
+    report = manifest["pairs"][0]
+    assert manifest["horizon"] == 21
     cfg = load_config(TWO_OD)
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
@@ -850,53 +873,63 @@ def test_accountant_writes_full_report_json(tmp_path):
         "delta": float(expected.deltas[0]),
         "valid_releases": int(expected.valid_steps.sum()),
     }
-    assert report["constants"]["allocation_norm_bound"] == 2.0
-    assert (tmp_path / "report_c_1e-05_sigma_0p3.json").exists()
+    assert manifest["constants"]["allocation_norm_bound"] == 2.0
 
-    # The report's size does not grow with the horizon.
+    # The manifest's size does not grow with the horizon: each entry keeps a constant size.
     def key_tree(node):
+        if isinstance(node, list):
+            return [key_tree(v) for v in node]
         return {k: key_tree(v) for k, v in node.items()} if isinstance(node, dict) else None
 
     long_out = tmp_path / "long"
     code = main(["accountant", "--config", str(TWO_OD), "--T-range", "1:10000:10",
                  "--out", str(long_out)])
     assert code == 0
-    long_path = long_out / "report_c_1e-06_sigma_0p1.json"
-    long_report = json.loads(long_path.read_text())
-    assert long_report["horizon"] == 9991
-    assert key_tree(long_report) == key_tree(report)
-    assert long_path.stat().st_size < 2048
+    long_path = long_out / "accountant_manifest.json"
+    long_manifest = json.loads(long_path.read_text())
+    assert long_manifest["horizon"] == 9991
+    assert key_tree(long_manifest) == key_tree(manifest)
+    echo = len(json.dumps(long_manifest["config"], indent=2, sort_keys=True))
+    assert long_path.stat().st_size - echo < 2048 * len(long_manifest["pairs"])
 
 
-@pytest.mark.parametrize("config", [TWO_OD, PIGOU], ids=["two_od", "pigou"])
-def test_accountant_files_agree(tmp_path, config):
+@pytest.mark.parametrize("config, clip", [(TWO_OD, None), (PIGOU, None), (TWO_OD, 1.5)],
+                         ids=["two_od", "pigou", "two_od-a-1.5"])
+def test_accountant_files_agree(tmp_path, config, clip):
+    # The shipped configs set a = 2.0, the default; 1.5 shows the config's value is the one used.
+    if clip is not None:
+        cfg = json.loads(config.read_text())
+        cfg["privacy"]["a"] = clip
+        config = tmp_path / "clip.json"
+        config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
     # The step does not divide the range, so the last horizon is 21, not the stop.
     code = main(["accountant", "--config", str(config), "--T-range", "1:23:5",
-                 "--out", str(tmp_path)])
+                 "--out", str(out)])
     assert code == 0
-    with open(tmp_path / "accountant.csv", newline="") as handle:
+    with open(out / "accountant.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    effective = json.loads((tmp_path / "accountant_manifest.json").read_text())["effective"]
+    manifest = json.loads((out / "accountant_manifest.json").read_text())
+    effective = manifest["effective"]
     cfg = load_config(config)
+    assert effective["a"] == cfg["privacy"]["a"] == (2.0 if clip is None else clip)
     game = build_game_from_config(cfg)
     _, schedules = build_dynamics_from_config(cfg, game.paths)
     consts = SensitivityConstants.from_game(game, schedules)
     instance = {k: v for k, v in vars(consts).items() if k != "schedules"}
 
-    reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("report_*.json"))]
-    pairs = sorted([r["constants"]["adjacency_radius"], r["sigma"]] for r in reports)
-    assert pairs == sorted(effective["pairs"])
-    for report in reports:
-        c, sigma = report["constants"]["adjacency_radius"], report["sigma"]
+    entries = manifest["pairs"]
+    assert [(e["c"], e["sigma"]) for e in entries] == privacy_pairs(cfg)
+    assert manifest["horizon"] == 21
+    assert manifest["constants"] == instance
+    assert manifest["loss_dual_bound"] == consts.clipped_loss_bound(effective["a"])
+    for entry in entries:
+        c, sigma = entry["c"], entry["sigma"]
         last = [r for r in rows if (float(r["c"]), float(r["sigma"])) == (c, sigma)][-1]
-        assert (report["clip"], report["delta_budget"]) == (effective["a"],
-                                                            effective["delta_budget"])
-        assert report["horizon"] == int(last["T"]) == 21
-        assert report["epsilon"] == float(last["epsilon"])
-        assert report["delta"] == float(last["delta"])
-        assert report["valid"] == (last["valid"] == "1")
-        assert report["constants"] == instance | {"adjacency_radius": c}
-        assert report["loss_dual_bound"] == consts.clipped_loss_bound(effective["a"])
+        assert int(last["T"]) == 21
+        assert entry["epsilon"] == float(last["epsilon"])
+        assert entry["delta"] == float(last["delta"])
+        assert entry["valid"] == (last["valid"] == "1")
 
 
 def with_radius(tmp_path, config, c):
@@ -954,7 +987,8 @@ def test_accountant_overflowing_composition_is_trivial(tmp_path):
     assert {row["delta"] for row in rows if row["T"] != "1"} == {"inf"}
     assert all(row["valid"] == "0" for row in rows)
     assert all(math.isfinite(float(row["epsilon"])) for row in rows)
-    report = json.loads((tmp_path / "report_c_0.01_sigma_0p1.json").read_text())
+    report = json.loads((tmp_path / "accountant_manifest.json").read_text())["pairs"][0]
+    assert (report["c"], report["sigma"]) == (0.01, 0.1)
     assert report["trivial"] is True
 
 
@@ -1053,6 +1087,23 @@ def test_accountant_overflowing_radius_is_one_line_error(tmp_path, capsys, radiu
     assert not out.exists()
 
 
+def test_accountant_never_ending_range_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # 10^6 horizons up to T = 10^6 are 10^12 units of curve work, beyond the 10^10 budget.
+    from privroute import privacy
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed a curve over a range beyond the budget")
+
+    monkeypatch.setattr(privacy, "_sensitivities", unreachable)
+    out = tmp_path / "out"
+    assert main(["accountant", "--config", str(TWO_OD), "--T-range", "1:1000000:1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizons x T_max = 1000000 x 1000000 exceeds the accountant's budget of "
+        "10000000000\n")
+    assert not out.exists()
+
+
 def write_delta_budget(tmp_path, delta_budget):
     cfg = json.loads(TWO_OD.read_text())
     cfg["privacy"]["delta_budget"] = delta_budget
@@ -1118,7 +1169,7 @@ def test_accountant_tiny_sigma_has_zero_tail_mass(tmp_path, capsys, radius):
     else:
         assert all(1.0 < e < math.inf for e in epsilons)
         assert deltas[1:] == [math.inf] * 4
-    report = json.loads(next(out.glob("report_*.json")).read_text())
+    (report,) = json.loads((out / "accountant_manifest.json").read_text())["pairs"]
     assert report["tail_delta"] == 0.0
     assert report["per_step"]["valid_releases"] == 0
 
@@ -1133,20 +1184,28 @@ def test_accountant_per_release_delta_underflow_is_one_line_error(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "radius",
-    [None, 1e-3, 0],
-    ids=["shipped", "invalid-first-release", "zero-radius"],
+    "edit, expected",
+    [
+        ({}, {(None, 8451), (None, 2201)}),
+        ({"c_adj": 1e-3}, {(1, 51), (51, 51)}),
+        ({"c_adj": 0}, {(1, None)}),
+        # The first horizon's delta is then 1.0 exactly, which is trivial.
+        ({"c_adj": 0, "delta_budget": 1}, {(1, 1)}),
+    ],
+    ids=["shipped", "invalid-first-release", "zero-radius", "delta-of-one"],
 )
-def test_accountant_manifest_diagnostics_match_csv(tmp_path, radius):
-    path = TWO_OD if radius is None else with_radius(tmp_path, TWO_OD, radius)
+def test_accountant_manifest_diagnostics_match_csv(tmp_path, edit, expected):
+    cfg = json.loads(TWO_OD.read_text())
+    cfg["privacy"] |= edit
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code = main(["accountant", "--config", str(path), "--T-range", "1:10000:50", "--out", str(out)])
     assert code == 0
     with open(out / "accountant.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    manifest = json.loads((out / "accountant_manifest.json").read_text())
-    diagnostics = manifest["diagnostics"]
-    assert [[d["c"], d["sigma"]] for d in diagnostics] == manifest["effective"]["pairs"]
+    diagnostics = json.loads((out / "accountant_manifest.json").read_text())["pairs"]
+    assert [(d["c"], d["sigma"]) for d in diagnostics] == privacy_pairs(load_config(path))
     for diag in diagnostics:
         block = [r for r in rows if (float(r["c"]), float(r["sigma"])) == (diag["c"], diag["sigma"])]
         assert len(block) == 200
@@ -1163,11 +1222,6 @@ def test_accountant_manifest_diagnostics_match_csv(tmp_path, radius):
         if invalid is not None and (trivial is None or invalid < trivial):
             assert first(lambda r: r["valid"] == "0" and float(r["delta"]) < 1.0) == invalid
     by_case = {(d["first_invalid_release_T"], d["first_trivial_T"]) for d in diagnostics}
-    expected = {
-        None: {(None, 8451), (None, 2201)},
-        1e-3: {(1, 51), (51, 51)},
-        0: {(1, None)},
-    }[radius]
     assert by_case == expected
 
 

@@ -708,6 +708,16 @@ def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
             privacy_curve(consts, 1e-6, 0.1, horizons, 2.0, 1e-3)
 
 
+def test_curve_refuses_work_beyond_its_budget(monkeypatch, pigou_game):
+    # The budget caps horizons x T_max: 10 horizons up to T = 10 are 100 units, [101] is 101.
+    monkeypatch.setattr(privacy, "CURVE_BUDGET", 100)
+    consts = constants(pigou_game)
+    assert privacy_curve(consts, 1e-3, 0.1, np.arange(1, 11), 2.0, 1e-3).epsilon.size == 10
+    message = "^horizons x T_max = 1 x 101 exceeds the accountant's budget of 100$"
+    with pytest.raises(ValueError, match=message):
+        privacy_curve(consts, 1e-3, 0.1, [101], 2.0, 1e-3)
+
+
 @pytest.mark.parametrize(
     "setting, value",
     [
