@@ -136,6 +136,8 @@ def cmd_accountant(args) -> int:
                           "(c, sigma)")
     # int() because the schema also accepts integral floats such as 1.0.
     start, stop, step = [*map(int, privacy_cfg.get("T_range", [1, 200])), 1][:3]
+    span = range(start, stop + 1, step)  # its size and last horizon, with none allocated
+    privacy._check_budget(len(span), span[-1])
     horizons = np.arange(start, stop + 1, step)
     inst = config.build_game_from_config(cfg)
     _, schedules = config.build_dynamics_from_config(cfg, inst.paths)

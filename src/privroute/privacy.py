@@ -331,6 +331,13 @@ class PrivacyCurve:
         return self.releases_valid & (self.delta < 1.0)
 
 
+def _check_budget(count: int, t_max: int) -> None:
+    """Refuse ``count`` horizons up to ``t_max``, if they are beyond ``CURVE_BUDGET``."""
+    if count * t_max > CURVE_BUDGET:
+        raise ValueError(f"horizons x T_max = {count} x {t_max} exceeds the "
+                         f"accountant's budget of {CURVE_BUDGET}")
+
+
 def privacy_curve(
     consts: SensitivityConstants,
     c: float,
@@ -365,9 +372,7 @@ def privacy_curve(
     if horizons.ndim != 1 or horizons.size == 0 or horizons.min() < 1:
         raise ValueError("horizons must be a nonempty list of positive release counts")
     t_max = int(horizons.max())
-    if horizons.size * t_max > CURVE_BUDGET:
-        raise ValueError(f"horizons x T_max = {horizons.size} x {t_max} exceeds the "
-                         f"accountant's budget of {CURVE_BUDGET}")
+    _check_budget(horizons.size, t_max)
     for what, name, value in [("noise standard deviation", "sigma", sigma),
                               ("clip level", "clip", clip),
                               ("delta budget", "delta_budget", delta_budget)]:

@@ -143,6 +143,13 @@ def simulate_sweep(
     being sigma ``i``'s run ``r`` over steps ``start + 1..``: a :class:`RunRecord`
     of views of chunk-wide buffers that the next chunk reuses, so copy what is kept.
     """
+    return _sweep(cfg, sigmas, seeds, on_chunk, cfg.game.masses[..., None, None],
+                  lambda t, losses, noise: (losses + noise,) * 2)  # released, and learned from
+
+
+def _sweep(cfg, sigmas, seeds, on_chunk, masses, release):
+    """:func:`simulate_sweep` with ``masses`` ``(K, OD, sigmas or 1, runs or 1)`` and with
+    ``release(t, losses, sigma * noise)`` giving step ``t``'s released and learned-from vectors."""
     game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
     sigmas = _check_sigmas(sigmas)
     S, K, sizes = len(sigmas), game.num_populations, game.block_sizes
@@ -150,13 +157,14 @@ def simulate_sweep(
     entropic, euclidean = np.flatnonzero(kinds == "entropic"), np.flatnonzero(kinds == "euclidean")
     # One array call per schedule, as the accountant makes, so both see the same rounding.
     rates = np.stack([s.rate(np.arange(T)) for s in cfg.schedules], 1)[..., None, None, None]
-    # The kernels' coefficients, spread once over the (sigmas, runs) batch: numpy
-    # multiplies two arrays of one shape faster than an array and a broadcast column.
+    # The kernels' coefficients, spread once from their last two axes over the (sigmas,
+    # runs) batch: numpy multiplies two arrays of one shape faster than an array and a
+    # broadcast column.
     def spread(a: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(a[..., None, None], a.shape + (S, R)).copy()
+        return np.broadcast_to(a, a.shape[:-2] + (S, R)).copy()
 
-    weights, masses = spread(game.path_weights()), spread(game.masses)
-    slope, intercept = spread(game.costs.T)
+    weights, masses = spread(np.repeat(masses, sizes, axis=1)), spread(masses)
+    slope, intercept = spread(game.costs.T[..., None, None])
     half_slope, scale = 0.5 * slope, sigmas[:, None]
     incidence, blocks = game.paths.incidence, block_slices(sizes)
     incidence_t = incidence.T
@@ -181,8 +189,8 @@ def simulate_sweep(
         # so no sigmas-fold copy of the chunk's noise is ever held.
         drawn = noise[:, :steps, :, None].transpose(1, 2, 3, 0)
         for t in range(start, start + steps):
-            loss_hat = losses + scale * drawn[t - start]
-            scaled = weights * loss_hat
+            released, learned = release(t, losses, scale * drawn[t - start])
+            scaled = weights * learned
             if not np.isfinite(scaled).all():
                 raise ValueError("non-finite loss entries")
             step = rates[t] * scaled
@@ -199,7 +207,7 @@ def simulate_sweep(
             for table, value in zip(reduced, _reduce_runs(*outputs)):
                 table[t] = value
             if on_chunk:
-                for buffer, value in zip(hooked, outputs + (loss_hat,)):
+                for buffer, value in zip(hooked, outputs + (released,)):
                     buffer[t - start] = value
         if on_chunk:
             on_chunk(start, [[RunRecord(*(h[:steps, ..., i, r] for h in hooked))

@@ -85,9 +85,10 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
             raise ValueError(f"allocation block {s} does not sum to one: {sums}")
 
 
-def sweep_with_records(cfg, sigmas, seeds):
-    """``simulate_sweep``'s result and ``records[i][r]``, sigma ``i``'s run ``r`` in full.
+def sweep_with_records(cfg, sigmas, seeds, sweep=simulate_sweep):
+    """``sweep``'s result and ``records[i][r]``, sigma ``i``'s run ``r`` in full.
 
+    ``sweep(cfg, sigmas, seeds, on_chunk)`` is ``simulate_sweep`` unless given.
     The records are collected through the sweep's chunk hook: each chunk's
     views are copied (``astuple`` copies arrays) before the next chunk reuses
     their buffers, and each chunk must start where the one before it stopped.
@@ -99,7 +100,7 @@ def sweep_with_records(cfg, sigmas, seeds):
         assert start == held, (start, held)
         chunks.append([[astuple(record) for record in runs] for runs in records])
 
-    ensembles = simulate_sweep(cfg, sigmas, seeds, collect)
+    ensembles = sweep(cfg, sigmas, seeds, collect)
     records = [[RunRecord(*map(np.concatenate, zip(*(chunk[i][r] for chunk in chunks))))
                 for r in range(len(seeds))] for i in range(len(ensembles))]
     return ensembles, records

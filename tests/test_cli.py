@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -587,9 +588,11 @@ def test_out_of_memory_in_simulate_names_the_size(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_unallocatable_t_range_names_the_shape(tmp_path):
-    # Run capped at 4 GiB of address space: uncapped, an overcommitting kernel
-    # may grant the 72.8 TiB, and filling it would exhaust the machine.
+def test_unallocatable_t_range_fails_on_the_budget(tmp_path):
+    # 10^13 horizons would take 72.8 TiB as an array; the range is refused from its
+    # size before any is allocated, so even under 4 GiB of address space the error
+    # names the budget, not memory.  Uncapped, an overcommitting kernel might grant
+    # the array, and filling it would exhaust the machine.
     import resource
 
     def cap():
@@ -601,8 +604,8 @@ def test_unallocatable_t_range_names_the_shape(tmp_path):
     result = subprocess.run([sys.executable, "-m", "privroute.cli", *args], env=env,
                             preexec_fn=cap, capture_output=True, text=True, timeout=120)
     assert result.returncode == 1
-    assert result.stderr.startswith("error: out of memory: Unable to allocate")
-    assert "shape (9999999999999,)" in result.stderr and result.stderr.count("\n") == 1
+    assert result.stderr == ("error: horizons x T_max = 9999999999999 x 9999999999999 exceeds "
+                             "the accountant's budget of 10000000000\n")
     assert not out.exists()
 
 
@@ -1101,6 +1104,27 @@ def test_accountant_never_ending_range_fails_before_any_work(tmp_path, capsys, m
     assert capsys.readouterr().err == (
         "error: horizons x T_max = 1000000 x 1000000 exceeds the accountant's budget of "
         "10000000000\n")
+    assert not out.exists()
+
+
+def test_accountant_refuses_an_over_budget_range_before_allocating_it(tmp_path, capsys):
+    # 3 x 10^7 horizons would take 240 MB as an array of horizons; the range's size and
+    # last horizon are enough to refuse it.
+    out = tmp_path / "out"
+    argv = ["accountant", "--config", str(TWO_OD), "--T-range", "1:30000000:1", "--out", str(out)]
+    main(argv)  # imports what the command loads, so the traced call below allocates only its own
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: horizons x T_max = 30000000 x 30000000 exceeds the accountant's budget of "
+        "10000000000\n")
+    assert peak < 1_000_000, peak
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from privroute.game import (
 )
 from privroute.network import block_slices, build_network
 from privroute.sim import (
+    EnsembleRuns,
+    RunRecord,
     SimulationConfig,
     check_suboptimality_bound,
     fit_loglog_slope,
@@ -246,6 +249,36 @@ def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
         for a, b in zip(swept_records, alone_records, strict=True):
             for field in ("potentials", "gaps", "allocations", "observed_losses"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+@pytest.mark.parametrize("case", ["two_od_sigma0", "two_od_sigma0.4", "mixed_geometries",
+                                  "all_euclidean"])
+def test_two_worlds_in_one_sweep_equal_two_one_world_sweeps(case, standin_game,
+                                                            standin_dynamics):
+    # World B shifts population 1's masses by c and runs as the sweep's second sigma
+    # column; the release is the default, each column's losses plus its own noise.
+    cfg_a = engine_case(case, standin_game, standin_dynamics)
+    shifted = standin_game.masses + np.array([[0.0], [0.05]])
+    game_b = build_game(standin_game.network, standin_game.costs, shifted)
+    cfg_b = SimulationConfig(game_b, cfg_a.geometries, cfg_a.schedules, 0.25, cfg_a.horizon,
+                             cfg_a.runs, cfg_a.seed)
+    seeds = run_seeds(cfg_a.seed, cfg_a.runs)
+    masses = np.stack([standin_game.masses, shifted], -1)[..., None]  # (K, OD, worlds, 1)
+
+    def two_worlds(cfg, sigmas, seeds, on_chunk):
+        return sim._sweep(cfg, sigmas, seeds, on_chunk, masses,
+                          lambda t, losses, noise: (losses + noise,) * 2)
+
+    both, both_records = sweep_with_records(cfg_a, [cfg_a.sigma, cfg_b.sigma], seeds, two_worlds)
+    assert cfg_a.runs >= 2
+    for cfg, world, world_records in zip((cfg_a, cfg_b), both, both_records, strict=True):
+        (alone,), (alone_records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+        for field in fields(EnsembleRuns):
+            a, b = (np.asarray(getattr(runs, field.name)) for runs in (world, alone))
+            assert a.tobytes() == b.tobytes(), field.name
+        for a, b in zip(world_records, alone_records, strict=True):
+            for field in fields(RunRecord):
+                assert getattr(a, field.name).tobytes() == getattr(b, field.name).tobytes()
 
 
 def test_sweep_rejects_a_negative_sigma(standin_game, standin_dynamics):
