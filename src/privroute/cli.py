@@ -69,12 +69,13 @@ def cmd_simulate(args) -> int:
                 for sigma in sigmas]
     outdir = Path(args.out)
 
-    def write_rows(start, records):  # each run's rows of one chunk, appended to its file
-        for run, runs_of_sigma in zip(run_cfgs, records):
+    def write_rows(start, chunk):  # each run's rows of one chunk, appended to its file
+        for i, run in enumerate(run_cfgs):
             run_dir = outdir / f"runs_sigma_{_sigma_token(run.sigma)}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            for i, record in enumerate(runs_of_sigma):
-                sim.write_run_csv(record, run_dir / f"run_{i:03d}.csv", start)
+            for r in range(runs):
+                record = sim.RunRecord(*(field[..., i, r] for field in vars(chunk).values()))
+                sim.write_run_csv(record, run_dir / f"run_{r:03d}.csv", start)
 
     # Every result first; then --per-run replays the sweep, writing each chunk as it ends.
     try:

@@ -145,8 +145,6 @@ def _shaped(values, shape: tuple, name: str) -> np.ndarray:
 
 def _contract(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``matrix @ v`` over the leading axis of ``v``, keeping its batch axes."""
-    if v.ndim <= 2:
-        return matrix @ v
     return (matrix @ v.reshape(len(v), -1)).reshape(matrix.shape[:1] + v.shape[1:])
 
 

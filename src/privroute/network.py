@@ -137,8 +137,12 @@ def enumerate_paths(network: Network) -> PathSet:
             """The edges out of ``node`` in index order, into nodes that can still reach ``dest``.
 
             A head counts only if it reaches ``dest`` around the nodes on the path,
-            so every step ends in at least one path: no dead ends.
+            so every step ends in at least one path: no dead ends.  A node past the
+            origin was entered because it reaches ``dest``, so its one unvisited head does.
             """
+            heads = {head for _, head in out[node] if head not in visited}
+            if node != origin and len(heads) == 1:
+                return iter([(j, head) for j, head in out[node] if head in heads])
             live, stack = {dest}, [dest]
             while stack:
                 for tail in into[stack.pop()]:

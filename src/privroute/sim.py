@@ -71,9 +71,9 @@ def _check_sigmas(sigmas) -> np.ndarray:
 class RunRecord:
     """A run's steps: post-update states and the observations that drove them.
 
-    Row ``t`` holds the potential, gap, and allocation after ``start + t + 1``
-    updates, ``start`` being the first step held (0 for a whole run), plus the
-    noisy loss vector observed at the state preceding that update.
+    Row ``t`` holds the potential, gap and allocation after ``start + t + 1`` updates
+    (``start``: the first step held) and the noisy losses observed before the update.
+    :func:`simulate_sweep`'s hook gets all (sigma, run) columns, on two last axes.
     """
 
     potentials: np.ndarray
@@ -139,9 +139,9 @@ def simulate_sweep(
     last bits.  Each step's allocations, potentials and gaps are reduced over
     runs, their last axis, as the step ends, so the state does not grow with
     ``T`` beyond the per-step means and the potentials' std.
-    ``on_chunk(start, records)`` is called as each chunk ends, ``records[i][r]``
-    being sigma ``i``'s run ``r`` over steps ``start + 1..``: a :class:`RunRecord`
-    of views of chunk-wide buffers that the next chunk reuses, so copy what is kept.
+    ``on_chunk(start, chunk)`` is called as each chunk ends: ``chunk`` is one
+    :class:`RunRecord` of steps ``start + 1..`` with the state's ``(sigmas, runs)``
+    axes last, views of buffers that the next chunk reuses, so copy what is kept.
     """
     return _sweep(cfg, sigmas, seeds, on_chunk, cfg.game.masses[..., None, None],
                   lambda t, losses, noise: (losses + noise,) * 2)  # released, and learned from
@@ -210,16 +210,15 @@ def _sweep(cfg, sigmas, seeds, on_chunk, masses, release):
                 for buffer, value in zip(hooked, outputs + (released,)):
                     buffer[t - start] = value
         if on_chunk:
-            on_chunk(start, [[RunRecord(*(h[:steps, ..., i, r] for h in hooked))
-                              for r in range(R)] for i in range(S)])
+            on_chunk(start, RunRecord(*(h[:steps] for h in hooked)))
     return [EnsembleRuns(*(table[..., i] for table in reduced), R) for i in range(S)]
 
 
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     """Simulate one run; fully determined by the config and the seed."""
     chunks = []  # astuple copies each chunk's views before the sweep reuses their buffers
-    simulate_sweep(cfg, [cfg.sigma], [seed], lambda _, runs: chunks.append(astuple(runs[0][0])))
-    return RunRecord(*map(np.concatenate, zip(*chunks)))
+    simulate_sweep(cfg, [cfg.sigma], [seed], lambda _, chunk: chunks.append(astuple(chunk)))
+    return RunRecord(*(np.concatenate(field)[..., 0, 0] for field in zip(*chunks)))
 
 
 def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:

@@ -92,18 +92,19 @@ def sweep_with_records(cfg, sigmas, seeds, sweep=simulate_sweep):
     The records are collected through the sweep's chunk hook: each chunk's
     views are copied (``astuple`` copies arrays) before the next chunk reuses
     their buffers, and each chunk must start where the one before it stopped.
+    The runs are sliced out of the whole sweep's (sigma, run) axes at the end.
     """
     chunks = []
 
-    def collect(start, records):
-        held = sum(len(chunk[0][0][0]) for chunk in chunks)  # sigma 0, run 0, potentials
+    def collect(start, chunk):
+        held = sum(len(potentials) for potentials, *_ in chunks)
         assert start == held, (start, held)
-        chunks.append([[astuple(record) for record in runs] for runs in records])
+        chunks.append(astuple(chunk))
 
     ensembles = sweep(cfg, sigmas, seeds, collect)
-    records = [[RunRecord(*map(np.concatenate, zip(*(chunk[i][r] for chunk in chunks))))
-                for r in range(len(seeds))] for i in range(len(ensembles))]
-    return ensembles, records
+    whole = [np.concatenate(field) for field in zip(*chunks)]
+    return ensembles, [[RunRecord(*(field[..., i, r] for field in whole))
+                        for r in range(len(seeds))] for i in range(len(ensembles))]
 
 
 def gradient_smoothness(game: GameInstance) -> float:

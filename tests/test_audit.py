@@ -55,8 +55,8 @@ def worst_ratio(name: str, geometry: str, horizon: int) -> tuple[float, int | No
                                    consts.clipped_loss_bound(clip))
     ratios = np.empty(horizon)
 
-    def check(start, records):
-        a, b = (np.stack([run.observed_losses for run in world], -1) for world in records)
+    def check(start, chunk):
+        a, b = np.moveaxis(chunk.observed_losses, -2, 0)  # each world's (steps, paths, runs)
         gaps = np.linalg.norm(a - b, axis=1).max(axis=-1)  # the worst history, per release
         ratios[start:start + len(gaps)] = gaps / bound[start:start + len(gaps)]
 

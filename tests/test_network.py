@@ -142,6 +142,36 @@ def test_dense_dead_ends_are_not_walked(n, dest_tail):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_long_chain_is_walked_once():
+    # Past the origin, a node with one unvisited head steps on without a search for
+    # what still reaches t, so a chain costs its length, not its length squared.
+    nodes = [f"v{i}" for i in range(3000)]
+    edges = [[u, v] for u, v in zip(nodes, nodes[1:])]
+    net = build_network({"nodes": nodes, "edges": edges, "od_pairs": [["v0", "v2999"]]})
+    start = time.perf_counter()
+    assert enumerate_paths(net).paths == ((tuple(range(len(edges))),),)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_random_multigraphs_match_oracle():
+    rng = np.random.default_rng(20260810)
+    for _ in range(500):
+        nodes = [f"n{i}" for i in range(rng.integers(2, 6))]
+        edges = [[str(u), str(v)] for u, v in
+                 (rng.choice(nodes, 2, replace=False) for _ in range(rng.integers(1, 9)))]
+        ods = [[str(u), str(v)] for u, v in
+               (rng.choice(nodes, 2, replace=False) for _ in range(rng.integers(1, 3)))]
+        spec = {"nodes": nodes, "edges": edges, "od_pairs": ods}
+        oracle = dfs_oracle(spec)
+        net = build_network(spec)
+        if not all(oracle[tuple(od)] for od in ods):
+            with pytest.raises(NetworkError, match="unreachable OD pair"):
+                enumerate_paths(net)
+        else:
+            assert [list(group) for group in enumerate_paths(net).paths] == [
+                oracle[tuple(od)] for od in ods], spec
+
+
 def test_column_sums_equal_path_lengths(standin_game):
     paths, net = standin_game.paths, standin_game.network
     assert paths.incidence.shape == (net.num_edges, paths.total_paths)

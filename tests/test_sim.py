@@ -507,6 +507,35 @@ def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics
     assert all(b == record_bytes[0] for b in record_bytes[1:])
 
 
+ITEM_14 = ("ROADMAP item 14: the contraction is a BLAS product over the whole batch, whose "
+           "summation order can change when the batch is one column wide")
+BATCHES = {"one_sigma": [0.1], "three_sigmas": [0.01, 0.1, 0.4], "run_trajectory": None}
+
+
+def two_od_run0(standin_game, standin_dynamics, runs, batch):
+    """Run 0's record bytes at sigma 0.1 in a two_od sweep of ``BATCHES[batch]``."""
+    geometries, schedules = standin_dynamics
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, runs, 20260810)
+    seeds, sigmas = run_seeds(cfg.seed, runs), BATCHES[batch]
+    if sigmas is None:
+        record = run_trajectory(cfg, seeds[0])
+    else:
+        record = sweep_with_records(cfg, sigmas, seeds)[1][sigmas.index(0.1)][0]
+    return [getattr(record, field.name).tobytes() for field in fields(RunRecord)]
+
+
+@pytest.mark.parametrize("runs, batch", [
+    *itertools.product((2, 7, 150), ("one_sigma", "three_sigmas")),
+    pytest.param(1, "one_sigma", marks=pytest.mark.xfail(strict=True, reason=ITEM_14)),
+    pytest.param(1, "run_trajectory", marks=pytest.mark.xfail(strict=True, reason=ITEM_14)),
+])
+def test_a_runs_bytes_do_not_depend_on_its_batch(runs, batch, standin_game, standin_dynamics):
+    # Run 0's seed is child 0 of the master seed for every run count; only the batch
+    # of (sigma, run) columns it shares the sweep with changes.
+    expected = two_od_run0(standin_game, standin_dynamics, 2, "one_sigma")
+    assert two_od_run0(standin_game, standin_dynamics, runs, batch) == expected
+
+
 def _traced_peak(cfg, sigmas, on_chunk=None) -> int:
     """Bytes that one streamed sweep holds at its peak, over what was held before it."""
     tracemalloc.start()
@@ -561,7 +590,7 @@ def test_a_hooked_sweep_holds_one_chunk_of_runs(standin_game, standin_dynamics):
     def config(horizon, runs):
         return SimulationConfig(standin_game, geometries, schedules, 0.1, horizon, runs, 20260810)
 
-    def discard(start, records):
+    def discard(start, chunk):
         pass
 
     simulate_sweep(config(2, 2), [0.1], run_seeds(0, 2), discard)  # warm up
