@@ -79,11 +79,11 @@ def cmd_simulate(args) -> int:
 
     # Every result first; then --per-run replays the sweep, writing each chunk as it ends.
     try:
-        ensembles = sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs))
+        ensembles = sim.simulate_sweep(run_cfgs[0], sigmas)
         results = [sim.monte_carlo(r, equilibrium, records=e) for r, e in zip(run_cfgs, ensembles)]
         bounds = [sim.check_suboptimality_bound(r, stats) for r, stats in zip(run_cfgs, results)]
         if args.per_run:
-            sim.simulate_sweep(run_cfgs[0], sigmas, sim.run_seeds(seed, runs), write_rows)
+            sim.simulate_sweep(run_cfgs[0], sigmas, write_rows)
     except MemoryError as exc:  # main prints it in one line; the size goes at its end
         size = f"(simulate: T={horizon}, runs={runs}, sigmas={len(sigmas)})"
         raise MemoryError(" ".join(filter(None, [str(exc), size]))) from exc
@@ -168,12 +168,12 @@ def cmd_accountant(args) -> int:
             "c": c, "sigma": sigma,
             # The releases, summarised in constant size.
             "per_step": {
-                "sensitivity": dict(zip(("min", "max"), curve.sensitivity_range[:, -1].tolist())),
-                "epsilon": dict(zip(("min", "max"), curve.epsilon_range[:, -1].tolist())),
-                "delta": float(curve.release_delta[-1]),  # the uniform split: every release has it
+                "sensitivity": dict(zip(("min", "max"), curve.sensitivity_range)),
+                "epsilon": dict(zip(("min", "max"), curve.epsilon_range)),
+                "delta": curve.release_delta,  # the uniform split: every release has it
                 "valid_releases": curve.valid_releases,
             },
-            "tail_delta": float(curve.tail_delta[-1]), "epsilon": float(curve.epsilon[-1]),
+            "tail_delta": curve.tail_delta, "epsilon": float(curve.epsilon[-1]),
             "delta": float(curve.delta[-1]), "trivial": bool(curve.delta[-1] >= 1.0),
             "valid": bool(curve.valid[-1]),
         } | {k: int(horizons[m.argmax()]) if m.any() else None

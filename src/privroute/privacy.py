@@ -24,6 +24,7 @@ pass; ``privacy_report`` adds the per-release arrays at a single horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -167,7 +168,7 @@ def _sensitivities(consts: SensitivityConstants, c: float, releases, loss_dual_b
     if not (c >= 0 and math.isfinite(c)):
         raise ValueError(f"adjacency radius must be finite and nonnegative, got {c}")
     t = np.maximum(np.asarray(releases) - 2, 0)
-    eta_max = np.max([s.rate(t) for s in consts.schedules], axis=0)
+    eta_max = functools.reduce(np.maximum, (s.rate(t) for s in consts.schedules))
     shift = allocation_shift_bound(eta_max, loss_dual_bound, consts.modulus_min, consts.mass_bound)
     return (c * consts.loss_lipschitz * consts.incidence_gain
             * (consts.allocation_norm_bound + shift))
@@ -221,11 +222,14 @@ def _running_sum(values: np.ndarray) -> np.ndarray:
     left as they are.
     """
     total = np.cumsum(values)
-    before = np.concatenate(([0.0], total[:-1]))
-    with np.errstate(invalid="ignore"):
+    before = np.concatenate(([0.0], total))[:-1]
+    with np.errstate(invalid="ignore"):  # the error terms, in the buffers of before and added
         added = total - before
-        error = (before - (total - added)) + (values - added)
-    return total + np.cumsum(np.where(np.isfinite(error), error, 0.0))
+        error = np.add(np.subtract(before, total - added, out=before),
+                       np.subtract(values, added, out=added), out=before)
+    error[~np.isfinite(error)] = 0.0
+    total += np.cumsum(error, out=error)
+    return total
 
 
 def _exp_sums(later: np.ndarray, scales: np.ndarray, horizons: np.ndarray) -> list:
@@ -308,23 +312,23 @@ def privacy_report(
     curve = privacy_curve(consts, adjacency_radius, sigma, [horizon], clip, delta_budget)
     sens = _sensitivities(consts, adjacency_radius, np.arange(1, horizon + 1),
                           consts.clipped_loss_bound(clip))
-    epsilons, flags = _epsilons(sens, sigma, curve.release_delta[0])
-    return PrivacyReport(sens, epsilons, np.full(horizon, curve.release_delta[0]), flags,
-                         *(float(v[0]) for v in (curve.tail_delta, curve.epsilon, curve.delta)))
+    epsilons, flags = _epsilons(sens, sigma, curve.release_delta)
+    return PrivacyReport(sens, epsilons, np.full(horizon, curve.release_delta), flags,
+                         curve.tail_delta, float(curve.epsilon[0]), float(curve.delta[0]))
 
 
 @dataclass(frozen=True, eq=False)
 class PrivacyCurve:
-    """Composed (epsilon, delta) of the uniform-split releases at each horizon, with a summary."""
+    """Composed (epsilon, delta) per horizon of uniform-split releases; a summary at the largest."""
 
     epsilon: np.ndarray
     delta: np.ndarray
     releases_valid: np.ndarray  # every per-release epsilon lies in (0, 1)
-    release_delta: np.ndarray  # each release's share of the delta budget
-    tail_delta: np.ndarray  # the clip event's mass, included in delta
-    sensitivity_range: np.ndarray  # rows: the smallest and the largest per-release sensitivity
-    epsilon_range: np.ndarray  # rows: the smallest and the largest per-release epsilon
-    valid_releases: int  # the count of valid releases at the largest horizon
+    release_delta: float  # each release's share of the delta budget
+    tail_delta: float  # the clip event's mass, included in delta
+    sensitivity_range: tuple[float, float]  # the smallest and the largest per-release sensitivity
+    epsilon_range: tuple[float, float]  # the smallest and the largest per-release epsilon
+    valid_releases: int  # the count of valid releases
 
     @property
     def valid(self) -> np.ndarray:
@@ -365,7 +369,7 @@ def privacy_curve(
     largest delta exponent is the first release's, ``s_T Q_T``, and the
     log of the composed delta less the tail mass is ``log(delta_budget /
     T) + s_T Q_T + log sum_{k <= T} exp(-s_T Q_k)``: one exp-sum per
-    horizon.  Only per-horizon values are returned, and the count of valid
+    horizon.  Only per-horizon values are returned, and a summary of the
     releases at the largest horizon; :func:`privacy_report` has the arrays.
     """
     horizons = np.asarray(horizons, dtype=np.int64)
@@ -399,6 +403,8 @@ def privacy_curve(
     tails = np.array([tail_delta(sigma, clip, h, consts.total_paths) for h in horizons.tolist()])
     with np.errstate(over="ignore"):
         delta = tails + np.exp(np.log(steps) + scale * later[ends] + np.log(sums))
-    last = _epsilons(sens, sigma, steps[horizons.argmax()])[1]  # the largest horizon's flags
-    return PrivacyCurve(epsilon, delta, flags[0] & flags[1], steps, tails, prefix[:2],
-                        np.stack((eps_min, eps_max)), int(np.count_nonzero(last)))
+    last = horizons.argmax()  # the summary's horizon
+    valid = np.count_nonzero(_epsilons(sens, sigma, steps[last])[1])
+    return PrivacyCurve(epsilon, delta, flags[0] & flags[1], float(steps[last]), float(tails[last]),
+                        tuple(prefix[:2, last].tolist()),
+                        (float(eps_min[last]), float(eps_max[last])), int(valid))

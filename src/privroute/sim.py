@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import os
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -124,33 +124,49 @@ def _reduce_runs(potentials: np.ndarray, gaps: np.ndarray, allocations: np.ndarr
     return f_mean, np.sqrt(mean(deviations * deviations)), mean(gaps), mean(allocations)
 
 
-def simulate_sweep(
-    cfg: SimulationConfig, sigmas, seeds: Sequence, on_chunk: Callable | None = None
-) -> list[EnsembleRuns]:
-    """Advance one run per (sigma, seed) pair, all together; one EnsembleRuns per sigma.
+def _working_set(cfg: SimulationConfig, S: int, hooked: bool) -> int:
+    """Peak bytes of a sweep of ``S`` sigmas: per run, a noise chunk, a 1 KB generator, 16 arrays
+    the state's size and a row of outputs; the per-step tables; with a hook, each column's chunk."""
+    K, P, T, R = cfg.game.num_populations, cfg.game.total_paths, cfg.horizon, cfg.runs
+    width = min(_STEP_CHUNK, T)
+    floats = R * (width * P + (17 * K * P + 2) * S) + T * (3 + K * P) * S
+    return 8 * (floats + hooked * width * (K * P + P + 2) * S * R) + 1024 * R
 
-    ``sigmas`` replaces ``cfg.sigma``.  Run ``r`` draws its noise from
-    ``default_rng(seeds[r])``, one ``(steps, paths)`` block per chunk of steps
-    (the same numbers as ``T`` successive draws of one vector), and every sigma
-    scales those draws.  Entropic populations are held as logits and euclidean
-    ones as iterates, as ``(populations, paths, sigmas, runs)`` arrays.  On one
-    BLAS kernel, a batch of two or more (sigma, run) columns gives each column
-    the same bytes; a one-column batch, or another kernel, can differ in the
-    last bits.  Each step's allocations, potentials and gaps are reduced over
-    runs, their last axis, as the step ends, so the state does not grow with
-    ``T`` beyond the per-step means and the potentials' std.
-    ``on_chunk(start, chunk)`` is called as each chunk ends: ``chunk`` is one
-    :class:`RunRecord` of steps ``start + 1..`` with the state's ``(sigmas, runs)``
-    axes last, views of buffers that the next chunk reuses, so copy what is kept.
-    """
-    return _sweep(cfg, sigmas, seeds, on_chunk, cfg.game.masses[..., None, None],
-                  lambda t, losses, noise: (losses + noise,) * 2)  # released, and learned from
+
+def _release(t, losses, noise):  # the paper's: losses plus noise, released and learned from
+    return (losses + noise,) * 2
+
+
+def simulate_sweep(cfg: SimulationConfig, sigmas, on_chunk=None) -> list[EnsembleRuns]:
+    """Advance ``cfg.runs`` runs per sigma, all together; one EnsembleRuns per sigma.
+
+    ``sigmas`` replaces ``cfg.sigma``.  Run ``r`` draws its noise from child ``r`` of
+    :func:`run_seeds` a chunk of steps at a time, and every sigma scales those draws.  The
+    state is ``(populations, paths, sigmas, runs)`` arrays, reduced over runs each step;
+    one column, or another BLAS kernel, can change a column's last bits.  A batch whose
+    working set exceeds physical memory is refused before any seed or array is made, by
+    a MemoryError naming that shape.  ``on_chunk(start, chunk)`` gets each finished chunk
+    as one :class:`RunRecord` of steps ``start + 1..``, ``(sigmas, runs)`` axes last:
+    views of buffers that the next chunk reuses, so copy what is kept."""
+    need = _working_set(cfg, len(sigmas), on_chunk is not None)
+    try:  # where the platform reports no physical memory, nothing is refused
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        have = 0
+    if 0 < have < need:
+        shape = (cfg.game.num_populations, cfg.game.total_paths, len(sigmas), cfg.runs)
+        raise MemoryError(f"a sweep of shape {shape} needs about {need / 1e9:.3g} GB, "
+                          f"more than the {have / 1e9:.3g} GB of physical memory")
+    return _sweep(cfg, sigmas, None, on_chunk, cfg.game.masses[..., None, None], _release)
 
 
 def _sweep(cfg, sigmas, seeds, on_chunk, masses, release):
-    """:func:`simulate_sweep` with ``masses`` ``(K, OD, sigmas or 1, runs or 1)`` and with
-    ``release(t, losses, sigma * noise)`` giving step ``t``'s released and learned-from vectors."""
-    game, T, R, P = cfg.game, cfg.horizon, len(seeds), cfg.game.total_paths
+    """:func:`simulate_sweep` with ``masses`` ``(K, OD, sigmas or 1, runs or 1)``, with
+    ``release(t, losses, sigma * noise)`` giving step ``t``'s released and learned-from vectors
+    and with the runs' ``seeds``: if None, ``run_seeds(cfg.seed, cfg.runs)``, spawned after the
+    arrays, where numpy.random's lazy import adds least to the process's peak RSS."""
+    game, T, P = cfg.game, cfg.horizon, cfg.game.total_paths
+    R = cfg.runs if seeds is None else len(seeds)
     sigmas = _check_sigmas(sigmas)
     S, K, sizes = len(sigmas), game.num_populations, game.block_sizes
     kinds = np.array([g.kind for g in cfg.geometries])
@@ -168,7 +184,7 @@ def _sweep(cfg, sigmas, seeds, on_chunk, masses, release):
     half_slope, scale = 0.5 * slope, sigmas[:, None]
     incidence, blocks = game.paths.incidence, block_slices(sizes)
     incidence_t = incidence.T
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(s) for s in (run_seeds(cfg.seed, R) if seeds is None else seeds)]
 
     width = min(_STEP_CHUNK, T)
     noise = np.empty((R, width, P))  # runs first: each generator draws straight into its block
@@ -217,7 +233,8 @@ def _sweep(cfg, sigmas, seeds, on_chunk, masses, release):
 def run_trajectory(cfg: SimulationConfig, seed) -> RunRecord:
     """Simulate one run; fully determined by the config and the seed."""
     chunks = []  # astuple copies each chunk's views before the sweep reuses their buffers
-    simulate_sweep(cfg, [cfg.sigma], [seed], lambda _, chunk: chunks.append(astuple(chunk)))
+    _sweep(cfg, [cfg.sigma], [seed], lambda _, chunk: chunks.append(astuple(chunk)),
+           cfg.game.masses[..., None, None], _release)
     return RunRecord(*(np.concatenate(field)[..., 0, 0] for field in zip(*chunks)))
 
 
@@ -236,26 +253,9 @@ def fit_loglog_slope(values: np.ndarray, window: tuple[int, int]) -> float:
     return float((x * y).sum() / (x * x).sum())
 
 
-class _RunSeeds(Sequence):
-    """Child ``i`` of ``SeedSequence(seed).spawn(runs)``, made only when it is read."""
-
-    def __init__(self, seed: int, runs: int) -> None:
-        self._seed, self._keys = seed, range(runs)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self._seed, spawn_key=(self._keys[i],))
-
-
-def run_seeds(seed: int, runs: int) -> Sequence[np.random.SeedSequence]:
-    """Per-run seed substreams, the children of ``SeedSequence(seed).spawn(runs)``.
-
-    Each is made when it is read, so a run count that no array can hold fails
-    at the sweep's first allocation, not after spawning every child.
-    """
-    return _RunSeeds(seed, runs)
+def run_seeds(seed: int, runs: int) -> list[np.random.SeedSequence]:
+    """Per-run seed substreams: ``SeedSequence(seed).spawn(runs)``."""
+    return np.random.SeedSequence(seed).spawn(runs)
 
 
 def monte_carlo(
@@ -274,7 +274,7 @@ def monte_carlo(
     The result is those runs' reductions plus the slope fit.
     """
     if records is None:
-        records = simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))[0]
+        records = simulate_sweep(cfg, [cfg.sigma])[0]
     elif not isinstance(records, EnsembleRuns):
         stacked = [np.stack([getattr(r, field) for r in records], -1)
                    for field in ("potentials", "gaps", "allocations")]

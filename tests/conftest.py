@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from privroute.game import (
     uniform_allocation,
 )
 from privroute.network import block_slices, build_network
+from privroute import sim
 from privroute.sim import RunRecord, simulate_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,10 +87,10 @@ def validate_allocation(game: GameInstance, x: np.ndarray, tol: float = SIMPLEX_
             raise ValueError(f"allocation block {s} does not sum to one: {sums}")
 
 
-def sweep_with_records(cfg, sigmas, seeds, sweep=simulate_sweep):
-    """``sweep``'s result and ``records[i][r]``, sigma ``i``'s run ``r`` in full.
+def sweep_with_records(cfg, sigmas, sweep=simulate_sweep):
+    """``sweep``'s result and ``records[i][r]``, sigma ``i``'s run ``r`` of ``cfg.runs``, in full.
 
-    ``sweep(cfg, sigmas, seeds, on_chunk)`` is ``simulate_sweep`` unless given.
+    ``sweep(cfg, sigmas, on_chunk)`` is ``simulate_sweep`` unless given.
     The records are collected through the sweep's chunk hook: each chunk's
     views are copied (``astuple`` copies arrays) before the next chunk reuses
     their buffers, and each chunk must start where the one before it stopped.
@@ -101,10 +103,21 @@ def sweep_with_records(cfg, sigmas, seeds, sweep=simulate_sweep):
         assert start == held, (start, held)
         chunks.append(astuple(chunk))
 
-    ensembles = sweep(cfg, sigmas, seeds, collect)
+    ensembles = sweep(cfg, sigmas, collect)
     whole = [np.concatenate(field) for field in zip(*chunks)]
     return ensembles, [[RunRecord(*(field[..., i, r] for field in whole))
-                        for r in range(len(seeds))] for i in range(len(ensembles))]
+                        for r in range(cfg.runs)] for i in range(len(ensembles))]
+
+
+def physical_memory(monkeypatch, sysconf) -> None:
+    """Give ``sim`` an ``os`` whose only member is ``sysconf``, or none when it is None."""
+    os_module = SimpleNamespace(sysconf=sysconf) if sysconf else SimpleNamespace()
+    monkeypatch.setattr(sim, "os", os_module)
+
+
+def pages(count: int):
+    """A ``sysconf`` that reports ``count`` pages of one byte."""
+    return {"SC_PHYS_PAGES": count, "SC_PAGE_SIZE": 1}.__getitem__
 
 
 def gradient_smoothness(game: GameInstance) -> float:

@@ -22,7 +22,7 @@ from privroute.config import build_dynamics_from_config, privacy_pairs
 from privroute.dynamics import BregmanGeometry
 from privroute.privacy import SensitivityConstants
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import CONFIG_DIR, REPO_ROOT, pages, physical_memory
 
 try:
     from numpy._core._exceptions import _ArrayMemoryError
@@ -541,10 +541,10 @@ def test_out_of_memory_in_the_per_run_pass_writes_nothing(tmp_path, capsys, monk
 
     sweep = sim.simulate_sweep
 
-    def exhausted_when_hooked(cfg, sigmas, seeds, on_chunk=None):
+    def exhausted_when_hooked(cfg, sigmas, on_chunk=None):
         if on_chunk is not None:
             raise MemoryError("Unable to allocate")
-        return sweep(cfg, sigmas, seeds)
+        return sweep(cfg, sigmas)
 
     monkeypatch.setattr(sim, "simulate_sweep", exhausted_when_hooked)
     out = tmp_path / "out"
@@ -552,6 +552,35 @@ def test_out_of_memory_in_the_per_run_pass_writes_nothing(tmp_path, capsys, monk
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate (simulate: T=20, runs=2, sigmas=2)\n")
+    assert not out.exists()
+
+
+def test_simulate_beyond_physical_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    physical_memory(monkeypatch, pages(1_000_000))  # the shipped sweep needs about 1.14 MB
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(TWO_OD), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: a sweep of shape (2, 5, 3, 150) needs about 0.00114 GB, more "
+        "than the 0.001 GB of physical memory (simulate: T=200, runs=150, sigmas=3)\n")
+    assert not out.exists()
+
+
+def test_per_run_beyond_physical_memory_fails_after_the_first_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    # The shipped sweep needs about 1.14 MB, and its --per-run replay 4.20 MB with
+    # the hooked buffers: only the replay is refused, and still nothing is written.
+    from privroute import sim
+
+    physical_memory(monkeypatch, pages(2_000_000))
+    sweeps = []
+    sweep = sim._sweep
+    monkeypatch.setattr(sim, "_sweep", lambda *args: sweeps.append(args[3]) or sweep(*args))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(TWO_OD), "--per-run", "--out", str(out)]) == 1
+    assert sweeps == [None]
+    assert capsys.readouterr().err == (
+        "error: out of memory: a sweep of shape (2, 5, 3, 150) needs about 0.0042 GB, more "
+        "than the 0.002 GB of physical memory (simulate: T=200, runs=150, sigmas=3)\n")
     assert not out.exists()
 
 
@@ -611,9 +640,9 @@ def test_unallocatable_t_range_fails_on_the_budget(tmp_path):
 
 @pytest.mark.parametrize("runs", [100000000, 2**53], ids=["1e8", "2**53"])
 def test_unallocatable_run_count_fails_at_once(tmp_path, runs):
-    # The seeds are made as they are read, so the sweep's first array, whose
-    # shape holds len(run_seeds(...)), fails before any child exists.  Capped
-    # at 3 GiB of address space, as above.
+    # The sweep estimates its working set from its sizes and refuses one larger than
+    # physical memory, before any seed or array is made.  Capped at 3 GiB of address
+    # space, as above, in case the refusal does not come.
     import resource
 
     def cap():

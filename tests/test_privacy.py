@@ -700,6 +700,35 @@ def test_curve_holds_no_array_per_release():
     assert curve.valid_releases == horizons[-1]
 
 
+def test_a_curve_peaks_under_44_bytes_per_release():
+    # While a curve is computed it holds the sensitivities and, in _running_sum,
+    # four more per-release arrays: 40 B per release.  Stacking the schedules'
+    # rates, and the error terms in fresh arrays, had it peak at 56 B.
+    consts = two_od_constants()
+    horizons = np.arange(1, 200_001, 200)
+    privacy_curve(consts, 1e-5, 0.1, [5], 2.0, 1e-3)  # warm up, so the traced call loads nothing
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        privacy_curve(consts, 1e-5, 0.1, horizons, 2.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 200_000, peak / 200_000
+
+
+def test_a_curves_summary_is_taken_at_its_largest_horizon():
+    consts = two_od_constants()
+    given, ascending = (privacy_curve(consts, 1e-5, 0.3, horizons, 2.0, 1e-3)
+                        for horizons in ([5000, 100], [100, 5000]))
+    for field in ("release_delta", "tail_delta", "sensitivity_range", "epsilon_range",
+                  "valid_releases"):
+        assert getattr(given, field) == getattr(ascending, field), field
+    assert given.sensitivity_range[0] == pytest.approx(1.82e-4, rel=1e-2)
+    for field in ("epsilon", "delta", "releases_valid"):
+        assert getattr(given, field).tobytes() == getattr(ascending, field)[::-1].tobytes()
+
+
 def test_curve_rejects_bad_horizons(standin_game, standin_dynamics):
     _, schedules = standin_dynamics
     consts = SensitivityConstants.from_game(standin_game, schedules)

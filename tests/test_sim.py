@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from privroute.sim import (
     simulate_sweep,
 )
 
-from conftest import sweep_with_records, validate_allocation
+from conftest import pages, physical_memory, sweep_with_records, validate_allocation
 
 
 def small_config(game, sigma=0.1, horizon=40, runs=3, seed=11, scale=1.0, decay=0.5):
@@ -208,7 +208,7 @@ def engine_case(name, standin_game, standin_dynamics):
 def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     cfg = engine_case(case, standin_game, standin_dynamics)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma])
     for seed, record in zip(seeds, records):
         potentials, gaps, allocations, observed = loop_oracle(cfg, seed)
         np.testing.assert_allclose(record.potentials, potentials, rtol=0, atol=1e-12)
@@ -222,7 +222,7 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
     assert runs.f_mean.tobytes() == potentials.mean(axis=0).tobytes()
     assert runs.f_std.tobytes() == potentials.std(axis=0).tobytes()
     assert runs.gap_mean.tobytes() == gaps.mean(axis=0).tobytes()
-    streamed = simulate_sweep(cfg, [cfg.sigma], seeds)[0]
+    streamed = simulate_sweep(cfg, [cfg.sigma])[0]
     assert not hasattr(streamed, "records")
     for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
         assert getattr(streamed, field).tobytes() == getattr(runs, field).tobytes()
@@ -235,13 +235,12 @@ def test_engine_matches_loop_oracle(case, standin_game, standin_dynamics):
 def test_sweep_matches_one_sigma_calls(case, standin_game, standin_dynamics):
     # Each sigma of a sweep gets the same bytes as a call with that sigma alone.
     cfg = engine_case(case, standin_game, standin_dynamics)
-    seeds = run_seeds(cfg.seed, cfg.runs)
     sigmas = [0.25, 0.0, 0.4, cfg.sigma]
-    kept, kept_records = sweep_with_records(cfg, sigmas, seeds)
-    streamed = simulate_sweep(cfg, sigmas, seeds)
+    kept, kept_records = sweep_with_records(cfg, sigmas)
+    streamed = simulate_sweep(cfg, sigmas)
     assert len(kept) == len(streamed) == len(kept_records) == len(sigmas)
     for sigma, swept, swept_streamed, swept_records in zip(sigmas, kept, streamed, kept_records):
-        (alone,), (alone_records,) = sweep_with_records(cfg, [sigma], seeds)
+        (alone,), (alone_records,) = sweep_with_records(cfg, [sigma])
         for runs in (swept, swept_streamed):
             for field in ("f_mean", "f_std", "gap_mean", "flow_mean"):
                 assert getattr(runs, field).tobytes() == getattr(alone, field).tobytes()
@@ -262,17 +261,16 @@ def test_two_worlds_in_one_sweep_equal_two_one_world_sweeps(case, standin_game,
     game_b = build_game(standin_game.network, standin_game.costs, shifted)
     cfg_b = SimulationConfig(game_b, cfg_a.geometries, cfg_a.schedules, 0.25, cfg_a.horizon,
                              cfg_a.runs, cfg_a.seed)
-    seeds = run_seeds(cfg_a.seed, cfg_a.runs)
     masses = np.stack([standin_game.masses, shifted], -1)[..., None]  # (K, OD, worlds, 1)
 
-    def two_worlds(cfg, sigmas, seeds, on_chunk):
-        return sim._sweep(cfg, sigmas, seeds, on_chunk, masses,
-                          lambda t, losses, noise: (losses + noise,) * 2)
+    def two_worlds(cfg, sigmas, on_chunk):
+        return sim._sweep(cfg, sigmas, run_seeds(cfg.seed, cfg.runs), on_chunk, masses,
+                          sim._release)
 
-    both, both_records = sweep_with_records(cfg_a, [cfg_a.sigma, cfg_b.sigma], seeds, two_worlds)
+    both, both_records = sweep_with_records(cfg_a, [cfg_a.sigma, cfg_b.sigma], two_worlds)
     assert cfg_a.runs >= 2
     for cfg, world, world_records in zip((cfg_a, cfg_b), both, both_records, strict=True):
-        (alone,), (alone_records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+        (alone,), (alone_records,) = sweep_with_records(cfg, [cfg.sigma])
         for field in fields(EnsembleRuns):
             a, b = (np.asarray(getattr(runs, field.name)) for runs in (world, alone))
             assert a.tobytes() == b.tobytes(), field.name
@@ -284,7 +282,7 @@ def test_two_worlds_in_one_sweep_equal_two_one_world_sweeps(case, standin_game,
 def test_sweep_rejects_a_negative_sigma(standin_game, standin_dynamics):
     cfg = engine_case("two_od_sigma0.4", standin_game, standin_dynamics)
     with pytest.raises(ValueError, match="nonnegative"):
-        simulate_sweep(cfg, [0.1, -0.1], run_seeds(cfg.seed, cfg.runs))
+        simulate_sweep(cfg, [0.1, -0.1])
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf])
@@ -294,7 +292,7 @@ def test_non_finite_sigma_is_refused(standin_game, standin_dynamics, sigma):
         SimulationConfig(standin_game, geometries, schedules, sigma, 10, 1, 0)
     cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 10, 1, 0)
     with pytest.raises(ValueError, match="must be finite and nonnegative"):
-        simulate_sweep(cfg, [0.1, sigma], run_seeds(cfg.seed, cfg.runs))
+        simulate_sweep(cfg, [0.1, sigma])
 
 
 def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin_dynamics,
@@ -314,7 +312,7 @@ def test_engine_steps_with_the_rates_the_accountant_bounds(standin_game, standin
     monkeypatch.setattr(LearningSchedule, "rate", spy)
     geometries, schedules = standin_dynamics
     cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, 2, 1)
-    simulate_sweep(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
+    simulate_sweep(cfg, [cfg.sigma])
     engine = calls[:]
     consts = privacy.SensitivityConstants.from_game(standin_game, schedules)
     privacy.privacy_curve(consts, 1e-6, 0.1, [cfg.horizon], 2.0, 1e-3)
@@ -337,7 +335,7 @@ def test_monte_carlo_takes_a_sweep_ensemble(case, standin_game, standin_dynamics
     else:
         cfg = engine_case(case, standin_game, standin_dynamics)
     eq = solve_equilibrium(cfg.game)
-    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma], run_seeds(cfg.seed, cfg.runs))
+    (runs,), (records,) = sweep_with_records(cfg, [cfg.sigma])
     direct = monte_carlo(cfg, eq)
     for given in (runs, records):
         stats = monte_carlo(cfg, eq, records=given)
@@ -356,7 +354,7 @@ def test_engine_noise_is_successive_draws_from_each_child():
     game = build_game(net, [[0.0, 0.0]] * 3, [[1.0]])
     cfg = small_config(game, sigma=1.0, horizon=25, runs=4, seed=8)
     seeds = run_seeds(cfg.seed, cfg.runs)
-    _, (records,) = sweep_with_records(cfg, [cfg.sigma], seeds)
+    _, (records,) = sweep_with_records(cfg, [cfg.sigma])
     for seed, record in zip(seeds, records):
         rng = np.random.default_rng(seed)
         draws = np.array([rng.standard_normal(3) for _ in range(cfg.horizon)])
@@ -461,11 +459,11 @@ def test_engine_equals_the_generic_reductions(case, sigmas, runs, standin_game, 
         cfg = SimulationConfig(standin_game, geometries, schedules, sigmas[0], horizon, runs, 6)
     else:
         cfg = engine_case(case, standin_game, standin_dynamics)
-    seeds = run_seeds(cfg.seed, runs)
-    expected = generic_reductions_oracle(cfg, sigmas, seeds)
+    cfg = replace(cfg, runs=runs)
+    expected = generic_reductions_oracle(cfg, sigmas, run_seeds(cfg.seed, runs))
     for kept in (False, True):
-        sweep = (sweep_with_records(cfg, sigmas, seeds)[0] if kept
-                 else simulate_sweep(cfg, sigmas, seeds))
+        sweep = (sweep_with_records(cfg, sigmas)[0] if kept
+                 else simulate_sweep(cfg, sigmas))
         for runs_of_sigma, fields in zip(sweep, expected):
             got = (runs_of_sigma.f_mean, runs_of_sigma.f_std, runs_of_sigma.gap_mean,
                    runs_of_sigma.flow_mean)
@@ -482,16 +480,16 @@ def test_outputs_do_not_depend_on_the_chunk(case, standin_game, standin_dynamics
     else:
         base = engine_case(case, standin_game, standin_dynamics)
         cfg = SimulationConfig(standin_game, base.geometries, base.schedules, 0.4, 201, 6, 3)
-    sigmas, seeds = [0.01, 0.1, 0.4], run_seeds(cfg.seed, cfg.runs)
+    sigmas = [0.01, 0.1, 0.4]
     eq = solve_equilibrium(standin_game)
     stats_bytes, record_bytes = [], []
     for chunk in (2, 7, 50, 201, 1000):
         monkeypatch.setattr(sim, "_STEP_CHUNK", chunk)
         for kept in (False, True):
             if kept:
-                sweep, records = sweep_with_records(cfg, sigmas, seeds)
+                sweep, records = sweep_with_records(cfg, sigmas)
             else:
-                sweep = simulate_sweep(cfg, sigmas, seeds)
+                sweep = simulate_sweep(cfg, sigmas)
             stats = [monte_carlo(cfg, eq, records=runs) for runs in sweep]
             stats_bytes.append([
                 [getattr(s, f).tobytes() for f in ("f_mean", "f_std", "gap_mean", "flow_mean")]
@@ -520,7 +518,7 @@ def two_od_run0(standin_game, standin_dynamics, runs, batch):
     if sigmas is None:
         record = run_trajectory(cfg, seeds[0])
     else:
-        record = sweep_with_records(cfg, sigmas, seeds)[1][sigmas.index(0.1)][0]
+        record = sweep_with_records(cfg, sigmas)[1][sigmas.index(0.1)][0]
     return [getattr(record, field.name).tobytes() for field in fields(RunRecord)]
 
 
@@ -541,7 +539,7 @@ def _traced_peak(cfg, sigmas, on_chunk=None) -> int:
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        simulate_sweep(cfg, sigmas, run_seeds(cfg.seed, cfg.runs), on_chunk)
+        simulate_sweep(cfg, sigmas, on_chunk)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -553,7 +551,7 @@ def test_each_sigma_costs_less_than_two_noise_chunks(standin_game, standin_dynam
     # copy of the chunk's draw.
     geometries, schedules = standin_dynamics
     cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, 150, 20260810)
-    simulate_sweep(cfg, [0.1], run_seeds(0, 2))  # warm up, so the first sweep loads nothing
+    simulate_sweep(replace(cfg, runs=2), [0.1])  # warm up, so the first sweep loads nothing
     peaks = {n: _traced_peak(cfg, np.linspace(0.01, 0.4, n)) for n in (1, 3, 6)}
     chunk = cfg.runs * sim._STEP_CHUNK * standin_game.total_paths * 8
     per_sigma = [(peaks[3] - peaks[1]) / 2, (peaks[6] - peaks[3]) / 3]
@@ -573,7 +571,7 @@ def test_a_plain_sweep_holds_one_row_of_outputs_per_run(standin_game, standin_dy
     def config(runs):
         return SimulationConfig(standin_game, geometries, schedules, 0.1, 200, runs, 20260810)
 
-    simulate_sweep(config(2), [0.1], run_seeds(0, 2))  # warm up
+    simulate_sweep(config(2), [0.1])  # warm up
     peaks = {runs: _traced_peak(config(runs), sigmas) for runs in (150, 600)}
     per_run = (peaks[600] - peaks[150]) / 450
     noise, row = sim._STEP_CHUNK * P * 8, (K * P + 2) * len(sigmas) * 8
@@ -593,7 +591,70 @@ def test_a_hooked_sweep_holds_one_chunk_of_runs(standin_game, standin_dynamics):
     def discard(start, chunk):
         pass
 
-    simulate_sweep(config(2, 2), [0.1], run_seeds(0, 2), discard)  # warm up
+    simulate_sweep(config(2, 2), [0.1], discard)  # warm up
     peaks = {T: _traced_peak(config(T, 150), sigmas, discard) for T in (100, 1000)}
     chunk = len(sigmas) * 150 * sim._STEP_CHUNK * (K * P + P + 2) * 8  # the hooked buffers
     assert peaks[1000] - peaks[100] < chunk, (peaks, chunk)
+
+
+# ------------------------------------------- the working set against physical memory
+
+
+@pytest.mark.parametrize("runs", [150, 600])
+@pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+def test_the_working_set_bounds_the_traced_peak_within_a_factor_of_two(
+        runs, hooked, standin_game, standin_dynamics):
+    geometries, schedules = standin_dynamics
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, runs, 20260810)
+    sigmas = [0.01, 0.1, 0.4]
+
+    def discard(start, chunk):
+        pass
+
+    hook = discard if hooked else None
+    simulate_sweep(replace(cfg, horizon=2, runs=2), [0.1], hook)  # warm up
+    peak = _traced_peak(cfg, sigmas, hook)
+    estimate = sim._working_set(cfg, len(sigmas), hooked)
+    assert peak <= estimate <= 2 * peak, (peak, estimate)
+
+
+def test_a_sweep_beyond_physical_memory_is_refused_before_any_seed_or_array(
+        standin_game, standin_dynamics, monkeypatch):
+    geometries, schedules = standin_dynamics
+    cfg = SimulationConfig(standin_game, geometries, schedules, 0.1, 200, 150, 20260810)
+    sigmas = [0.01, 0.1, 0.4]
+    simulate_sweep(replace(cfg, horizon=2, runs=2), [0.1])  # warm up
+
+    def unreachable(*args):
+        raise AssertionError("a seed was made for a refused sweep")
+
+    monkeypatch.setattr(sim, "run_seeds", unreachable)
+    physical_memory(monkeypatch, pages(1_000_000))  # the sweep needs about 1.14 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
+            simulate_sweep(cfg, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("a sweep of shape (2, 5, 3, 150) needs about 0.00114 GB, "
+                                  "more than the 0.001 GB of physical memory")
+    assert peak < 64 * 1024, peak
+
+
+def unknown_name(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+@pytest.mark.parametrize("sysconf", [None, pages(-1), unknown_name],
+                         ids=["no-sysconf", "indeterminate", "unknown-name"])
+def test_unreported_physical_memory_refuses_nothing(sysconf, pigou_game, monkeypatch):
+    # Where os.sysconf is missing it is an AttributeError, and where it does not
+    # know the name a ValueError; an indeterminate value is -1.
+    cfg = small_config(pigou_game, horizon=5, runs=2)
+    physical_memory(monkeypatch, pages(1))
+    with pytest.raises(MemoryError, match="of physical memory"):
+        simulate_sweep(cfg, [0.1])
+    physical_memory(monkeypatch, sysconf)
+    (runs,) = simulate_sweep(cfg, [0.1])
+    assert runs.runs == 2
